@@ -40,22 +40,42 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 
 
 def _read_series(path: str) -> tuple[list[float], list[int]]:
+    """Samples, and epochs if the file has an epoch column, from a detect CSV.
+
+    The first nonblank row may be a header; any other row that does not parse
+    as numbers, a non-finite value, and an epoch column that does not count up
+    by one each exit with a message naming the line.
+    """
     samples: list[float] = []
     epochs: list[int] = []
+    header_allowed = True
     with open(path) as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, start=1):
             parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
             if not parts:
                 continue
             try:
                 nums = [float(p) for p in parts]
             except ValueError:
-                continue  # header row
+                if header_allowed:
+                    header_allowed = False
+                    continue
+                raise SystemExit(f"{path}, line {lineno}: non-numeric row {line.strip()!r}")
+            header_allowed = False
+            if not all(math.isfinite(x) for x in nums):
+                raise SystemExit(f"{path}, line {lineno}: non-finite value in {line.strip()!r}")
             if len(nums) == 1:
                 samples.append(nums[0])
-            else:
-                epochs.append(int(nums[0]))
-                samples.append(nums[1])
+                continue
+            if not nums[0].is_integer():
+                raise SystemExit(f"{path}, line {lineno}: epoch {parts[0]} is not an integer")
+            if epochs and nums[0] != epochs[-1] + 1:
+                raise SystemExit(
+                    f"{path}, line {lineno}: epoch {parts[0]} does not follow epoch {epochs[-1]};"
+                    " the epoch column must count up by one"
+                )
+            epochs.append(int(nums[0]))
+            samples.append(nums[1])
     if not samples:
         raise SystemExit("no numeric samples found")
     if not epochs:

@@ -50,6 +50,9 @@ class MeanProfile:
             raise ValueError("period must be a positive integer")
         if len(self.values) != self.period:
             raise ValueError("values must contain exactly `period` entries")
+        for i, v in enumerate(self.values):
+            if not math.isfinite(v):
+                raise ValueError(f"profile value {v} at index {i} is not finite")
         _check_minimal_period(self.values)
 
     @classmethod
@@ -130,8 +133,8 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "uniform-bounded"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if self.sigma < 0:
-            raise ValueError("sigma must be nonnegative")
+        if not math.isfinite(self.sigma) or self.sigma < 0:
+            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.sigma == 0:

@@ -261,17 +261,20 @@ class TwoStagePolicy(Policy):
         self.uses_true_periods = oracle
 
     def begin(self, view: InstanceView) -> None:
+        # n, g, H derived for this horizon live in per-episode attributes, so
+        # the constructor's choices still hold when the object begins again
         K, T = view.n_arms, view.horizon
-        if self.n is None or self.g is None:
+        n, g, H = self.n, self.g, self.H
+        if n is None or g is None:
             n_rec, g_rec, H_rec = recommended_parameters(T, K)
-            self.n = self.n or n_rec
-            self.g = self.g or g_rec
-            if self.H is None:
-                self.H = H_rec
-        if self.H is None:
-            self.H = default_H(self.n)
-        if self.n * K >= T:
+            n, g = n or n_rec, g or g_rec
+            if H is None:
+                H = H_rec
+        if H is None:
+            H = default_H(n)
+        if n * K >= T:
             raise ValueError("stage one would consume the whole horizon")
+        self._n, self._g, self._H = n, g, H
         self._view = view
         self._delta = self.delta if self.delta is not None else 8.0 / T
         self._blocks: list[list[float]] = [[] for _ in range(K)]
@@ -283,7 +286,7 @@ class TwoStagePolicy(Policy):
 
     @property
     def stage_one_end(self) -> int:
-        return self.n * self._view.n_arms
+        return self._n * self._view.n_arms
 
     def _finalize_stage_one(self) -> None:
         K, T = self._view.n_arms, self._view.horizon
@@ -293,23 +296,23 @@ class TwoStagePolicy(Policy):
                 raise ValueError("oracle variant needs the true periods")
         else:
             blocks = [
-                (self._blocks[k], range(self.n * k + 1, self.n * (k + 1) + 1))
+                (self._blocks[k], range(self._n * k + 1, self._n * (k + 1) + 1))
                 for k in range(K)
             ]
             periods, self._estimates = estimate_periods(
-                blocks, self.n, self.g, self.H, self._view.sigma, t_max=self.t_max
+                blocks, self._n, self._g, self._H, self._view.sigma, t_max=self.t_max
             )
         self._estimated = tuple(periods)
         state = NestedCBState(periods, self._view.sigma, T, self._delta)
         for k in range(K):
             for i, y in enumerate(self._blocks[k]):
-                state.add_bar_sample(self.n * k + 1 + i, k, y)
+                state.add_bar_sample(self._n * k + 1 + i, k, y)
         self._state = state
 
     def decide(self, t: int) -> int:
         if t <= self.stage_one_end:
             self._pending_round = None
-            return stage_one_schedule(t, self.n, self._view.n_arms)
+            return stage_one_schedule(t, self._n, self._view.n_arms)
         if self._state is None:
             self._finalize_stage_one()
         arm, pending = nested_cb_decide(self._state, t, self._view.n_arms)
@@ -544,7 +547,7 @@ class LcmUCB(TwoStagePolicy):
 
     def decide(self, t: int) -> int:
         if t <= self.stage_one_end:
-            return stage_one_schedule(t, self.n, self._view.n_arms)
+            return stage_one_schedule(t, self._n, self._view.n_arms)
         if self._cells is None:
             self._finalize_stage_one()
         return self._cells.pick(t % self.lcm_period)

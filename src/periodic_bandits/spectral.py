@@ -7,6 +7,10 @@ threshold, snap it to the nearest candidate rational frequency, and excise a
 g/n-neighborhood around the match. The period estimate is the LCM of the
 denominators of the matched frequencies.
 
+The grid's 12n-point mesh lies on the bins k/(48n) of a 48n-point DFT, so one
+zero-padded real FFT of the block gives the whole mesh in O(n log n); only the
+candidate rationals off that lattice (at most t_max^2 points) are direct sums.
+
 All constants are deterministic functions of (n, g, H, sigma); "log" is the
 natural logarithm throughout.
 """
@@ -21,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
-_DFT_CHUNK = 2048
+_LATTICE_TOL = 1e-9  # |48 n v - k| below this puts v on FFT bin k
 
 
 # ---------------------------------------------------------------------------
@@ -186,22 +190,50 @@ def amplitude_condition_coefficients(n: int, g: int, sigma: float, H: float | No
 # DFT and periodogram
 # ---------------------------------------------------------------------------
 
-def dft_at(samples: Sequence[float], epochs: Sequence[int], v: float) -> complex:
-    """Normalized DFT (1/n) sum_t Y_t exp(-2 pi i v t) over absolute epochs."""
+def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Validated (samples, epochs) float arrays of one nonempty, finite block."""
     y = np.asarray(samples, dtype=float)
     t = np.asarray(epochs, dtype=float)
     if y.size == 0:
         raise ValueError("empty sample block")
     if y.shape != t.shape:
         raise ValueError("samples and epochs must align")
-    return complex(np.sum(y * np.exp(-2j * np.pi * v * t)) / y.size)
+    bad = np.flatnonzero(~np.isfinite(y))
+    if bad.size:
+        raise ValueError(f"non-finite sample {y[bad[0]]} at index {bad[0]}")
+    return y, t
+
+
+def _direct_dft(y: np.ndarray, offsets: np.ndarray, freqs: np.ndarray) -> np.ndarray:
+    """(1/n) sum_s y_s exp(-2 pi i v s) at every v in ``freqs``; O(len(freqs) * n).
+
+    ``offsets`` are the epochs relative to the block's first one; callers shift
+    the result by exp(-2 pi i v t_0), so a large absolute epoch costs the
+    magnitudes no accuracy.
+    """
+    return np.exp(-2j * np.pi * np.outer(freqs, offsets)) @ y / y.size
+
+
+def dft_at(samples: Sequence[float], epochs: Sequence[int], v: float) -> complex:
+    """Normalized DFT (1/n) sum_t Y_t exp(-2 pi i v t) over absolute epochs."""
+    y, t = _as_block(samples, epochs)
+    return complex(_direct_dft(y, t - t[0], np.array([v], dtype=float))[0] * np.exp(-2j * np.pi * v * t[0]))
+
+
+@lru_cache(maxsize=None)
+def _candidates(t_max: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
+    """Sorted candidate rationals for ``t_max`` and their (read-only) float values."""
+    cands = tuple(sorted({Fraction(j1, j2) for j2 in range(2, t_max + 1) for j1 in range(1, j2)}))
+    vals = np.array([float(c) for c in cands])
+    vals.flags.writeable = False
+    return cands, vals
 
 
 def candidate_frequencies(t_max: int) -> list[Fraction]:
     """Reduced, deduplicated rationals j1/j2 with 1 <= j1 < j2 <= t_max."""
     if t_max < 2:
         raise ValueError("t_max must be at least 2")
-    return sorted({Fraction(j1, j2) for j2 in range(2, t_max + 1) for j1 in range(1, j2)})
+    return list(_candidates(t_max)[0])
 
 
 def default_t_max(n: int, g: int) -> int:
@@ -233,17 +265,30 @@ class Periodogram:
 
 
 def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: np.ndarray) -> Periodogram:
-    y = np.asarray(samples, dtype=float)
-    t = np.asarray(epochs, dtype=float)
-    if y.size == 0:
-        raise ValueError("empty sample block")
-    if y.shape != t.shape:
-        raise ValueError("samples and epochs must align")
+    """Normalized DFT of one block of consecutive epochs at every grid frequency.
+
+    Grid points on the lattice k/(48n), 0 <= k <= 24n, which holds the whole
+    mesh of ``frequency_grid(n)``, come from one zero-padded real FFT of the
+    block, phase-shifted to its absolute start epoch; the remaining points
+    (candidate rationals off the lattice, or a grid built for another n) are
+    direct sums. Raises ``ValueError`` on a non-finite sample or on epochs that
+    are not consecutive.
+    """
+    y, t = _as_block(samples, epochs)
+    n = y.size
+    gaps = np.flatnonzero(np.diff(t) != 1)
+    if gaps.size:
+        i = gaps[0]
+        raise ValueError(f"epochs must be consecutive: epoch {t[i + 1]:g} follows {t[i]:g}")
+    grid = np.asarray(grid, dtype=float)
+    scaled = 48.0 * n * grid
+    bins = np.rint(scaled)
+    on = (np.abs(scaled - bins) <= _LATTICE_TOL) & (bins >= 0) & (bins <= 24 * n)
     vals = np.empty(grid.size, dtype=complex)
-    for lo in range(0, grid.size, _DFT_CHUNK):
-        chunk = grid[lo : lo + _DFT_CHUNK]
-        vals[lo : lo + chunk.size] = np.exp(-2j * np.pi * np.outer(chunk, t)) @ y / y.size
-    return Periodogram(n=y.size, epochs=np.asarray(epochs, dtype=int), grid=grid, values=vals, magnitudes=np.abs(vals))
+    vals[on] = np.fft.rfft(y, 48 * n)[bins[on].astype(int)] / n
+    vals[~on] = _direct_dft(y, t - t[0], grid[~on])
+    vals *= np.exp(-2j * np.pi * grid * t[0])
+    return Periodogram(n=n, epochs=np.asarray(epochs, dtype=int), grid=grid, values=vals, magnitudes=np.abs(vals))
 
 
 # ---------------------------------------------------------------------------
@@ -294,8 +339,7 @@ def identify_frequencies(
     tau = threshold(constants, float(periodogram.magnitudes.max()))
     if t_max < 2:
         return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
-    cands = candidate_frequencies(t_max)
-    cand_vals = np.array([float(c) for c in cands])
+    cands, cand_vals = _candidates(t_max)
     grid = periodogram.grid
     mags = periodogram.magnitudes
     active = (grid >= g / n) & (mags > tau)

@@ -42,6 +42,14 @@ def test_minimal_period_enforced():
     MeanProfile.from_values([0.3, 0.7])  # fine
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_values(bad):
+    with pytest.raises(ValueError, match="index 1 is not finite"):
+        MeanProfile.from_values([0.3, bad, 0.7])
+    with pytest.raises(ValueError):
+        MeanProfile.from_fourier([0.5, complex(bad, 0.0), complex(bad, 0.0)])
+
+
 def test_fourier_profile_roundtrip():
     prof = MeanProfile.from_values([0.1, 0.9, 0.2])
     coeffs = prof.fourier_coefficients()
@@ -136,6 +144,13 @@ def test_uniform_noise_bounded():
 def test_unknown_noise_kind():
     with pytest.raises(ValueError):
         NoiseModel("laplace", 1.0)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
+@pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
+def test_noise_rejects_bad_sigma(kind, sigma):
+    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+        NoiseModel(kind, sigma)
 
 
 # ---------------------------------------------------------------------------

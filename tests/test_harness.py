@@ -248,6 +248,29 @@ def test_cli_detect_epoch_column(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["period"] == 4
 
 
+def _demo_rows():
+    inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
+    return [f"{t},{mean_at(inst, 0, t)}" for t in range(1, 51)]
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda rows: rows[:20] + ["oops,0.5"] + rows[20:], r"line 22: non-numeric row 'oops,0.5'"),
+        (lambda rows: ["t,y"] + rows, r"line 2: non-numeric row 't,y'"),
+        (lambda rows: rows[:25] + [f"{t},0.5" for t in range(40, 65)], r"line 27: epoch 40 does not follow epoch 25"),
+        (lambda rows: rows[:9] + ["10,nan"] + rows[10:], r"line 11: non-finite value"),
+        (lambda rows: ["1.5,0.2"] + rows[1:], r"line 2: epoch 1.5 is not an integer"),
+    ],
+    ids=["late-text-row", "second-header", "epoch-gap", "nan-value", "fractional-epoch"],
+)
+def test_cli_detect_rejects_malformed_csv(tmp_path, edit, message):
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(["epoch,value"] + edit(_demo_rows())))
+    with pytest.raises(SystemExit, match=message):
+        cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"])
+
+
 def test_cli_simulate_and_report(tmp_path, capsys):
     cfg = small_config()
     del cfg["horizons"]

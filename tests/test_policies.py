@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, mean_at
-from periodic_bandits.harness import run_episode
+from periodic_bandits.harness import default_sweep_instance, run_episode
 from periodic_bandits.policies import (
+    InstanceView,
     NestedCBState,
     count_same_phase,
     elimination_schedule,
@@ -311,6 +312,21 @@ def test_traces_differ_on_misestimation():
     orc = run_episode(inst, make_policy("oracle", {"n": 100, "g": 10}), 0)
     assert two.estimated_periods != inst.periods
     assert not np.array_equal(two.actions, orc.actions)
+
+
+@pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
+def test_policy_reuse_across_horizons(policy_id):
+    # begin() derives n, g, H from the horizon; an object that began at a long
+    # horizon must play a short one exactly like a fresh object would
+    long, short = default_sweep_instance(40000), default_sweep_instance(2500)
+    reused = make_policy(policy_id)
+    reused.begin(InstanceView(n_arms=3, horizon=40000, sigma=0.04, true_periods=long.periods))
+    assert reused.stage_one_end == 3 * 115
+    again = run_episode(short, reused, seed=5)
+    assert reused.stage_one_end == 3 * 28
+    fresh = run_episode(short, make_policy(policy_id), seed=5)
+    assert np.array_equal(again.actions, fresh.actions)
+    assert again.estimated_periods == fresh.estimated_periods
 
 
 def test_oracle_requires_periods():

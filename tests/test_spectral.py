@@ -40,9 +40,13 @@ CONSTANTS_TABLE = {
 
 
 def brute_dft(samples, epochs, v):
+    # the phase v * t mod 1 is reduced in exact rational arithmetic, so the
+    # reference carries no round-off from large epochs
+    fv = Fraction(v)
     acc = 0j
     for y, t in zip(samples, epochs):
-        acc += y * complex(math.cos(-2 * math.pi * v * t), math.sin(-2 * math.pi * v * t))
+        phase = -2 * math.pi * float(fv * int(t) % 1)
+        acc += y * complex(math.cos(phase), math.sin(phase))
     return acc / len(samples)
 
 
@@ -228,6 +232,55 @@ def test_dft_shift_changes_phase_only():
     base = compute_periodogram(y, t, grid)
     shifted = compute_periodogram(y, t + 137, grid)
     assert np.allclose(base.magnitudes, shifted.magnitudes, atol=1e-12)
+
+
+def test_periodogram_rejects_non_finite_sample():
+    samples = [0.5] * 40
+    samples[17] = math.nan
+    with pytest.raises(ValueError, match="non-finite sample nan at index 17"):
+        compute_periodogram(samples, range(1, 41), frequency_grid(40))
+    with pytest.raises(ValueError, match="index 17"):
+        estimate_periods([(samples, range(1, 41))], 40, 7, default_H(40), 0.1)
+    samples[17] = math.inf
+    with pytest.raises(ValueError, match="non-finite sample inf at index 17"):
+        dft_at(samples, range(1, 41), 0.25)
+
+
+def test_periodogram_rejects_gapped_epochs():
+    epochs = list(range(1, 26)) + list(range(40, 65))
+    samples = [1.0, 0.0] * 25
+    with pytest.raises(ValueError, match="epoch 40 follows 25"):
+        compute_periodogram(samples, epochs, frequency_grid(50))
+    with pytest.raises(ValueError, match="consecutive"):
+        estimate_periods([(samples, epochs)], 50, 8, H50, 0.2)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    n=st.integers(2, 300),
+    start=st.integers(1, 10**5),
+    t_max=st.integers(2, 10),
+    other_n=st.integers(2, 300),
+    seed=st.integers(0, 2**31),
+)
+def test_periodogram_matches_direct_sum(n, start, t_max, other_n, seed):
+    # FFT bins (the mesh) and direct sums (candidates off the FFT lattice, or
+    # a grid built for another n) both agree with the brute-force sum
+    rng = np.random.default_rng(seed)
+    y = rng.normal(size=n)
+    t = np.arange(start, start + n)
+    cands = candidate_frequencies(t_max)
+    own = frequency_grid(n, cands)
+    foreign = frequency_grid(other_n + (other_n == n), cands)
+    for grid in (own, foreign):
+        pg = compute_periodogram(y, t, grid)
+        cand_idx = np.flatnonzero(np.isin(grid, [float(c) for c in cands]))
+        idx = np.union1d(cand_idx, rng.choice(grid.size, size=min(12, grid.size), replace=False))
+        for i in idx:
+            ref = brute_dft(y, t, grid[i])
+            assert pg.magnitudes[i] == pytest.approx(abs(ref), abs=1e-12)
+            # the absolute-epoch phase exp(-2 pi i v t_0) is rounded at v t_0 <= 5e4
+            assert pg.values[i] == pytest.approx(ref, abs=1e-9)
 
 
 def test_frequency_grid_layout():
