@@ -57,7 +57,6 @@ from .policies import (
     SequentialEliminationPolicy,
     StationaryUCB,
     TwoStagePolicy,
-    count_same_phase,
     elimination_schedule,
     make_policy,
     nested_cb_decide,

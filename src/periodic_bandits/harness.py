@@ -46,9 +46,10 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
     policy.begin(view)
     actions = np.empty(T, dtype=int)
     rewards = np.empty(T, dtype=float)
-    profiles = [np.asarray(p.values) for p in instance.arms]
+    # Python floats in the loop: numpy scalar arithmetic costs more per epoch
+    profiles = [p.values for p in instance.arms]
     periods = instance.periods
-    eps = stream.values
+    eps = stream.values.tolist()
     for t in range(1, T + 1):
         a = policy.decide(t)
         y = profiles[a][(t - 1) % periods[a]] + eps[t - 1]
@@ -246,11 +247,42 @@ def aggregate(rep_rows: list[dict]) -> AggregateStats:
     )
 
 
+def _by_cell(rows: list[dict]) -> dict[tuple[str, int], list[dict]]:
+    """Rows grouped by (policy, horizon), each group in replication order."""
+    by_cell: dict[tuple[str, int], list[dict]] = {}
+    for row in rows:
+        by_cell.setdefault((row["policy"], row["T"]), []).append(row)
+    for cell_rows in by_cell.values():
+        cell_rows.sort(key=lambda r: r["replication"])
+    return by_cell
+
+
+def summarize(rows: list[dict], config: dict) -> dict:
+    """Summarise raw episode rows the one way both sweep and report do.
+
+    Returns {"cells": {(policy, T): AggregateStats}, "raw": rows,
+    "sweep_slopes": {policy: slope of mean final regret vs horizon}}; the
+    slope fits the tail of the horizons given by config["tail_fraction"]
+    (default 0.5).
+    """
+    cells = {key: aggregate(cell_rows) for key, cell_rows in _by_cell(rows).items()}
+    tail_fraction = float(config.get("tail_fraction", 0.5))
+    sweep_slopes: dict[str, float] = {}
+    for pid in sorted({p for p, _ in cells}):
+        ts = sorted(T for (p, T) in cells if p == pid)
+        if len(ts) >= 2:
+            finals = [cells[(pid, T)].mean_final_regret for T in ts]
+            try:
+                sweep_slopes[pid] = loglog_slope(ts, finals, tail_fraction=tail_fraction)
+            except ValueError:
+                sweep_slopes[pid] = float("nan")
+    return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
+
+
 def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     """Run every (policy, horizon, replication) cell of a config.
 
-    Returns {"cells": {(policy, T): AggregateStats}, "raw": rows,
-    "sweep_slopes": {policy: slope of mean final regret vs horizon}} and, when
+    Returns the ``summarize`` result for the episode rows and, when
     ``out_dir`` is given, writes regret_curves.csv, summary.json, run_meta.json
     and raw/ files.
     """
@@ -282,26 +314,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     else:
         rows = [_run_job(j) for j in jobs]
 
-    cells: dict[tuple[str, int], AggregateStats] = {}
-    by_cell: dict[tuple[str, int], list[dict]] = {}
-    for row in rows:
-        by_cell.setdefault((row["policy"], row["T"]), []).append(row)
-    for key, cell_rows in by_cell.items():
-        cell_rows.sort(key=lambda r: r["replication"])
-        cells[key] = aggregate(cell_rows)
-
-    sweep_slopes: dict[str, float] = {}
-    for pol in config["policies"]:
-        pid = make_policy(pol["id"], pol.get("params", {})).policy_id
-        ts = sorted(T for (p, T) in cells if p == pid)
-        if len(ts) >= 2:
-            finals = [cells[(pid, T)].mean_final_regret for T in ts]
-            try:
-                sweep_slopes[pid] = loglog_slope(ts, finals, tail_fraction=float(config.get("tail_fraction", 0.5)))
-            except ValueError:
-                sweep_slopes[pid] = float("nan")
-
-    results = {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
+    results = summarize(rows, config)
     if out_dir is not None:
         write_outputs(config, results, out_dir)
     return results
@@ -350,11 +363,7 @@ def write_outputs(config: dict, results: dict, out_dir: str) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
     raw_dir = os.path.join(out_dir, "raw")
     os.makedirs(raw_dir, exist_ok=True)
-    by_cell: dict[tuple[str, int], list[dict]] = {}
-    for row in results["raw"]:
-        by_cell.setdefault((row["policy"], row["T"]), []).append(row)
-    for (pid, T), cell_rows in sorted(by_cell.items()):
-        cell_rows.sort(key=lambda r: r["replication"])
+    for (pid, T), cell_rows in sorted(_by_cell(results["raw"]).items()):
         with open(os.path.join(raw_dir, f"{pid}_T{T}.json"), "w") as fh:
             json.dump(cell_rows, fh)
 
@@ -367,28 +376,12 @@ def report_from_dir(out_dir: str) -> dict:
         if name.endswith(".json"):
             with open(os.path.join(raw_dir, name)) as fh:
                 rows.extend(json.load(fh))
-    cells = {}
-    by_cell: dict[tuple[str, int], list[dict]] = {}
-    for row in rows:
-        by_cell.setdefault((row["policy"], row["T"]), []).append(row)
-    for key, cell_rows in by_cell.items():
-        cell_rows.sort(key=lambda r: r["replication"])
-        cells[key] = aggregate(cell_rows)
-    sweep_slopes = {}
-    for pid in sorted({p for p, _ in cells}):
-        ts = sorted(T for (p, T) in cells if p == pid)
-        if len(ts) >= 2:
-            finals = [cells[(pid, T)].mean_final_regret for T in ts]
-            try:
-                sweep_slopes[pid] = loglog_slope(ts, finals)
-            except ValueError:
-                sweep_slopes[pid] = float("nan")
-    results = {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
     meta_path = os.path.join(out_dir, "run_meta.json")
     config = {}
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
             config = json.load(fh).get("config", {})
+    results = summarize(rows, config)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         json.dump(summary_dict(config, results), fh, indent=2, sort_keys=True)
     csv_path = os.path.join(out_dir, "regret_curves.csv")

@@ -37,17 +37,6 @@ def stage_one_schedule(t: int, n: int, n_arms: int) -> int:
     return (t - 1) // n
 
 
-def count_same_phase(actions: dict[int, int], index_set: Sequence[int], arm: int, t: int, period: int) -> int:
-    """|{j in index_set : action_j = arm and j = t (mod period)}|.
-
-    Literal counting over an explicit index set; the policies keep incremental
-    counters, this form is the reference they are checked against.
-    """
-    if period < 1:
-        raise ValueError("period must be positive")
-    return sum(1 for j in index_set if actions.get(j) == arm and j % period == t % period)
-
-
 @dataclass(frozen=True)
 class InstanceView:
     """What a policy may know: K, T, sigma, and (only if privileged) the true periods."""
@@ -87,12 +76,21 @@ class Policy:
 # ---------------------------------------------------------------------------
 
 class NestedCBState:
-    """Sufficient statistics for the screening tournament.
+    """Sufficient statistics for the screening tournament, kept per cell.
 
-    Keeps, per round s and arm k, the count and reward sum at every phase
-    modulo the (estimated) period of k, both for the reused exploration block
-    and for the per-round index sets. The index sets themselves are retained
-    for auditing; all decisions read only the counters.
+    A cell is one (round s, arm k, phase) triple, the phase taken modulo the
+    (estimated) period of k. Each cell holds the count and reward sum of the
+    reused exploration block and of round s's index set, and caches the two
+    numbers a decision reads: the confidence width and the pooled mean. A
+    bar-only row, built from the exploration block alone, stands in for every
+    round that has no sample yet.
+
+    An epoch changes one count, so updates are local: ``add_round_sample``
+    refreshes the one cell it touches, and ``add_bar_sample`` refreshes that
+    cell in the bar-only row and in every existing round. The cached values
+    are computed exactly as a from-scratch evaluation would compute them. The
+    index sets themselves are retained for auditing; decisions read only the
+    cached rows.
     """
 
     def __init__(self, periods: Sequence[int], sigma: float, horizon: int, delta: float):
@@ -104,35 +102,60 @@ class NestedCBState:
         self.delta = float(delta)
         self.d_hat = sum(self.periods)
         self.S = max(int(math.floor(math.log2(horizon))), 1)
-        K = len(self.periods)
         self._bar_counts = [[0] * p for p in self.periods]
         self._bar_sums = [[0.0] * p for p in self.periods]
+        # (widths, means) indexed [arm][phase]; an empty cell has width inf
+        # and mean nan, and a decision never reads the mean of such a cell
+        self._bar_row = ([[math.inf] * p for p in self.periods], [[math.nan] * p for p in self.periods])
         self._round_counts: dict[int, list[list[int]]] = {}
         self._round_sums: dict[int, list[list[float]]] = {}
+        self._rows: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
         self.psi_rounds: dict[int, list[int]] = {}
         self.psi_bar: list[int] = []
         self._term_cache: dict[int, float] = {}
-        self._K = K
+
+    def _refresh(
+        self, row: tuple[list[list[float]], list[list[float]]], arm: int, p: int, c_s: int, sum_s: float
+    ) -> None:
+        # width (c_bar term(c_bar) + c_s term(c_s)) / total, a zero count
+        # contributing 0.0; mean (bar sum + round sum) / total
+        c_bar = self._bar_counts[arm][p]
+        total = c_bar + c_s
+        row[0][arm][p] = (
+            (c_bar * self._term(c_bar) if c_bar else 0.0) + (c_s * self._term(c_s) if c_s else 0.0)
+        ) / total
+        row[1][arm][p] = (self._bar_sums[arm][p] + sum_s) / total
 
     def add_bar_sample(self, epoch: int, arm: int, reward: float) -> None:
         p = epoch % self.periods[arm]
         self._bar_counts[arm][p] += 1
         self._bar_sums[arm][p] += reward
+        self._refresh(self._bar_row, arm, p, 0, 0.0)
+        for s, row in self._rows.items():
+            self._refresh(row, arm, p, self._round_counts[s][arm][p], self._round_sums[s][arm][p])
         self.psi_bar.append(epoch)
 
-    def _round_slot(self, s: int) -> tuple[list[list[int]], list[list[float]]]:
-        if s not in self._round_counts:
+    def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
+        if s not in self._rows:
+            widths, means = self._bar_row
             self._round_counts[s] = [[0] * p for p in self.periods]
             self._round_sums[s] = [[0.0] * p for p in self.periods]
+            self._rows[s] = ([w[:] for w in widths], [m[:] for m in means])
             self.psi_rounds[s] = []
-        return self._round_counts[s], self._round_sums[s]
-
-    def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
-        counts, sums = self._round_slot(s)
+        counts, sums = self._round_counts[s], self._round_sums[s]
         p = epoch % self.periods[arm]
         counts[arm][p] += 1
         sums[arm][p] += reward
+        self._refresh(self._rows[s], arm, p, counts[arm][p], sums[arm][p])
         self.psi_rounds[s].append(epoch)
+
+    def row(self, s: int) -> tuple[list[list[float]], list[list[float]]]:
+        """Cached (widths, means) of round s, each indexed [arm][phase].
+
+        A round without samples reads the bar-only row. The lists are the
+        state's own: callers must not modify them.
+        """
+        return self._rows.get(s, self._bar_row)
 
     def counts_at(self, s: int, arm: int, t: int) -> tuple[int, int]:
         """(reuse-block count, round-s count) at arm's phase of epoch t."""
@@ -142,14 +165,10 @@ class NestedCBState:
         return c_bar, c_s
 
     def phase_mean(self, s: int, arm: int, t: int) -> float:
-        p = t % self.periods[arm]
-        c_bar = self._bar_counts[arm][p]
-        c_s = self._round_counts[s][arm][p] if s in self._round_counts else 0
-        total = c_bar + c_s
-        if total == 0:
-            raise ValueError(f"no samples for arm {arm} at phase {p} in round {s}")
-        top = self._bar_sums[arm][p] + (self._round_sums[s][arm][p] if s in self._round_sums else 0.0)
-        return top / total
+        """Pooled mean of the reuse block and round s at arm's phase of epoch t."""
+        if self.counts_at(s, arm, t) == (0, 0):
+            raise ValueError(f"no samples for arm {arm} at phase {t % self.periods[arm]} in round {s}")
+        return self.row(s)[1][arm][t % self.periods[arm]]
 
     def _term(self, c: int) -> float:
         # sqrt((4 sigma^2 / c) * log(8 d_hat c / delta)), memoized on c
@@ -167,17 +186,9 @@ class NestedCBState:
 
         A summand with zero count contributes nothing (its weight is zero);
         with both counts zero the width is infinite, which forces exploration.
+        Read from the cached row of round s.
         """
-        c_bar, c_s = self.counts_at(s, arm, t)
-        total = c_bar + c_s
-        if total == 0:
-            return math.inf
-        w = 0.0
-        if c_bar:
-            w += c_bar * self._term(c_bar)
-        if c_s:
-            w += c_s * self._term(c_s)
-        return w / total
+        return self.row(s)[0][arm][t % self.periods[arm]]
 
 
 def nested_cb_decide(
@@ -188,40 +199,36 @@ def nested_cb_decide(
     Rounds s = 1, 2, ...: if some active arm's width at the current phase
     exceeds sigma/2^s, pull the widest such arm (ties to the smallest index)
     and charge the epoch to round s. If instead every width is at most
-    sigma/sqrt(T), exploit the highest estimated mean; the epoch joins no
-    index set (round None). Otherwise drop arms more than 2^(1-s) sigma below
-    the best estimate and continue. The round counter is capped at
-    floor(log2 T), falling through to the exploit branch.
+    sigma/sqrt(T), exploit the highest estimated mean (ties to the smallest
+    index); the epoch joins no index set (round None). Otherwise drop arms
+    more than 2^(1-s) sigma below the best estimate and continue. The round
+    counter is capped at floor(log2 T), falling through to the exploit branch.
 
-    Reads the state without mutating it. When ``trace`` is given, every
-    elimination appends {round, active, means, cutoff, survivors}.
+    Each round reads the widths and means of the state's cached round-s row
+    at the phases of t, so a decision computes no confidence radius. It does
+    not mutate the state. When ``trace`` is given, every elimination appends
+    {round, active, means, cutoff, survivors}.
     """
-    sigma, T = state.sigma, state.horizon
-    narrow = sigma / math.sqrt(T)
+    sigma = state.sigma
+    narrow = sigma / math.sqrt(state.horizon)
+    phases = [t % p for p in state.periods]
     active = list(range(n_arms))
     s = 1
     while True:
-        widths = [state.phase_width(s, k, t) for k in active]
-        gate = sigma / (2.0 ** s)
-        if any(w > gate for w in widths):
-            best, best_w = None, -math.inf
-            for k, w in zip(active, widths):
-                if w > gate and w > best_w:
-                    best, best_w = k, w
-            return best, s
-        if all(w <= narrow for w in widths) or s >= state.S:
-            best, best_m = active[0], -math.inf
-            for k in active:
-                m = state.phase_mean(s, k, t)
-                if m > best_m:
-                    best, best_m = k, m
-            return best, None
-        means = {k: state.phase_mean(s, k, t) for k in active}
-        cutoff = max(means.values()) - sigma * 2.0 ** (1 - s)
-        survivors = [k for k in active if means[k] >= cutoff]
+        width_row, mean_row = state.row(s)
+        widths = [width_row[k][phases[k]] for k in active]
+        widest = max(widths)
+        if widest > sigma / (2.0 ** s):
+            return active[widths.index(widest)], s
+        means = [mean_row[k][phases[k]] for k in active]
+        best_m = max(means)
+        if widest <= narrow or s >= state.S:
+            return active[means.index(best_m)], None
+        cutoff = best_m - sigma * 2.0 ** (1 - s)
+        survivors = [k for k, m in zip(active, means) if m >= cutoff]
         if trace is not None:
             trace.append(
-                {"round": s, "active": list(active), "means": means,
+                {"round": s, "active": list(active), "means": dict(zip(active, means)),
                  "cutoff": cutoff, "survivors": list(survivors)}
             )
         active = survivors
@@ -262,14 +269,16 @@ class TwoStagePolicy(Policy):
 
     def begin(self, view: InstanceView) -> None:
         # n, g, H derived for this horizon live in per-episode attributes, so
-        # the constructor's choices still hold when the object begins again
+        # the constructor's choices still hold when the object begins again;
+        # an unset g or H follows the n actually used
         K, T = view.n_arms, view.horizon
         n, g, H = self.n, self.g, self.H
-        if n is None or g is None:
-            n_rec, g_rec, H_rec = recommended_parameters(T, K)
-            n, g = n or n_rec, g or g_rec
-            if H is None:
-                H = H_rec
+        if n is None:
+            n = recommended_parameters(T, K)[0]
+        if n < 1:
+            raise ValueError(f"stage-one sample size n={n} must be positive")
+        if g is None:
+            g = math.ceil(math.sqrt(n))
         if H is None:
             H = default_H(n)
         if n * K >= T:
@@ -316,7 +325,7 @@ class TwoStagePolicy(Policy):
         if self._state is None:
             self._finalize_stage_one()
         arm, pending = nested_cb_decide(self._state, t, self._view.n_arms)
-        if pending is not None and math.isinf(self._state.phase_width(pending, arm, t)):
+        if pending is not None and self._state.counts_at(pending, arm, t) == (0, 0):
             self._events.append((t, "zero_count_forced_pull", arm))
         self._pending_round = pending
         return arm
@@ -462,11 +471,11 @@ class _CellUCB:
         for k, c in enumerate(counts):
             if c == 0:
                 return k
-        n_cell = self.visits[cell]
+        two_log_n = 2.0 * math.log(self.visits[cell])
         sums = self.sums[cell]
         best, best_idx = -math.inf, 0
         for k, c in enumerate(counts):
-            idx = sums[k] / c + self.scale * math.sqrt(2.0 * math.log(n_cell) / c)
+            idx = sums[k] / c + self.scale * math.sqrt(two_log_n / c)
             if idx > best:
                 best, best_idx = idx, k
         return best_idx

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import os
@@ -9,6 +10,7 @@ from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, mean_a
 from periodic_bandits.harness import (
     bound_overlay,
     config_hash,
+    default_sweep_config,
     default_sweep_instance,
     loglog_slope,
     make_preset_instance,
@@ -152,6 +154,38 @@ def test_report_rebuilds_summary(tmp_path):
     with open(os.path.join(out, "summary.json")) as fh:
         after = json.load(fh)
     assert before["cells"] == after["cells"]
+
+
+def test_report_keeps_summary_bytes(tmp_path):
+    # report summarises exactly as sweep did, including a non-default tail
+    out = str(tmp_path / "out")
+    cfg = small_config(reps=2)
+    cfg["horizons"] = [200, 400, 600]
+    cfg["tail_fraction"] = 1.0
+    monte_carlo(cfg, out_dir=out)
+    path = os.path.join(out, "summary.json")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    report_from_dir(out)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
+# sha256 of a small default-shaped sweep's outputs, recorded with the
+# per-decision recomputation of every confidence width; an optimisation that
+# flips a tie or reorders a float operation changes them
+GOLDEN_SWEEP_SHA256 = {
+    "regret_curves.csv": "7186ca8492c6a6d3ec9fdccec72e58f264e81eca75db57d9f98bf8e4e084aee2",
+    "summary.json": "a82270017b3a37e4745a2b3c355959348a2576c2452c46221f9d81a6ea9df416",
+}
+
+
+def test_small_sweep_golden_bytes(tmp_path):
+    cfg = default_sweep_config()
+    cfg.update(horizons=[2500, 5000, 10000], replications=2)
+    monte_carlo(cfg, out_dir=str(tmp_path))
+    for name, digest in GOLDEN_SWEEP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
 
 
 def test_config_hash_stable_and_sensitive():

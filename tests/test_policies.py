@@ -1,19 +1,24 @@
 import math
+from typing import Sequence
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as hst
 
+from periodic_bandits import policies
 from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, mean_at
 from periodic_bandits.harness import default_sweep_instance, run_episode
 from periodic_bandits.policies import (
     InstanceView,
     NestedCBState,
-    count_same_phase,
     elimination_schedule,
     make_policy,
     recommended_parameters,
     stage_one_schedule,
 )
+from periodic_bandits.spectral import default_H
 
 
 def instance(profiles, sigma, horizon):
@@ -28,6 +33,17 @@ COUPLING_INSTANCE = instance(
     [[1.0, 0.0], [1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]], sigma=0.3, horizon=6000
 )
 COUPLING_PARAMS = {"n": 900, "g": 30}
+
+
+def count_same_phase(actions: dict[int, int], index_set: Sequence[int], arm: int, t: int, period: int) -> int:
+    """|{j in index_set : action_j = arm and j = t (mod period)}|.
+
+    Literal counting over an explicit index set; the policies keep incremental
+    counters, this form is the reference they are checked against.
+    """
+    if period < 1:
+        raise ValueError("period must be positive")
+    return sum(1 for j in index_set if actions.get(j) == arm and j % period == t % period)
 
 
 # ---------------------------------------------------------------------------
@@ -159,6 +175,87 @@ def test_phase_width_monotone_in_round_count():
             prev = cur
 
 
+def reference_cell(st, samples, s, arm, phase):
+    """(width, mean) of one (round, arm, phase) cell recomputed from scratch.
+
+    ``samples`` lists every (round or None for the reuse block, epoch, arm,
+    reward) in the order it was added. Sums accumulate in that order from 0.0,
+    and the width is 0.0 + c_bar term(c_bar) + c_s term(c_s) over the total,
+    a zero count contributing nothing; no samples give (inf, None).
+    """
+    c_bar = c_s = 0
+    sum_bar = sum_s = 0.0
+    for rnd, epoch, k, y in samples:
+        if k == arm and epoch % st.periods[arm] == phase:
+            if rnd is None:
+                c_bar += 1
+                sum_bar += y
+            elif rnd == s:
+                c_s += 1
+                sum_s += y
+    total = c_bar + c_s
+    if total == 0:
+        return math.inf, None
+
+    def term(c):
+        return math.sqrt((4.0 * st.sigma * st.sigma / c) * math.log(8.0 * st.d_hat * c / st.delta))
+
+    w = 0.0
+    if c_bar:
+        w += c_bar * term(c_bar)
+    if c_s:
+        w += c_s * term(c_s)
+    return w / total, (sum_bar + sum_s) / total
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    periods=hst.lists(hst.integers(1, 6), min_size=1, max_size=4),
+    ops=hst.lists(
+        hst.tuples(
+            hst.sampled_from([None, None, 1, 2, 3]),
+            hst.integers(1, 400),
+            hst.integers(0, 3),
+            hst.floats(-2.0, 2.0, allow_nan=False),
+        ),
+        max_size=60,
+    ),
+    sigma=hst.floats(0.01, 2.0),
+    horizon=hst.integers(10, 10**6),
+)
+@example(
+    periods=[2, 3],
+    ops=[(1, 5, 0, 0.3), (None, 7, 0, 0.1), (2, 9, 1, -0.4), (None, 3, 0, 0.2), (None, 4, 1, 0.7)],
+    sigma=0.5,
+    horizon=1000,
+)
+def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
+    # bar and round samples in any interleaving, including bar samples after
+    # a round exists: every cached width and mean equals the from-scratch value
+    st = NestedCBState(periods, sigma=sigma, horizon=horizon, delta=8.0 / horizon)
+    samples = []
+    for rnd, epoch, k, y in ops:
+        arm = k % len(periods)
+        if rnd is None:
+            st.add_bar_sample(epoch, arm, y)
+        else:
+            st.add_round_sample(rnd, epoch, arm, y)
+        samples.append((rnd, epoch, arm, y))
+    for s in (1, 2, 3, 4):  # round 4 never exists: it reads the bar-only row
+        widths, means = st.row(s)
+        for arm, period in enumerate(periods):
+            for phase in range(period):
+                width, mean = reference_cell(st, samples, s, arm, phase)
+                assert widths[arm][phase] == width
+                assert st.phase_width(s, arm, phase) == width
+                if mean is None:
+                    with pytest.raises(ValueError):
+                        st.phase_mean(s, arm, phase)
+                else:
+                    assert means[arm][phase] == mean
+                    assert st.phase_mean(s, arm, phase) == mean
+
+
 def test_nested_decide_exploit_branch():
     from periodic_bandits.policies import nested_cb_decide
 
@@ -263,6 +360,48 @@ def test_psi_sets_disjoint_partition():
     assert all(nK < e <= COUPLING_INSTANCE.horizon for r in st.psi_rounds.values() for e in r)
 
 
+@settings(max_examples=25, deadline=None)
+@given(
+    profiles=hst.lists(
+        hst.integers(1, 4).flatmap(
+            lambda p: hst.lists(hst.floats(0.0, 1.0), min_size=p, max_size=p, unique=True)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    sigma=hst.floats(0.05, 1.0),
+    horizon=hst.integers(100, 1200),
+    policy_id=hst.sampled_from(["two_stage", "oracle"]),
+    seed=hst.integers(0, 10**6),
+)
+def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy_id, seed):
+    # the reuse block is stage one, the round index sets are pairwise disjoint
+    # and hold exactly the epochs each tournament charged to that round
+    inst = instance(profiles, sigma, horizon)
+    pol = make_policy(policy_id)
+    rounds = {}
+    real = policies.nested_cb_decide
+
+    def recording(state, t, n_arms, trace=None):
+        arm, s = real(state, t, n_arms, trace)
+        rounds[t] = s
+        return arm, s
+
+    with mock.patch.object(policies, "nested_cb_decide", recording):
+        run_episode(inst, pol, seed)
+    st = pol.state
+    nK = pol.stage_one_end
+    assert st.psi_bar == list(range(1, nK + 1))
+    assert sorted(rounds) == list(range(nK + 1, horizon + 1))
+    charged = {}
+    for t, s in rounds.items():
+        if s is not None:
+            charged.setdefault(s, []).append(t)
+    assert st.psi_rounds == charged
+    explored = [t for r in st.psi_rounds.values() for t in r]
+    assert len(set(explored)) == len(explored)
+
+
 # ---------------------------------------------------------------------------
 # two-stage behavior
 # ---------------------------------------------------------------------------
@@ -327,6 +466,23 @@ def test_policy_reuse_across_horizons(policy_id):
     fresh = run_episode(short, make_policy(policy_id), seed=5)
     assert np.array_equal(again.actions, fresh.actions)
     assert again.estimated_periods == fresh.estimated_periods
+
+
+@pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
+def test_fixed_n_derives_g_and_H_from_it(policy_id):
+    # with only n fixed, g and H follow that n, not the horizon's recommended n
+    pol = make_policy(policy_id, {"n": 200})
+    res = run_episode(default_sweep_instance(10000), pol, seed=0)
+    assert pol.stage_one_end == 3 * 200
+    assert (pol._g, pol._H) == (15, default_H(200))
+    assert len(res.actions) == 10000
+
+
+@pytest.mark.parametrize("n", [0, -3])
+def test_nonpositive_n_rejected(n):
+    pol = make_policy("two_stage", {"n": n})
+    with pytest.raises(ValueError, match="must be positive"):
+        pol.begin(InstanceView(n_arms=3, horizon=2500, sigma=0.04))
 
 
 def test_oracle_requires_periods():
