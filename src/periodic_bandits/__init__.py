@@ -14,14 +14,11 @@ from .env import (
     NoiseStream,
     RunResult,
     instance_from_dict,
-    instance_metric,
     instance_to_dict,
     load_instance,
     make_demo_instance,
     make_lower_bound_instance,
-    mean_at,
     pseudo_regret,
-    sample_reward,
     save_instance,
     validity_report,
 )
@@ -35,6 +32,7 @@ from .spectral import (
     compute_periodogram,
     default_H,
     default_t_max,
+    detector_parameters,
     dft_at,
     estimate_periods,
     failure_probability_bound,

@@ -90,8 +90,7 @@ def _cmd_detect(args: argparse.Namespace) -> int:
     n = args.n if args.n is not None else len(samples)
     if n != len(samples):
         raise SystemExit(f"--n={args.n} but the file holds {len(samples)} samples")
-    g = args.g if args.g is not None else math.ceil(math.sqrt(n))
-    H = args.H if args.H is not None else spectral.default_H(n)
+    n, g, H = spectral.detector_parameters(n, args.g, args.H)
     t_max = args.t_max if args.t_max is not None else spectral.default_t_max(n, g)
     periods, estimates = spectral.estimate_periods(
         [(samples, epochs)], n, g, H, args.sigma, t_max=t_max

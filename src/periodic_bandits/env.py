@@ -209,16 +209,6 @@ class NoiseStream:
         return float(self._eps[epoch - 1])
 
 
-def mean_at(instance: BanditInstance, arm: int, epoch: int) -> float:
-    """Mean reward of ``arm`` (0-based) at 1-based ``epoch``."""
-    return instance.mean_at(arm, epoch)
-
-
-def sample_reward(instance: BanditInstance, arm: int, epoch: int, stream: NoiseStream) -> float:
-    """One reward draw: mean plus the stream's noise at this epoch."""
-    return instance.mean_at(arm, epoch) + stream.at(epoch)
-
-
 @dataclass
 class RunResult:
     """One episode's trace with gaps against the per-epoch best arm."""
@@ -344,23 +334,6 @@ def make_lower_bound_instance(
         return BanditInstance(tuple(arms), NoiseModel("gaussian", sigma), T)
 
     raise ValueError(f"unknown family {family!r}; expected e1, e2 or e3")
-
-
-def instance_metric(a: BanditInstance, b: BanditInstance) -> float:
-    """Root sum of squared per-(arm, phase) mean differences between instances.
-
-    Arms are compared over one cycle of the longer of the two declared periods
-    (profiles are extended periodically), so instances whose declared periods
-    differ but whose means agree are at distance 0.
-    """
-    if a.n_arms != b.n_arms:
-        raise ValueError("instances must have the same number of arms")
-    total = 0.0
-    for pa, pb in zip(a.arms, b.arms):
-        span = max(pa.period, pb.period)
-        for t in range(1, span + 1):
-            total += (pa.mean_at(t) - pb.mean_at(t)) ** 2
-    return math.sqrt(total)
 
 
 def validity_report(

@@ -23,6 +23,7 @@ from .env import (
     BanditInstance,
     RunResult,
     instance_from_dict,
+    load_instance,
     make_demo_instance,
     make_lower_bound_instance,
     pseudo_regret,
@@ -112,12 +113,9 @@ def default_sweep_instance(horizon: int, sigma: float = 0.04) -> BanditInstance:
 
 def resolve_instance(spec: dict, horizon: int | None = None) -> BanditInstance:
     if "file" in spec:
-        with open(spec["file"]) as fh:
-            inst = instance_from_dict(json.load(fh))
+        inst = load_instance(spec["file"])
     elif "preset" in spec:
         params = dict(spec.get("params", {}))
-        if horizon is not None and spec["preset"] in ("sweep_default",):
-            params["horizon"] = horizon
         if horizon is not None and spec["preset"] in ("e1", "e2", "e3"):
             params["T"] = horizon
         inst = make_preset_instance(spec["preset"], params)
@@ -257,16 +255,24 @@ def _by_cell(rows: list[dict]) -> dict[tuple[str, int], list[dict]]:
     return by_cell
 
 
+def _tail_fraction(config: dict) -> float:
+    """config["tail_fraction"] (default 0.5), checked to lie in (0, 1]."""
+    tail_fraction = float(config.get("tail_fraction", 0.5))
+    if not 0 < tail_fraction <= 1:
+        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
+    return tail_fraction
+
+
 def summarize(rows: list[dict], config: dict) -> dict:
     """Summarise raw episode rows the one way both sweep and report do.
 
     Returns {"cells": {(policy, T): AggregateStats}, "raw": rows,
     "sweep_slopes": {policy: slope of mean final regret vs horizon}}; the
     slope fits the tail of the horizons given by config["tail_fraction"]
-    (default 0.5).
+    (default 0.5), and a fraction outside (0, 1] raises ``ValueError``.
     """
+    tail_fraction = _tail_fraction(config)
     cells = {key: aggregate(cell_rows) for key, cell_rows in _by_cell(rows).items()}
-    tail_fraction = float(config.get("tail_fraction", 0.5))
     sweep_slopes: dict[str, float] = {}
     for pid in sorted({p for p, _ in cells}):
         ts = sorted(T for (p, T) in cells if p == pid)
@@ -289,6 +295,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     R = int(config.get("replications", 1))
     if R < 1:
         raise ValueError("need at least one replication")
+    _tail_fraction(config)
     base_seed = int(config.get("base_seed", 0))
     curve_points = int(config.get("curve_points", 128))
     workers = int(config.get("workers", 1))

@@ -18,16 +18,14 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .spectral import default_H, estimate_periods
+from .spectral import detector_parameters, estimate_periods
 
 
 def recommended_parameters(T: int, K: int) -> tuple[int, int, float]:
     """Stage-one defaults: n = floor(sqrt(T/K)), g = ceil(sqrt(n)), H = sqrt(1 + log n)."""
     if T <= 4 * K:
         raise ValueError("horizon too short: need T > 4K")
-    n = int(math.floor(math.sqrt(T / K)))
-    g = math.ceil(math.sqrt(n))
-    return n, g, default_H(n)
+    return detector_parameters(int(math.floor(math.sqrt(T / K))))
 
 
 def stage_one_schedule(t: int, n: int, n_arms: int) -> int:
@@ -235,6 +233,36 @@ def nested_cb_decide(
         s += 1
 
 
+class _StageOne:
+    """Stage one of an episode: n consecutive pulls per arm, then one period per arm.
+
+    Built by ``begin`` for one episode. It completes the constructor's n, g, H
+    for the horizon (an unset n is the recommended one, an unset g or H
+    follows the n actually used), fixes the last epoch ``end = n K``, collects
+    each arm's block and runs the spectral estimator on the blocks.
+    """
+
+    def __init__(self, view: InstanceView, n: int | None, g: int | None, H: float | None, t_max: int | None):
+        K, T = view.n_arms, view.horizon
+        if n is None:
+            n = recommended_parameters(T, K)[0]
+        self.n, self.g, self.H = detector_parameters(n, g, H)
+        self.end = self.n * K
+        if self.end >= T:
+            raise ValueError("stage one would consume the whole horizon")
+        self.t_max = t_max
+        self.sigma = view.sigma
+        self.blocks: list[list[float]] = [[] for _ in range(K)]
+
+    def arm(self, t: int) -> int:
+        return stage_one_schedule(t, self.n, len(self.blocks))
+
+    def estimate(self) -> tuple[int, ...]:
+        n = self.n
+        blocks = [(block, range(n * k + 1, n * (k + 1) + 1)) for k, block in enumerate(self.blocks)]
+        return estimate_periods(blocks, n, self.g, self.H, self.sigma, t_max=self.t_max)[0]
+
+
 class TwoStagePolicy(Policy):
     """Explore-then-screen policy with spectral period estimation.
 
@@ -245,9 +273,6 @@ class TwoStagePolicy(Policy):
     arms more than 2^(1-s) sigma below the leader and move to the next round.
     Exploration pulls in round s are recorded in that round's index set only;
     exploit pulls are logged but never feed the estimators.
-
-    With ``oracle=True`` the true periods replace the estimates and the
-    spectral step is skipped; everything else is identical.
     """
 
     policy_id = "two_stage"
@@ -259,71 +284,36 @@ class TwoStagePolicy(Policy):
         H: float | None = None,
         t_max: int | None = None,
         delta: float | None = None,
-        oracle: bool = False,
     ):
         self.n, self.g, self.H, self.t_max, self.delta = n, g, H, t_max, delta
-        self.oracle = oracle
-        if oracle:
-            self.policy_id = "oracle"
-        self.uses_true_periods = oracle
 
     def begin(self, view: InstanceView) -> None:
-        # n, g, H derived for this horizon live in per-episode attributes, so
-        # the constructor's choices still hold when the object begins again;
-        # an unset g or H follows the n actually used
-        K, T = view.n_arms, view.horizon
-        n, g, H = self.n, self.g, self.H
-        if n is None:
-            n = recommended_parameters(T, K)[0]
-        if n < 1:
-            raise ValueError(f"stage-one sample size n={n} must be positive")
-        if g is None:
-            g = math.ceil(math.sqrt(n))
-        if H is None:
-            H = default_H(n)
-        if n * K >= T:
-            raise ValueError("stage one would consume the whole horizon")
-        self._n, self._g, self._H = n, g, H
+        self._stage_one = _StageOne(view, self.n, self.g, self.H, self.t_max)
         self._view = view
-        self._delta = self.delta if self.delta is not None else 8.0 / T
-        self._blocks: list[list[float]] = [[] for _ in range(K)]
         self._state: NestedCBState | None = None
         self._pending_round: int | None = None
         self._events: list = []
         self._estimated: tuple[int, ...] | None = None
-        self._estimates = None
 
-    @property
-    def stage_one_end(self) -> int:
-        return self._n * self._view.n_arms
+    def _periods(self) -> Sequence[int]:
+        """The periods stage two learns under: stage one's estimates."""
+        return self._stage_one.estimate()
 
-    def _finalize_stage_one(self) -> None:
-        K, T = self._view.n_arms, self._view.horizon
-        if self.oracle:
-            periods = self._view.true_periods
-            if periods is None:
-                raise ValueError("oracle variant needs the true periods")
-        else:
-            blocks = [
-                (self._blocks[k], range(self._n * k + 1, self._n * (k + 1) + 1))
-                for k in range(K)
-            ]
-            periods, self._estimates = estimate_periods(
-                blocks, self._n, self._g, self._H, self._view.sigma, t_max=self.t_max
-            )
-        self._estimated = tuple(periods)
-        state = NestedCBState(periods, self._view.sigma, T, self._delta)
-        for k in range(K):
-            for i, y in enumerate(self._blocks[k]):
-                state.add_bar_sample(self._n * k + 1 + i, k, y)
+    def _start_stage_two(self) -> None:
+        view, stage_one = self._view, self._stage_one
+        self._estimated = tuple(self._periods())
+        delta = self.delta if self.delta is not None else 8.0 / view.horizon
+        state = NestedCBState(self._estimated, view.sigma, view.horizon, delta)
+        for k, block in enumerate(stage_one.blocks):
+            for t, y in enumerate(block, start=stage_one.n * k + 1):
+                state.add_bar_sample(t, k, y)
         self._state = state
 
     def decide(self, t: int) -> int:
-        if t <= self.stage_one_end:
-            self._pending_round = None
-            return stage_one_schedule(t, self._n, self._view.n_arms)
+        if t <= self._stage_one.end:
+            return self._stage_one.arm(t)
         if self._state is None:
-            self._finalize_stage_one()
+            self._start_stage_two()
         arm, pending = nested_cb_decide(self._state, t, self._view.n_arms)
         if pending is not None and self._state.counts_at(pending, arm, t) == (0, 0):
             self._events.append((t, "zero_count_forced_pull", arm))
@@ -331,8 +321,8 @@ class TwoStagePolicy(Policy):
         return arm
 
     def observe(self, t: int, arm: int, reward: float) -> None:
-        if t <= self.stage_one_end:
-            self._blocks[arm].append(reward)
+        if t <= self._stage_one.end:
+            self._stage_one.blocks[arm].append(reward)
             return
         if self._pending_round is not None:
             self._state.add_round_sample(self._pending_round, t, arm, reward)
@@ -351,11 +341,19 @@ class TwoStagePolicy(Policy):
 
 
 class OraclePolicy(TwoStagePolicy):
-    """Two-stage policy with the true periods injected in place of estimates."""
+    """Two-stage policy with the true periods injected in place of estimates.
 
-    def __init__(self, **kwargs):
-        kwargs["oracle"] = True
-        super().__init__(**kwargs)
+    Stage one still pulls and records its blocks, which stage two reuses, but
+    the spectral step is skipped; everything else is identical.
+    """
+
+    policy_id = "oracle"
+    uses_true_periods = True
+
+    def _periods(self) -> Sequence[int]:
+        if self._view.true_periods is None:
+            raise ValueError("oracle variant needs the true periods")
+        return self._view.true_periods
 
 
 # ---------------------------------------------------------------------------
@@ -529,43 +527,50 @@ class PerPhaseUCB(Policy):
         self._cells.update(t % self.T1, arm, reward)
 
 
-class LcmUCB(TwoStagePolicy):
-    """Two-stage baseline whose second stage decomposes epochs by residue
-    modulo the LCM of the estimated periods (capped to avoid blowup) and runs
-    a fresh UCB1 in every residue class; stage-one samples are not reused.
+class LcmUCB(Policy):
+    """Baseline that shares the two-stage policy's stage one, then decomposes
+    epochs by residue modulo the LCM of the estimated periods (at most the
+    horizon) and runs a fresh UCB1 in every residue class; stage-one samples
+    are not reused.
     """
 
     policy_id = "lcm_ucb"
 
-    def __init__(self, ucb_scale: float = 1.0, lcm_cap: int | None = None, **kwargs):
-        kwargs.pop("oracle", None)
-        super().__init__(**kwargs)
-        self.policy_id = "lcm_ucb"
+    def __init__(
+        self,
+        n: int | None = None,
+        g: int | None = None,
+        H: float | None = None,
+        t_max: int | None = None,
+        ucb_scale: float = 1.0,
+    ):
+        self.n, self.g, self.H, self.t_max = n, g, H, t_max
         self.scale = ucb_scale
-        self.lcm_cap = lcm_cap
 
     def begin(self, view: InstanceView) -> None:
-        super().begin(view)
-        self._cells = None
-
-    def _finalize_stage_one(self) -> None:
-        super()._finalize_stage_one()
-        cap = self.lcm_cap if self.lcm_cap is not None else self._view.horizon
-        self.lcm_period = min(math.lcm(*self._estimated), cap)
-        self._cells = _CellUCB(self.lcm_period, self._view.n_arms, self.scale)
+        self._stage_one = _StageOne(view, self.n, self.g, self.H, self.t_max)
+        self._view = view
+        self._cells: _CellUCB | None = None
+        self._estimated: tuple[int, ...] | None = None
 
     def decide(self, t: int) -> int:
-        if t <= self.stage_one_end:
-            return stage_one_schedule(t, self._n, self._view.n_arms)
+        if t <= self._stage_one.end:
+            return self._stage_one.arm(t)
         if self._cells is None:
-            self._finalize_stage_one()
+            self._estimated = self._stage_one.estimate()
+            self.lcm_period = min(math.lcm(*self._estimated), self._view.horizon)
+            self._cells = _CellUCB(self.lcm_period, self._view.n_arms, self.scale)
         return self._cells.pick(t % self.lcm_period)
 
     def observe(self, t: int, arm: int, reward: float) -> None:
-        if t <= self.stage_one_end:
-            self._blocks[arm].append(reward)
+        if t <= self._stage_one.end:
+            self._stage_one.blocks[arm].append(reward)
             return
         self._cells.update(t % self.lcm_period, arm, reward)
+
+    @property
+    def estimated_periods(self) -> tuple[int, ...] | None:
+        return self._estimated
 
 
 POLICY_IDS = ("two_stage", "oracle", "seq_elim", "per_phase_ucb", "stationary_ucb", "lcm_ucb")

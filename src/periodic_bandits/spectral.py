@@ -95,6 +95,13 @@ def default_H(n: int) -> float:
     return math.sqrt(1.0 + math.log(n))
 
 
+def detector_parameters(n: int, g: int | None = None, H: float | None = None) -> tuple[int, int, float]:
+    """(n, g, H) for an n-sample block: an unset g is ceil(sqrt(n)), an unset H is sqrt(1 + log n)."""
+    if n < 1:
+        raise ValueError(f"sample size n={n} must be positive")
+    return n, math.ceil(math.sqrt(n)) if g is None else g, default_H(n) if H is None else H
+
+
 @dataclass(frozen=True)
 class ThresholdConstants:
     """Everything deterministic in (n, g, H, sigma) that the threshold needs.
@@ -241,16 +248,17 @@ def default_t_max(n: int, g: int) -> int:
     return math.ceil(n / (2 * g)) - 1
 
 
-def frequency_grid(n: int, candidates: Sequence[Fraction] = ()) -> np.ndarray:
+def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
     """Evaluation grid over [0, 1/2]: 12n interval midpoints of step 1/(24n),
-    i.e. (2l - 1)/(48n) for l = 1..12n, plus every candidate rational <= 1/2.
+    i.e. (2l - 1)/(48n) for l = 1..12n, plus every candidate in (0, 1/2].
 
-    Midpoints sample each width-2/n main lobe at ~48 points; candidates are
-    evaluated exactly.
+    Midpoints sample each width-2/n main lobe at ~48 points; candidates
+    (rationals or their float values, compared as floats) are evaluated
+    exactly.
     """
     mesh = (2.0 * np.arange(1, 12 * n + 1) - 1.0) / (48.0 * n)
-    extra = [float(c) for c in candidates if 0 < c <= Fraction(1, 2)]
-    return np.unique(np.concatenate([mesh, np.asarray(extra, dtype=float)]))
+    extra = np.asarray(candidates, dtype=float)
+    return np.unique(np.concatenate([mesh, extra[(extra > 0) & (extra <= 0.5)]]))
 
 
 @dataclass
@@ -387,8 +395,7 @@ def estimate_periods(
     consts = threshold_constants(n, g, sigma, H)
     if t_max is None:
         t_max = default_t_max(n, g)
-    cands = candidate_frequencies(t_max) if t_max >= 2 else []
-    grid = frequency_grid(n, cands)
+    grid = frequency_grid(n, _candidates(t_max)[1])
     estimates = []
     for samples, epochs in blocks:
         if len(samples) != n:

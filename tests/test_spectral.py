@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from periodic_bandits.env import make_demo_instance
 from periodic_bandits.spectral import (
+    _candidates,
     a_sup,
     amplitude_condition_coefficients,
     candidate_frequencies,
@@ -293,6 +294,17 @@ def test_frequency_grid_layout():
             assert float(c) in grid
     assert grid[0] > 0 and grid[-1] <= 0.5
     assert np.all(np.diff(grid) > 0)
+    # the float filter over the cached candidate values builds, bit for bit,
+    # the grid that filtering the rationals with exact comparisons built
+    for n in (1, 10, 50, 500):
+        for t_max in (2, 4, 10, 30):
+            cands = candidate_frequencies(t_max)
+            old = np.unique(np.concatenate([
+                (2.0 * np.arange(1, 12 * n + 1) - 1.0) / (48.0 * n),
+                np.asarray([float(c) for c in cands if 0 < c <= Fraction(1, 2)], dtype=float),
+            ]))
+            assert np.array_equal(frequency_grid(n, _candidates(t_max)[1]), old)
+            assert np.array_equal(frequency_grid(n, cands), old)
 
 
 # ---------------------------------------------------------------------------
@@ -397,13 +409,11 @@ def test_trace_exclusions_separate_identified():
 
 def test_noisy_demo_success_rate_small():
     # 100 replications at sigma = 0.2: period 4 recovered essentially always
-    from periodic_bandits.env import sample_reward
-
     inst = make_demo_instance(50, 0.2)
     hits = 0
     for rep in range(100):
         stream = inst.noise_stream(rep, horizon=50)
-        samples = [sample_reward(inst, 0, t, stream) for t in range(1, 51)]
+        samples = [inst.mean_at(0, t) + stream.at(t) for t in range(1, 51)]
         periods, _ = estimate_periods([(samples, range(1, 51))], 50, 8, H50, 0.2, t_max=10)
         hits += periods[0] == 4
     assert hits >= 98
