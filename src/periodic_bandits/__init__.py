@@ -14,12 +14,10 @@ from .env import (
     NoiseStream,
     RunResult,
     instance_from_dict,
-    instance_to_dict,
     load_instance,
     make_demo_instance,
     make_lower_bound_instance,
     pseudo_regret,
-    save_instance,
     validity_report,
 )
 from .spectral import (
@@ -45,7 +43,6 @@ from .spectral import (
     u_constants,
 )
 from .policies import (
-    EliminationState,
     InstanceView,
     LcmUCB,
     NestedCBState,

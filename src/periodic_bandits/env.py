@@ -12,7 +12,6 @@ import cmath
 import json
 import math
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -43,7 +42,6 @@ class MeanProfile:
 
     period: int
     values: tuple[float, ...]
-    source: str = "tabular"
 
     def __post_init__(self) -> None:
         if self.period < 1:
@@ -86,7 +84,7 @@ class MeanProfile:
             if abs(z.imag) > IMAG_TOL:
                 raise ValueError(f"imaginary residue {z.imag:.3g} above tolerance at t={t}")
             vals.append(z.real)
-        return cls(period=T, values=tuple(vals), source="fourier")
+        return cls(period=T, values=tuple(vals))
 
     def mean_at(self, epoch: int) -> float:
         if epoch < 1:
@@ -100,15 +98,6 @@ class MeanProfile:
         j = np.arange(T)
         basis = np.exp(-2j * np.pi * np.outer(j, t) / T)
         return basis @ np.asarray(self.values) / T
-
-    def present_frequencies(self, tol: float = COEF_TOL) -> list[Fraction]:
-        """Reduced frequencies j/T in (0, 1/2] carrying a nonzero coefficient."""
-        mags = np.abs(self.fourier_coefficients())
-        out = []
-        for j in range(1, self.period // 2 + 1):
-            if mags[j] > tol:
-                out.append(Fraction(j, self.period))
-        return sorted(set(out))
 
     def amplitude_range(self, tol: float = COEF_TOL) -> tuple[float, float]:
         """(weakest, strongest) nonzero coefficient magnitudes, 0s if flat."""
@@ -194,8 +183,6 @@ class NoiseStream:
     """
 
     def __init__(self, model: NoiseModel, seed: int, horizon: int):
-        self.seed = seed
-        self.model = model
         self._eps = model.draw(np.random.default_rng(seed), horizon)
 
     @property
@@ -211,13 +198,11 @@ class NoiseStream:
 
 @dataclass
 class RunResult:
-    """One episode's trace with gaps against the per-epoch best arm."""
+    """One episode's trace and its cumulative pseudo-regret."""
 
     actions: np.ndarray
     rewards: np.ndarray
-    gaps: np.ndarray
     cumulative_regret: np.ndarray
-    seed: int
     policy_id: str
     estimated_periods: tuple[int, ...] | None = None
     events: list = field(default_factory=list)
@@ -387,14 +372,6 @@ def validity_report(
 # JSON instance files
 # ---------------------------------------------------------------------------
 
-def instance_to_dict(instance: BanditInstance) -> dict:
-    return {
-        "arms": [{"period": p.period, "values": list(p.values)} for p in instance.arms],
-        "noise": {"kind": instance.noise.kind, "sigma": instance.noise.sigma},
-        "horizon": instance.horizon,
-    }
-
-
 def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
@@ -420,8 +397,3 @@ def instance_from_dict(spec: dict) -> BanditInstance:
 def load_instance(path: str) -> BanditInstance:
     with open(path) as fh:
         return instance_from_dict(json.load(fh))
-
-
-def save_instance(instance: BanditInstance, path: str) -> None:
-    with open(path, "w") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2)

@@ -57,13 +57,11 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
         policy.observe(t, a, y)
         actions[t - 1] = a
         rewards[t - 1] = y
-    gaps, cum = pseudo_regret(instance, actions)
+    _, cum = pseudo_regret(instance, actions)
     return RunResult(
         actions=actions,
         rewards=rewards,
-        gaps=gaps,
         cumulative_regret=cum,
-        seed=seed,
         policy_id=policy.policy_id,
         estimated_periods=policy.estimated_periods,
         events=list(policy.events),
@@ -86,15 +84,13 @@ def make_preset_instance(name: str, params: dict | None = None) -> BanditInstanc
     if name == "demo":
         return make_demo_instance(params.get("n", 50), params.get("sigma", 0.2))
     if name == "sweep_default":
-        return default_sweep_instance(
-            horizon=params.get("horizon", 40000), sigma=params.get("sigma", 0.1)
-        )
+        return default_sweep_instance(**params)
     if name in ("e1", "e2", "e3"):
         return make_lower_bound_instance(name, **params)
     raise ValueError(f"unknown preset {name!r}")
 
 
-def default_sweep_instance(horizon: int, sigma: float = 0.04) -> BanditInstance:
+def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditInstance:
     """Three arms with periods (2, 3, 4) and a phase-dependent best arm.
 
     Every arm carries a strong fundamental, detectable at the recommended
@@ -298,6 +294,8 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     _tail_fraction(config)
     base_seed = int(config.get("base_seed", 0))
     curve_points = int(config.get("curve_points", 128))
+    if curve_points < 1:
+        raise ValueError(f"curve_points must be at least 1, got {curve_points}")
     workers = int(config.get("workers", 1))
     horizons = config.get("horizons")
     if horizons is None:

@@ -86,9 +86,7 @@ class NestedCBState:
     An epoch changes one count, so updates are local: ``add_round_sample``
     refreshes the one cell it touches, and ``add_bar_sample`` refreshes that
     cell in the bar-only row and in every existing round. The cached values
-    are computed exactly as a from-scratch evaluation would compute them. The
-    index sets themselves are retained for auditing; decisions read only the
-    cached rows.
+    are computed exactly as a from-scratch evaluation would compute them.
     """
 
     def __init__(self, periods: Sequence[int], sigma: float, horizon: int, delta: float):
@@ -108,8 +106,6 @@ class NestedCBState:
         self._round_counts: dict[int, list[list[int]]] = {}
         self._round_sums: dict[int, list[list[float]]] = {}
         self._rows: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
-        self.psi_rounds: dict[int, list[int]] = {}
-        self.psi_bar: list[int] = []
         self._term_cache: dict[int, float] = {}
 
     def _refresh(
@@ -131,7 +127,6 @@ class NestedCBState:
         self._refresh(self._bar_row, arm, p, 0, 0.0)
         for s, row in self._rows.items():
             self._refresh(row, arm, p, self._round_counts[s][arm][p], self._round_sums[s][arm][p])
-        self.psi_bar.append(epoch)
 
     def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
         if s not in self._rows:
@@ -139,19 +134,20 @@ class NestedCBState:
             self._round_counts[s] = [[0] * p for p in self.periods]
             self._round_sums[s] = [[0.0] * p for p in self.periods]
             self._rows[s] = ([w[:] for w in widths], [m[:] for m in means])
-            self.psi_rounds[s] = []
         counts, sums = self._round_counts[s], self._round_sums[s]
         p = epoch % self.periods[arm]
         counts[arm][p] += 1
         sums[arm][p] += reward
         self._refresh(self._rows[s], arm, p, counts[arm][p], sums[arm][p])
-        self.psi_rounds[s].append(epoch)
 
     def row(self, s: int) -> tuple[list[list[float]], list[list[float]]]:
         """Cached (widths, means) of round s, each indexed [arm][phase].
 
-        A round without samples reads the bar-only row. The lists are the
-        state's own: callers must not modify them.
+        A width is the count-weighted combination of the reuse block's and
+        round s's Hoeffding radii, a zero count contributing nothing; an
+        unsampled cell has width inf and mean nan. A round without samples
+        reads the bar-only row. The lists are the state's own: callers must
+        not modify them.
         """
         return self._rows.get(s, self._bar_row)
 
@@ -161,12 +157,6 @@ class NestedCBState:
         c_bar = self._bar_counts[arm][p]
         c_s = self._round_counts[s][arm][p] if s in self._round_counts else 0
         return c_bar, c_s
-
-    def phase_mean(self, s: int, arm: int, t: int) -> float:
-        """Pooled mean of the reuse block and round s at arm's phase of epoch t."""
-        if self.counts_at(s, arm, t) == (0, 0):
-            raise ValueError(f"no samples for arm {arm} at phase {t % self.periods[arm]} in round {s}")
-        return self.row(s)[1][arm][t % self.periods[arm]]
 
     def _term(self, c: int) -> float:
         # sqrt((4 sigma^2 / c) * log(8 d_hat c / delta)), memoized on c
@@ -179,19 +169,8 @@ class NestedCBState:
             self._term_cache[c] = cached
         return cached
 
-    def phase_width(self, s: int, arm: int, t: int) -> float:
-        """Count-weighted combination of the two Hoeffding radii.
 
-        A summand with zero count contributes nothing (its weight is zero);
-        with both counts zero the width is infinite, which forces exploration.
-        Read from the cached row of round s.
-        """
-        return self.row(s)[0][arm][t % self.periods[arm]]
-
-
-def nested_cb_decide(
-    state: NestedCBState, t: int, n_arms: int, trace: list | None = None
-) -> tuple[int, int | None]:
+def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, int | None]:
     """One screening tournament at epoch t; returns (arm, exploration round).
 
     Rounds s = 1, 2, ...: if some active arm's width at the current phase
@@ -204,8 +183,7 @@ def nested_cb_decide(
 
     Each round reads the widths and means of the state's cached round-s row
     at the phases of t, so a decision computes no confidence radius. It does
-    not mutate the state. When ``trace`` is given, every elimination appends
-    {round, active, means, cutoff, survivors}.
+    not mutate the state.
     """
     sigma = state.sigma
     narrow = sigma / math.sqrt(state.horizon)
@@ -223,13 +201,7 @@ def nested_cb_decide(
         if widest <= narrow or s >= state.S:
             return active[means.index(best_m)], None
         cutoff = best_m - sigma * 2.0 ** (1 - s)
-        survivors = [k for k, m in zip(active, means) if m >= cutoff]
-        if trace is not None:
-            trace.append(
-                {"round": s, "active": list(active), "means": dict(zip(active, means)),
-                 "cutoff": cutoff, "survivors": list(survivors)}
-            )
-        active = survivors
+        active = [k for k, m in zip(active, means) if m >= cutoff]
         s += 1
 
 
@@ -271,8 +243,8 @@ class TwoStagePolicy(Policy):
     whose confidence width at the current phase exceeds sigma/2^s, exploit the
     best estimate once every width is below sigma/sqrt(T), and otherwise drop
     arms more than 2^(1-s) sigma below the leader and move to the next round.
-    Exploration pulls in round s are recorded in that round's index set only;
-    exploit pulls are logged but never feed the estimators.
+    Exploration pulls in round s are counted in that round's cells only;
+    exploit pulls never feed the estimators.
     """
 
     policy_id = "two_stage"
@@ -285,6 +257,8 @@ class TwoStagePolicy(Policy):
         t_max: int | None = None,
         delta: float | None = None,
     ):
+        if delta is not None and not (math.isfinite(delta) and delta > 0):
+            raise ValueError(f"delta must be finite and positive, got {delta}")
         self.n, self.g, self.H, self.t_max, self.delta = n, g, H, t_max, delta
 
     def begin(self, view: InstanceView) -> None:
@@ -360,16 +334,14 @@ class OraclePolicy(TwoStagePolicy):
 # Sequential elimination (shared known period, fixed best arm)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class EliminationState:
-    """Snapshot of a round-based elimination run."""
-
-    round: int
-    active: tuple[int, ...]
-    pulls_per_arm: int
-    pull_counts: dict[int, int]
-    round_means: dict[int, float]
-    T1: int
+def _shared_period(view: InstanceView, policy: str) -> int:
+    """The one true period every arm has; ``policy`` names the caller in errors."""
+    if view.true_periods is None:
+        raise ValueError(f"{policy} needs the shared period")
+    periods = set(view.true_periods)
+    if len(periods) != 1:
+        raise ValueError(f"arms must share one period, got {sorted(periods)}")
+    return periods.pop()
 
 
 def elimination_schedule(s: int, K: int, T: int, T1: int) -> int:
@@ -393,12 +365,7 @@ class SequentialEliminationPolicy(Policy):
     uses_true_periods = True
 
     def begin(self, view: InstanceView) -> None:
-        if view.true_periods is None:
-            raise ValueError("sequential elimination needs the shared period")
-        periods = set(view.true_periods)
-        if len(periods) != 1:
-            raise ValueError(f"arms must share one period, got {sorted(periods)}")
-        self.T1 = periods.pop()
+        self.T1 = _shared_period(view, "sequential elimination")
         self._view = view
         self.round = 1
         self.active = list(range(view.n_arms))
@@ -434,26 +401,16 @@ class SequentialEliminationPolicy(Policy):
         self._cursor = 0
         self._sums = {k: 0.0 for k in self.active}
 
-    @property
-    def state(self) -> EliminationState:
-        done = {
-            k: (self._n_s if i < self._cursor else self._done_for_arm if i == self._cursor else 0)
-            for i, k in enumerate(self.active)
-        }
-        means = {k: self._sums[k] / done[k] for k in self.active if done[k]}
-        return EliminationState(
-            round=self.round,
-            active=tuple(self.active),
-            pulls_per_arm=self._n_s,
-            pull_counts=done,
-            round_means=means,
-            T1=self.T1,
-        )
-
 
 # ---------------------------------------------------------------------------
 # UCB baselines
 # ---------------------------------------------------------------------------
+
+def _ucb_scale(scale: float) -> float:
+    if not (math.isfinite(scale) and scale >= 0):
+        raise ValueError(f"ucb_scale must be finite and nonnegative, got {scale}")
+    return scale
+
 
 class _CellUCB:
     """Independent UCB1 cells: one (count, sum) table per cell of a partition."""
@@ -490,7 +447,7 @@ class StationaryUCB(Policy):
     policy_id = "stationary_ucb"
 
     def __init__(self, ucb_scale: float = 1.0):
-        self.scale = ucb_scale
+        self.scale = _ucb_scale(ucb_scale)
 
     def begin(self, view: InstanceView) -> None:
         self._cells = _CellUCB(1, view.n_arms, self.scale)
@@ -509,15 +466,10 @@ class PerPhaseUCB(Policy):
     uses_true_periods = True
 
     def __init__(self, ucb_scale: float = 1.0):
-        self.scale = ucb_scale
+        self.scale = _ucb_scale(ucb_scale)
 
     def begin(self, view: InstanceView) -> None:
-        if view.true_periods is None:
-            raise ValueError("per-phase UCB needs the shared period")
-        periods = set(view.true_periods)
-        if len(periods) != 1:
-            raise ValueError(f"arms must share one period, got {sorted(periods)}")
-        self.T1 = periods.pop()
+        self.T1 = _shared_period(view, "per-phase UCB")
         self._cells = _CellUCB(self.T1, view.n_arms, self.scale)
 
     def decide(self, t: int) -> int:
@@ -545,7 +497,7 @@ class LcmUCB(Policy):
         ucb_scale: float = 1.0,
     ):
         self.n, self.g, self.H, self.t_max = n, g, H, t_max
-        self.scale = ucb_scale
+        self.scale = _ucb_scale(ucb_scale)
 
     def begin(self, view: InstanceView) -> None:
         self._stage_one = _StageOne(view, self.n, self.g, self.H, self.t_max)

@@ -104,11 +104,7 @@ def detector_parameters(n: int, g: int | None = None, H: float | None = None) ->
 
 @dataclass(frozen=True)
 class ThresholdConstants:
-    """Everything deterministic in (n, g, H, sigma) that the threshold needs.
-
-    ``a_table`` keeps the side-lobe suprema A_j at exactly the indices the two
-    leakage sums touch.
-    """
+    """Everything deterministic in (n, g, H, sigma) that the threshold needs."""
 
     n: int
     g: int
@@ -117,7 +113,6 @@ class ThresholdConstants:
     u1: float
     u2: float
     eps_bar: float
-    a_table: tuple[tuple[int, float], ...] = ()
 
     @property
     def leakage_ratio(self) -> float:
@@ -132,15 +127,7 @@ def threshold_constants(n: int, g: int, sigma: float, H: float | None = None) ->
     if H is None:
         H = default_H(n)
     u1, u2 = u_constants(n, g)
-    indices = sorted(
-        {(2 * j + 1) * g for j in range(0, (n - 2 * g - 1) // (4 * g) + 1)}
-        | {2 * j * g - 1 for j in range(1, (n - 1) // (4 * g) + 1)}
-    )
-    return ThresholdConstants(
-        n=n, g=g, H=H, sigma=sigma, u1=u1, u2=u2,
-        eps_bar=noise_bound(n, sigma, H),
-        a_table=tuple((j, a_sup(j)) for j in indices),
-    )
+    return ThresholdConstants(n=n, g=g, H=H, sigma=sigma, u1=u1, u2=u2, eps_bar=noise_bound(n, sigma, H))
 
 
 def threshold(constants: ThresholdConstants, sup_mag: float) -> float:
@@ -266,7 +253,6 @@ class Periodogram:
     """DFT values and magnitudes of one sample block on a frequency grid."""
 
     n: int
-    epochs: np.ndarray
     grid: np.ndarray
     values: np.ndarray
     magnitudes: np.ndarray
@@ -296,7 +282,7 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
     vals[on] = np.fft.rfft(y, 48 * n)[bins[on].astype(int)] / n
     vals[~on] = _direct_dft(y, t - t[0], grid[~on])
     vals *= np.exp(-2j * np.pi * grid * t[0])
-    return Periodogram(n=n, epochs=np.asarray(epochs, dtype=int), grid=grid, values=vals, magnitudes=np.abs(vals))
+    return Periodogram(n=n, grid=grid, values=vals, magnitudes=np.abs(vals))
 
 
 # ---------------------------------------------------------------------------

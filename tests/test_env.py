@@ -11,7 +11,6 @@ from periodic_bandits.env import (
     MeanProfile,
     NoiseModel,
     instance_from_dict,
-    instance_to_dict,
     make_demo_instance,
     make_lower_bound_instance,
     pseudo_regret,
@@ -320,7 +319,11 @@ def test_validity_report_amplitude_condition():
 
 def test_instance_json_roundtrip(tmp_path):
     inst = two_arm([0.2, 0.8], [0.5, 0.1, 0.9], sigma=0.25, horizon=77)
-    spec = instance_to_dict(inst)
+    spec = {
+        "arms": [{"period": 2, "values": [0.2, 0.8]}, {"period": 3, "values": [0.5, 0.1, 0.9]}],
+        "noise": {"kind": "gaussian", "sigma": 0.25},
+        "horizon": 77,
+    }
     again = instance_from_dict(json.loads(json.dumps(spec)))
     assert again.periods == inst.periods
     assert again.noise == inst.noise

@@ -172,12 +172,16 @@ def test_report_keeps_summary_bytes(tmp_path):
         assert fh.read() == before
 
 
-@pytest.mark.parametrize("fraction", [0, -0.5, 1.5, float("nan")])
-def test_tail_fraction_checked_before_any_episode(fraction):
+@pytest.mark.parametrize(
+    ("key", "value"),
+    [pytest.param("tail_fraction", v, id=str(v)) for v in (0, -0.5, 1.5, float("nan"))]
+    + [pytest.param("curve_points", v, id=f"curve_points={v}") for v in (0, -3)],
+)
+def test_tail_fraction_checked_before_any_episode(key, value):
     cfg = small_config()
-    cfg["tail_fraction"] = fraction
+    cfg[key] = value
     with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
-        with pytest.raises(ValueError, match="tail_fraction"):
+        with pytest.raises(ValueError, match=key):
             monte_carlo(cfg)
 
 
@@ -233,6 +237,15 @@ def test_presets():
     assert e1.periods == (1, 1)
     with pytest.raises(ValueError):
         make_preset_instance("nope")
+
+
+def test_sweep_default_preset_takes_the_function_defaults():
+    # the preset forwards its params, so default_sweep_instance's signature
+    # holds the only defaults, and a misspelt param is an error
+    assert make_preset_instance("sweep_default") == default_sweep_instance(40000)
+    assert make_preset_instance("sweep_default", {"sigma": 0.1}) == default_sweep_instance(40000, sigma=0.1)
+    with pytest.raises(TypeError):
+        make_preset_instance("sweep_default", {"sigmaa": 0.1})
 
 
 # ---------------------------------------------------------------------------

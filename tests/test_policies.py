@@ -46,6 +46,59 @@ def count_same_phase(actions: dict[int, int], index_set: Sequence[int], arm: int
     return sum(1 for j in index_set if actions.get(j) == arm and j % period == t % period)
 
 
+def cell_width(st: NestedCBState, s: int, arm: int, t: int) -> float:
+    """Cached width of round s at arm's phase of epoch t."""
+    return st.row(s)[0][arm][t % st.periods[arm]]
+
+
+def cell_mean(st: NestedCBState, s: int, arm: int, t: int) -> float:
+    """Cached pooled mean of round s at arm's phase of epoch t."""
+    return st.row(s)[1][arm][t % st.periods[arm]]
+
+
+def run_recording_rounds(inst: BanditInstance, pol, seed: int):
+    """One episode, with the index sets rebuilt from the tournament's rounds.
+
+    Returns (result, {epoch: round}, reuse block, {round: index set}). The reuse
+    block is every epoch that ``nested_cb_decide`` did not decide, and round
+    s's index set every epoch it charged to s; an exploit epoch (round None)
+    joins no set.
+    """
+    rounds = {}
+    real = policies.nested_cb_decide
+
+    def recording(state, t, n_arms):
+        arm, s = real(state, t, n_arms)
+        rounds[t] = s
+        return arm, s
+
+    with mock.patch.object(policies, "nested_cb_decide", recording):
+        res = run_episode(inst, pol, seed)
+    psi_bar = [t for t in range(1, inst.horizon + 1) if t not in rounds]
+    psi_rounds = {}
+    for t, s in sorted(rounds.items()):
+        if s is not None:
+            psi_rounds.setdefault(s, []).append(t)
+    return res, rounds, psi_bar, psi_rounds
+
+
+def assert_counts_match_index_sets(st: NestedCBState, res, n_k: int, psi_bar, psi_rounds) -> None:
+    """counts_at equals a literal count over the index sets in every
+    (round, arm, phase) cell, and the counts of all cells sum to stage one's
+    n K epochs plus the exploration epochs."""
+    actions = {t: int(a) for t, a in enumerate(res.actions, start=1)}
+    total = 0
+    for arm, period in enumerate(st.periods):
+        for phase in range(period):
+            c_bar = count_same_phase(actions, psi_bar, arm, phase, period)
+            for s in range(1, st.S + 1):
+                c_s = count_same_phase(actions, psi_rounds.get(s, []), arm, phase, period)
+                assert st.counts_at(s, arm, phase) == (c_bar, c_s)
+                total += c_s
+            total += c_bar
+    assert total == n_k + sum(len(r) for r in psi_rounds.values())
+
+
 # ---------------------------------------------------------------------------
 # schedules and parameters
 # ---------------------------------------------------------------------------
@@ -111,7 +164,7 @@ def make_state_with_bar(samples_per_phase=12, value=0.5):
 def test_phase_width_reference_value():
     st = make_state_with_bar()
     # C(reuse) = 12, C(round) = 0, d_hat = 8, delta = 8e-4, sigma = 1
-    assert st.phase_width(1, 0, 1) == pytest.approx(2.1428, abs=2e-4)
+    assert cell_width(st, 1, 0, 1) == pytest.approx(2.1428, abs=2e-4)
 
 
 def test_phase_width_scales_with_sigma():
@@ -120,29 +173,28 @@ def test_phase_width_scales_with_sigma():
     for stt in (a, b):
         for i in range(12):
             stt.add_bar_sample(1 + 4 * i, 0, 0.5)
-    assert b.phase_width(1, 0, 1) == pytest.approx(2 * a.phase_width(1, 0, 1))
+    assert cell_width(b, 1, 0, 1) == pytest.approx(2 * cell_width(a, 1, 0, 1))
 
 
 def test_phase_width_zero_count_summand():
     st = make_state_with_bar()
-    w_before = st.phase_width(1, 0, 1)
+    w_before = cell_width(st, 1, 0, 1)
     assert math.isfinite(w_before)
     # an empty round set contributes nothing; adding round samples shifts weight
     st.add_round_sample(1, 9, 0, 0.5)
-    assert st.phase_width(1, 0, 1) != w_before
+    assert cell_width(st, 1, 0, 1) != w_before
 
 
 def test_phase_width_infinite_when_unsampled():
     st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01)
-    assert st.phase_width(1, 0, 3) == math.inf
-    with pytest.raises(ValueError):
-        st.phase_mean(1, 0, 3)
+    assert cell_width(st, 1, 0, 3) == math.inf
+    assert math.isnan(cell_mean(st, 1, 0, 3))
 
 
 def test_phase_mean_single_sample():
     st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01)
     st.add_bar_sample(5, 0, 0.7)
-    assert st.phase_mean(1, 0, 9) == pytest.approx(0.7)
+    assert cell_mean(st, 1, 0, 9) == pytest.approx(0.7)
 
 
 def test_phase_mean_weighted_combination():
@@ -153,7 +205,7 @@ def test_phase_mean_weighted_combination():
         st.add_bar_sample(1 + 2 * i, 0, v)
     for i, v in enumerate(rnd_vals):
         st.add_round_sample(2, 7 + 2 * i, 0, v)
-    got = st.phase_mean(2, 0, 9)
+    got = cell_mean(st, 2, 0, 9)
     nb, ns = len(bar_vals), len(rnd_vals)
     expected = (nb * np.mean(bar_vals) + ns * np.mean(rnd_vals)) / (nb + ns)
     assert got == pytest.approx(expected)
@@ -167,10 +219,10 @@ def test_phase_width_monotone_in_round_count():
             st.add_bar_sample(1 + 4 * i, 0, 0.5)
         st.add_round_sample(1, 5, 0, 0.5)
         st.add_round_sample(1, 9, 0, 0.5)
-        prev = st.phase_width(1, 0, 1)
+        prev = cell_width(st, 1, 0, 1)
         for i in range(40):
             st.add_round_sample(1, 13 + 4 * i, 0, 0.5)
-            cur = st.phase_width(1, 0, 1)
+            cur = cell_width(st, 1, 0, 1)
             assert cur <= prev + 1e-12
             prev = cur
 
@@ -181,7 +233,7 @@ def reference_cell(st, samples, s, arm, phase):
     ``samples`` lists every (round or None for the reuse block, epoch, arm,
     reward) in the order it was added. Sums accumulate in that order from 0.0,
     and the width is 0.0 + c_bar term(c_bar) + c_s term(c_s) over the total,
-    a zero count contributing nothing; no samples give (inf, None).
+    a zero count contributing nothing; no samples give (inf, nan).
     """
     c_bar = c_s = 0
     sum_bar = sum_s = 0.0
@@ -195,7 +247,7 @@ def reference_cell(st, samples, s, arm, phase):
                 sum_s += y
     total = c_bar + c_s
     if total == 0:
-        return math.inf, None
+        return math.inf, math.nan
 
     def term(c):
         return math.sqrt((4.0 * st.sigma * st.sigma / c) * math.log(8.0 * st.d_hat * c / st.delta))
@@ -247,13 +299,12 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
             for phase in range(period):
                 width, mean = reference_cell(st, samples, s, arm, phase)
                 assert widths[arm][phase] == width
-                assert st.phase_width(s, arm, phase) == width
-                if mean is None:
-                    with pytest.raises(ValueError):
-                        st.phase_mean(s, arm, phase)
+                assert cell_width(st, s, arm, phase) == width
+                if math.isnan(mean):
+                    assert math.isnan(means[arm][phase])
                 else:
                     assert means[arm][phase] == mean
-                    assert st.phase_mean(s, arm, phase) == mean
+                    assert cell_mean(st, s, arm, phase) == mean
 
 
 def test_nested_decide_exploit_branch():
@@ -264,7 +315,7 @@ def test_nested_decide_exploit_branch():
     for arm, value in ((0, 0.3), (1, 0.8)):
         for i in range(60000):
             st.add_bar_sample(1 + i, arm, value)
-    assert st.phase_width(1, 0, 1) <= 0.5 / math.sqrt(400)
+    assert cell_width(st, 1, 0, 1) <= 0.5 / math.sqrt(400)
     arm, pending = nested_cb_decide(st, 399, 2)
     assert arm == 1          # strictly larger estimated mean
     assert pending is None   # exploit pulls join no index set
@@ -281,10 +332,34 @@ def test_nested_decide_wide_branch_prefers_widest():
     assert arm == 1 and pending == 1  # one sample: widest interval by far
 
 
+def reference_tournament(st: NestedCBState, t: int, n_arms: int):
+    """The screening tournament restated over ``st.row(s)``.
+
+    Returns (arm, round, trace), where trace holds one {round, means,
+    survivors} entry per elimination step, means keyed by the active arms.
+    """
+    sigma = st.sigma
+    active = list(range(n_arms))
+    trace = []
+    for s in range(1, st.S + 1):
+        widths = {k: cell_width(st, s, k, t) for k in active}
+        means = {k: cell_mean(st, s, k, t) for k in active}
+        widest = max(widths.values())
+        if widest > sigma / 2.0 ** s:
+            return min(k for k in active if widths[k] == widest), s, trace
+        best = max(means.values())
+        if widest <= sigma / math.sqrt(st.horizon) or s == st.S:
+            return min(k for k in active if means[k] == best), None, trace
+        active = [k for k in active if means[k] >= best - sigma * 2.0 ** (1 - s)]
+        trace.append({"round": s, "means": means, "survivors": active})
+    raise AssertionError("the round cap S was passed")
+
+
 def test_nested_elimination_soundness_and_termination():
-    # replay tournaments against a trained state: every eliminated arm trailed
-    # the round maximum by more than 2^(1-s) sigma at that instant, and the
-    # tournament settles within S rounds
+    # replay tournaments against a trained state: nested_cb_decide agrees with
+    # the reference tournament, every eliminated arm trailed the round maximum
+    # by more than 2^(1-s) sigma at that instant, and the tournament settles
+    # within S rounds
     from periodic_bandits.policies import nested_cb_decide
 
     pol = make_policy("two_stage", COUPLING_PARAMS)
@@ -293,13 +368,13 @@ def test_nested_elimination_soundness_and_termination():
     sigma = COUPLING_INSTANCE.noise.sigma
     eliminations = 0
     for t in range(5900, 6001):
-        trace = []
-        nested_cb_decide(st, t, 3, trace=trace)
+        arm, s_charged, trace = reference_tournament(st, t, 3)
+        assert nested_cb_decide(st, t, 3) == (arm, s_charged)
         assert len(trace) < st.S
         for entry in trace:
             s = entry["round"]
             mx = max(entry["means"].values())
-            for k in entry["active"]:
+            for k in entry["means"]:
                 if k not in entry["survivors"]:
                     eliminations += 1
                     assert entry["means"][k] < mx - sigma * 2.0 ** (1 - s)
@@ -321,16 +396,9 @@ def test_nested_decide_terminates_within_round_cap():
 def test_count_matches_literal_definition():
     # incremental counters agree with explicit counting over the index sets
     pol = make_policy("two_stage", COUPLING_PARAMS)
-    res = run_episode(COUPLING_INSTANCE, pol, seed=0)
-    st = pol.state
-    actions = {t: int(res.actions[t - 1]) for t in range(1, COUPLING_INSTANCE.horizon + 1)}
-    for arm, period in enumerate(st.periods):
-        for t in (6000, 5999, 5101):
-            c_bar, _ = st.counts_at(1, arm, t)
-            assert c_bar == count_same_phase(actions, st.psi_bar, arm, t, period)
-            for s in list(st.psi_rounds)[:3]:
-                _, c_s = st.counts_at(s, arm, t)
-                assert c_s == count_same_phase(actions, st.psi_rounds[s], arm, t, period)
+    res, _, psi_bar, psi_rounds = run_recording_rounds(COUPLING_INSTANCE, pol, seed=0)
+    assert psi_rounds  # stage two charged epochs to some round
+    assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
 def test_stage_one_phase_coverage():
@@ -347,17 +415,17 @@ def test_stage_one_phase_coverage():
 
 def test_psi_sets_disjoint_partition():
     pol = make_policy("two_stage", COUPLING_PARAMS)
-    run_episode(COUPLING_INSTANCE, pol, seed=2)
-    st = pol.state
-    nK = len(st.psi_bar)
-    all_sets = [st.psi_bar] + list(st.psi_rounds.values())
+    res, _, psi_bar, psi_rounds = run_recording_rounds(COUPLING_INSTANCE, pol, seed=2)
+    nK = len(psi_bar)
+    all_sets = [psi_bar] + list(psi_rounds.values())
     seen = set()
     for s in all_sets:
         for epoch in s:
             assert epoch not in seen
             seen.add(epoch)
-    assert set(st.psi_bar) == set(range(1, nK + 1))
-    assert all(nK < e <= COUPLING_INSTANCE.horizon for r in st.psi_rounds.values() for e in r)
+    assert set(psi_bar) == set(range(1, nK + 1))
+    assert all(nK < e <= COUPLING_INSTANCE.horizon for r in psi_rounds.values() for e in r)
+    assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
 @settings(max_examples=25, deadline=None)
@@ -375,31 +443,17 @@ def test_psi_sets_disjoint_partition():
     seed=hst.integers(0, 10**6),
 )
 def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy_id, seed):
-    # the reuse block is stage one, the round index sets are pairwise disjoint
-    # and hold exactly the epochs each tournament charged to that round
+    # the reuse block is stage one, and the state counts every epoch that a
+    # tournament charged to round s in round s's cells and nowhere else
     inst = instance(profiles, sigma, horizon)
     pol = make_policy(policy_id)
-    rounds = {}
-    real = policies.nested_cb_decide
-
-    def recording(state, t, n_arms, trace=None):
-        arm, s = real(state, t, n_arms, trace)
-        rounds[t] = s
-        return arm, s
-
-    with mock.patch.object(policies, "nested_cb_decide", recording):
-        run_episode(inst, pol, seed)
-    st = pol.state
+    res, rounds, psi_bar, psi_rounds = run_recording_rounds(inst, pol, seed)
     nK = pol._stage_one.end
-    assert st.psi_bar == list(range(1, nK + 1))
+    assert psi_bar == list(range(1, nK + 1))
     assert sorted(rounds) == list(range(nK + 1, horizon + 1))
-    charged = {}
-    for t, s in rounds.items():
-        if s is not None:
-            charged.setdefault(s, []).append(t)
-    assert st.psi_rounds == charged
-    explored = [t for r in st.psi_rounds.values() for t in r]
+    explored = [t for r in psi_rounds.values() for t in r]
     assert len(set(explored)) == len(explored)
+    assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +467,7 @@ def test_noise_free_phase_means_exact():
     st = pol.state
     for arm in range(2):
         for t in (495, 496):
-            assert st.phase_mean(1, arm, t) == pytest.approx(inst.mean_at(arm, t), abs=1e-12)
+            assert cell_mean(st, 1, arm, t) == pytest.approx(inst.mean_at(arm, t), abs=1e-12)
 
 
 def test_screening_suppresses_suboptimal_pulls():
@@ -597,10 +651,10 @@ def test_seq_elim_state_snapshot():
     inst = instance([[0.9, 0.5], [0.5, 0.1]], sigma=0.1, horizon=3000)
     pol = make_policy("seq_elim")
     run_episode(inst, pol, 0)
-    snap = pol.state
-    assert snap.T1 == 2
-    assert snap.pulls_per_arm % 2 == 0
-    assert set(snap.active) <= {0, 1}
+    assert pol.T1 == 2
+    assert pol.rounds_log
+    assert all(entry["n_s"] % 2 == 0 for entry in pol.rounds_log)
+    assert set(pol.active) <= {0, 1}
 
 
 def test_seq_elim_active_sets_monotone():
@@ -677,6 +731,20 @@ def test_lcm_ucb_runs_and_estimates():
     assert np.array_equal(res.actions[:800], two.actions[:800])
     assert two.estimated_periods == pol.estimated_periods
     assert not isinstance(pol, policies.TwoStagePolicy)
+
+
+@pytest.mark.parametrize(
+    ("policy_id", "key", "value"),
+    [pytest.param(pid, "delta", v, id=f"{pid}-delta={v}")
+     for pid in ("two_stage", "oracle") for v in (math.nan, math.inf, 0.0, -1.0)]
+    + [pytest.param(pid, "ucb_scale", v, id=f"{pid}-ucb_scale={v}")
+       for pid in ("stationary_ucb", "per_phase_ucb", "lcm_ucb") for v in (math.nan, math.inf, -1.0)],
+)
+def test_bad_confidence_parameter_rejected(policy_id, key, value):
+    # a NaN, infinite or out-of-range level or scale fails at construction,
+    # before any epoch is played
+    with pytest.raises(ValueError, match=key):
+        make_policy(policy_id, {key: value})
 
 
 def test_make_policy_unknown_id():

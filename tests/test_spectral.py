@@ -102,10 +102,9 @@ def test_u1_dominates_u2():
 
 def test_threshold_constants_a_table():
     consts = threshold_constants(50, 8, sigma=0.2)
-    table = dict(consts.a_table)
-    assert set(table) == {8, 15, 24}  # U1 uses A_8, A_24; U2 uses A_15
-    assert consts.u1 == pytest.approx(table[8] + table[24])
-    assert consts.u2 == pytest.approx(table[15])
+    # U1 uses A_8, A_24; U2 uses A_15
+    assert consts.u1 == a_sup(8) + a_sup(24)
+    assert consts.u2 == a_sup(15)
 
 
 def test_u_constants_invalid_g():
