@@ -236,7 +236,7 @@ def pseudo_regret(instance: BanditInstance, actions: Sequence[int]) -> tuple[np.
 # Named instance constructors
 # ---------------------------------------------------------------------------
 
-def make_demo_instance(n: int, sigma: float) -> BanditInstance:
+def make_demo_instance(n: int = 50, sigma: float = 0.2) -> BanditInstance:
     """Single-arm period-4 demo: mu_t = 3 + 3 sin(pi t / 2) + 3 cos(pi t).
 
     Spectral content: magnitude 3 at frequency 0, 1.5 at 1/4, 3 at 1/2. The

@@ -82,7 +82,7 @@ def make_preset_instance(name: str, params: dict | None = None) -> BanditInstanc
     sweep environment, and the e1/e2/e3 hard families."""
     params = dict(params or {})
     if name == "demo":
-        return make_demo_instance(params.get("n", 50), params.get("sigma", 0.2))
+        return make_demo_instance(**params)
     if name == "sweep_default":
         return default_sweep_instance(**params)
     if name in ("e1", "e2", "e3"):

@@ -87,6 +87,19 @@ class NestedCBState:
     refreshes the one cell it touches, and ``add_bar_sample`` refreshes that
     cell in the bar-only row and in every existing round. The cached values
     are computed exactly as a from-scratch evaluation would compute them.
+
+    Closed cells are frozen. The tournament charges an epoch to round s only
+    at the widest active cell, and only while that cell's width exceeds
+    sigma/2^s; so a round-s cell at or below sigma/2^s never receives another
+    round-s sample, and its width and mean never change. A round that a
+    tournament passed at some phase (every active width at most sigma/2^s, no
+    exploit) therefore passes again at every later epoch with the same phases,
+    with the same means and the same survivors. The state keeps, per phase
+    key ``t % lcm(periods)``, the first round not yet passed there and the
+    arms that survived the rounds before it; ``nested_cb_decide`` starts from
+    that entry. A bar sample, or a round sample into a closed cell (which the
+    policy never makes, but a direct caller may), clears every entry. No entry
+    is kept when lcm(periods) reaches the horizon, since no key could repeat.
     """
 
     def __init__(self, periods: Sequence[int], sigma: float, horizon: int, delta: float):
@@ -107,6 +120,8 @@ class NestedCBState:
         self._round_sums: dict[int, list[list[float]]] = {}
         self._rows: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
         self._term_cache: dict[int, float] = {}
+        self._lcm = math.lcm(*self.periods)
+        self._settled: dict[int, tuple[int, list[int]]] | None = {} if self._lcm < self.horizon else None
 
     def _refresh(
         self, row: tuple[list[list[float]], list[list[float]]], arm: int, p: int, c_s: int, sum_s: float
@@ -127,6 +142,8 @@ class NestedCBState:
         self._refresh(self._bar_row, arm, p, 0, 0.0)
         for s, row in self._rows.items():
             self._refresh(row, arm, p, self._round_counts[s][arm][p], self._round_sums[s][arm][p])
+        if self._settled:
+            self._settled.clear()
 
     def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
         if s not in self._rows:
@@ -134,11 +151,14 @@ class NestedCBState:
             self._round_counts[s] = [[0] * p for p in self.periods]
             self._round_sums[s] = [[0.0] * p for p in self.periods]
             self._rows[s] = ([w[:] for w in widths], [m[:] for m in means])
-        counts, sums = self._round_counts[s], self._round_sums[s]
+        counts, sums, row = self._round_counts[s], self._round_sums[s], self._rows[s]
         p = epoch % self.periods[arm]
+        if self._settled and not row[0][arm][p] > self.sigma / (2.0 ** s):
+            # the cell was closed: a round passed on it may not pass again
+            self._settled.clear()
         counts[arm][p] += 1
         sums[arm][p] += reward
-        self._refresh(self._rows[s], arm, p, counts[arm][p], sums[arm][p])
+        self._refresh(row, arm, p, counts[arm][p], sums[arm][p])
 
     def row(self, s: int) -> tuple[list[list[float]], list[list[float]]]:
         """Cached (widths, means) of round s, each indexed [arm][phase].
@@ -180,16 +200,26 @@ def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, in
     index); the epoch joins no index set (round None). Otherwise drop arms
     more than 2^(1-s) sigma below the best estimate and continue. The round
     counter is capped at floor(log2 T), falling through to the exploit branch.
+    ``n_arms`` must equal the number of the state's periods.
 
     Each round reads the widths and means of the state's cached round-s row
-    at the phases of t, so a decision computes no confidence radius. It does
-    not mutate the state.
+    at the phases of t, so a decision computes no confidence radius. The
+    tournament starts from the state's settled entry for ``t % lcm(periods)``
+    instead of round 1 with every arm, and records there each round it
+    passes: the next round and its survivors. That record is all it writes.
+    Rounds pass only on closed cells, which no sample of the policy changes
+    (see ``NestedCBState``), so the result equals a tournament from round 1;
+    ``row`` and ``counts_at`` read only the samples, never the record.
     """
+    if n_arms != len(state.periods):
+        raise ValueError(f"n_arms {n_arms} does not match the state's {len(state.periods)} periods")
     sigma = state.sigma
     narrow = sigma / math.sqrt(state.horizon)
     phases = [t % p for p in state.periods]
-    active = list(range(n_arms))
-    s = 1
+    settled = state._settled
+    key = t % state._lcm
+    entry = settled.get(key) if settled is not None else None
+    s, active = entry if entry is not None else (1, list(range(n_arms)))
     while True:
         width_row, mean_row = state.row(s)
         widths = [width_row[k][phases[k]] for k in active]
@@ -203,6 +233,8 @@ def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, in
         cutoff = best_m - sigma * 2.0 ** (1 - s)
         active = [k for k, m in zip(active, means) if m >= cutoff]
         s += 1
+        if settled is not None:
+            settled[key] = (s, active)
 
 
 class _StageOne:
@@ -257,8 +289,8 @@ class TwoStagePolicy(Policy):
         t_max: int | None = None,
         delta: float | None = None,
     ):
-        if delta is not None and not (math.isfinite(delta) and delta > 0):
-            raise ValueError(f"delta must be finite and positive, got {delta}")
+        if delta is not None and not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must be in (0, 1], got {delta}")
         self.n, self.g, self.H, self.t_max, self.delta = n, g, H, t_max, delta
 
     def begin(self, view: InstanceView) -> None:

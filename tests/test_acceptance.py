@@ -10,6 +10,7 @@ yields 8.374e-2 (the other three rows match to four significant figures).
 one, which that cell is checked against at the same tolerance. The cell also
 asserts that the program does not produce the misprint.
 """
+import hashlib
 import json
 import math
 import os
@@ -29,6 +30,7 @@ from periodic_bandits.harness import (
     default_sweep_config,
     monte_carlo,
     run_episode,
+    write_outputs,
 )
 from periodic_bandits.policies import elimination_schedule, make_policy
 from periodic_bandits.spectral import (
@@ -188,6 +190,7 @@ def sweep_results():
     res = monte_carlo(cfg)
     res["elapsed"] = time.time() - t0
     res["T_max"] = max(cfg["horizons"])
+    res["config"] = cfg
     return res
 
 
@@ -229,6 +232,27 @@ def test_criterion4c_oracle_within_two_se(sweep_results):
 def test_criterion4_runtime(sweep_results):
     assert sweep_results["elapsed"] < 600.0
     print(f"[PASS] criterion 4 runtime: {sweep_results['elapsed']:.0f}s < 600s")
+
+
+DEFAULT_SWEEP_SHA256 = {
+    "regret_curves.csv": "6c6dc7d1e0e752f4b8c1e94660684db2a9d3a550f3d394df9077f89c19d99496",
+    "summary.json": "a5afb05242576d035ba46b13831a13e22c7a75eb8a85f04f433a9e8c5bde001a",
+}
+
+
+def test_criterion4_default_sweep_bytes(sweep_results, tmp_path):
+    """The full default sweep writes the same bytes as before any speed-up.
+
+    The digests pin every replication of every (policy, horizon) cell, so an
+    optimisation of stage two that flips a tie or reorders a float operation
+    changes them. The noise comes from numpy's ``Generator`` stream
+    (``default_rng``), as in ``test_small_sweep_golden_bytes``: another numpy
+    release may change these bytes without any change in this package.
+    """
+    write_outputs(sweep_results["config"], sweep_results, str(tmp_path))
+    for name, digest in DEFAULT_SWEEP_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name
+    print("[PASS] criterion 4 bytes: regret_curves.csv and summary.json match their sha256")
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel
+from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, make_demo_instance
 from periodic_bandits.harness import (
     bound_overlay,
     config_hash,
@@ -246,6 +246,16 @@ def test_sweep_default_preset_takes_the_function_defaults():
     assert make_preset_instance("sweep_default", {"sigma": 0.1}) == default_sweep_instance(40000, sigma=0.1)
     with pytest.raises(TypeError):
         make_preset_instance("sweep_default", {"sigmaa": 0.1})
+
+
+def test_demo_preset_takes_the_function_defaults():
+    # like sweep_default, the demo preset forwards its params: n and sigma
+    # default to 50 and 0.2, and a misspelt param is an error
+    assert make_preset_instance("demo") == make_demo_instance(50, 0.2)
+    assert make_preset_instance("demo", {"sigma": 5.0}) == make_demo_instance(50, 5.0)
+    assert make_preset_instance("demo", {"n": 80}).horizon == 80
+    with pytest.raises(TypeError):
+        make_preset_instance("demo", {"sigmaa": 5.0})
 
 
 # ---------------------------------------------------------------------------

@@ -56,16 +56,16 @@ def cell_mean(st: NestedCBState, s: int, arm: int, t: int) -> float:
     return st.row(s)[1][arm][t % st.periods[arm]]
 
 
-def run_recording_rounds(inst: BanditInstance, pol, seed: int):
+def run_recording_rounds(inst: BanditInstance, pol, seed: int, decide=None):
     """One episode, with the index sets rebuilt from the tournament's rounds.
 
     Returns (result, {epoch: round}, reuse block, {round: index set}). The reuse
     block is every epoch that ``nested_cb_decide`` did not decide, and round
     s's index set every epoch it charged to s; an exploit epoch (round None)
-    joins no set.
+    joins no set. ``decide`` replaces ``nested_cb_decide`` for the episode.
     """
     rounds = {}
-    real = policies.nested_cb_decide
+    real = decide or policies.nested_cb_decide
 
     def recording(state, t, n_arms):
         arm, s = real(state, t, n_arms)
@@ -456,6 +456,119 @@ def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy
     assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
+random_profiles = hst.lists(
+    hst.integers(1, 6).flatmap(
+        lambda p: hst.lists(hst.floats(0.0, 1.0), min_size=p, max_size=p, unique=True)
+    ),
+    min_size=1,
+    max_size=3,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    profiles=random_profiles,
+    sigma=hst.floats(0.02, 1.0),
+    horizon=hst.integers(100, 1500),
+    policy_id=hst.sampled_from(["two_stage", "oracle"]),
+    seed=hst.integers(0, 10**6),
+)
+@example(profiles=[[0.9, 0.1], [0.2, 0.8, 0.5]], sigma=0.05, horizon=1500, policy_id="two_stage", seed=0)
+def test_settled_rounds_give_the_full_tournament(profiles, sigma, horizon, policy_id, seed):
+    # at every stage-two epoch the tournament that starts from the settled
+    # rounds returns what the reference tournament from round 1 returns
+    real = policies.nested_cb_decide
+    checked = []
+
+    def decide(state, t, n_arms):
+        got = real(state, t, n_arms)
+        assert got == reference_tournament(state, t, n_arms)[:2], t
+        checked.append(t)
+        return got
+
+    inst = instance(profiles, sigma, horizon)
+    pol = make_policy(policy_id)
+    run_recording_rounds(inst, pol, seed, decide)
+    assert checked == list(range(pol._stage_one.end + 1, horizon + 1))
+
+
+def settled_state():
+    """Two period-1 arms after one decision that passed round 1.
+
+    250 bar samples per arm give width 0.454: at most sigma/2, above sigma/4.
+    Arm 1 trails arm 0 by 2 > sigma, so round 1 drops it and round 2 explores
+    arm 0; the state records round 2 with survivors [0] at phase key 0.
+    """
+    st = NestedCBState([1, 1], sigma=1.0, horizon=10000, delta=0.01)
+    for arm, value in ((0, 2.0), (1, 0.0)):
+        for i in range(250):
+            st.add_bar_sample(1 + i, arm, value)
+    assert 0.25 < cell_width(st, 1, 0, 1) <= 0.5
+    assert policies.nested_cb_decide(st, 300, 2) == (0, 2)
+    assert st._settled == {0: (2, [0])}
+    return st
+
+
+@pytest.mark.parametrize("change", ["bar_sample", "round_sample_into_closed_cell"])
+def test_settled_rounds_cleared_when_a_closed_cell_changes(change):
+    # a sample that moves a closed cell reopens the rounds passed on it: here
+    # arm 0 falls behind arm 1, so round 1 now drops arm 0 instead of arm 1
+    st = settled_state()
+    if change == "bar_sample":
+        st.add_bar_sample(251, 1, 1000.0)
+    else:
+        st.add_round_sample(1, 301, 0, -1000.0)
+        assert cell_width(st, 1, 0, 1) <= 0.5  # the cell stays closed
+    assert st._settled == {}
+    assert policies.nested_cb_decide(st, 302, 2) == reference_tournament(st, 302, 2)[:2] == (1, 2)
+
+
+def test_no_settled_entries_when_no_phase_key_repeats():
+    # lcm(3, 4) = 12 reaches the horizon: no key comes back, so none is kept
+    st = NestedCBState([3, 4], sigma=1.0, horizon=12, delta=0.5)
+    for t in range(1, 5):
+        st.add_bar_sample(t, 0, 0.0)
+        st.add_bar_sample(t, 1, 5.0)
+    assert st._settled is None
+    for t in range(5, 13):
+        assert policies.nested_cb_decide(st, t, 2) == reference_tournament(st, t, 2)[:2]
+    assert st._settled is None
+
+
+def test_nested_decide_rejects_arm_count_mismatch():
+    st = NestedCBState([2, 3], sigma=1.0, horizon=100, delta=0.1)
+    with pytest.raises(ValueError, match="n_arms"):
+        policies.nested_cb_decide(st, 10, 1)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    profiles=random_profiles,
+    sigma=hst.floats(0.02, 1.0),
+    horizon=hst.integers(100, 1500),
+    policy_id=hst.sampled_from(["two_stage", "oracle"]),
+    seed=hst.integers(0, 10**6),
+)
+@example(profiles=[[0.55, 0.45], [0.5]], sigma=1.0, horizon=1500, policy_id="two_stage", seed=0)
+@example(profiles=[[0.9, 0.1, 0.4, 0.2, 0.6], [0.3, 0.7]], sigma=0.1, horizon=800, policy_id="two_stage", seed=3)
+def test_round_samples_land_only_in_open_cells(profiles, sigma, horizon, policy_id, seed):
+    # the elimination structure the settled rounds rest on: a round-s sample
+    # goes to a cell whose width exceeds sigma/2^s, also when stage one
+    # misidentifies the periods (t_max is at most 2 at these horizons, so
+    # periods 3 to 6 are never representable)
+    real_add = NestedCBState.add_round_sample
+    widths = []
+
+    def add_round_sample(st, s, epoch, arm, reward):
+        widths.append((st.row(s)[0][arm][epoch % st.periods[arm]], st.sigma / 2.0 ** s))
+        real_add(st, s, epoch, arm, reward)
+
+    with mock.patch.object(NestedCBState, "add_round_sample", add_round_sample):
+        run_episode(instance(profiles, sigma, horizon), make_policy(policy_id), seed)
+    assert widths  # stage two explored
+    assert all(width > bound for width, bound in widths)
+
+
 # ---------------------------------------------------------------------------
 # two-stage behavior
 # ---------------------------------------------------------------------------
@@ -736,7 +849,7 @@ def test_lcm_ucb_runs_and_estimates():
 @pytest.mark.parametrize(
     ("policy_id", "key", "value"),
     [pytest.param(pid, "delta", v, id=f"{pid}-delta={v}")
-     for pid in ("two_stage", "oracle") for v in (math.nan, math.inf, 0.0, -1.0)]
+     for pid in ("two_stage", "oracle") for v in (math.nan, math.inf, 0.0, -1.0, 2.0, 1e6)]
     + [pytest.param(pid, "ucb_scale", v, id=f"{pid}-ucb_scale={v}")
        for pid in ("stationary_ucb", "per_phase_ucb", "lcm_ucb") for v in (math.nan, math.inf, -1.0)],
 )
@@ -745,6 +858,12 @@ def test_bad_confidence_parameter_rejected(policy_id, key, value):
     # before any epoch is played
     with pytest.raises(ValueError, match=key):
         make_policy(policy_id, {key: value})
+
+
+def test_delta_of_one_accepted():
+    # delta is a probability: 1 is the largest level a policy takes
+    res = run_episode(default_sweep_instance(2500), make_policy("two_stage", {"delta": 1.0}), seed=0)
+    assert len(res.actions) == 2500
 
 
 def test_make_policy_unknown_id():
