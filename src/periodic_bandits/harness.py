@@ -3,8 +3,8 @@
 Configs are plain JSON dicts. Replication r always uses seed base_seed + r, so
 growing the replication count preserves the prefix of results, and noise is
 keyed by (seed, epoch) so every policy in a run faces the identical noise
-sequence. Parallel execution cannot change output bytes: jobs are mapped in a
-fixed order and reduced deterministically.
+sequence. Parallel execution cannot change output bytes: the pool's rows are
+put back in job order and reduced deterministically.
 """
 from __future__ import annotations
 
@@ -51,10 +51,11 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
     profiles = [p.values for p in instance.arms]
     periods = instance.periods
     eps = stream.values.tolist()
+    decide, observe = policy.decide, policy.observe
     for t in range(1, T + 1):
-        a = policy.decide(t)
+        a = decide(t)
         y = profiles[a][(t - 1) % periods[a]] + eps[t - 1]
-        policy.observe(t, a, y)
+        observe(t, a, y)
         actions[t - 1] = a
         rewards[t - 1] = y
     _, cum = pseudo_regret(instance, actions)
@@ -281,30 +282,45 @@ def summarize(rows: list[dict], config: dict) -> dict:
     return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
 
 
+def _positive_int(config: dict, key: str, default: int) -> int:
+    """config[key] (default ``default``) checked to be an integer of at least 1."""
+    value = config.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+    return value
+
+
 def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     """Run every (policy, horizon, replication) cell of a config.
 
     Returns the ``summarize`` result for the episode rows and, when
     ``out_dir`` is given, writes regret_curves.csv, summary.json, run_meta.json
-    and raw/ files.
+    and raw/ files. A malformed config raises ``ValueError`` before any
+    episode runs. With ``workers`` > 1 the pool takes the longest horizons
+    first, one job at a time, so no long job starts last; the rows come back
+    in job order.
     """
-    R = int(config.get("replications", 1))
-    if R < 1:
-        raise ValueError("need at least one replication")
+    R = _positive_int(config, "replications", 1)
     _tail_fraction(config)
     base_seed = int(config.get("base_seed", 0))
-    curve_points = int(config.get("curve_points", 128))
-    if curve_points < 1:
-        raise ValueError(f"curve_points must be at least 1, got {curve_points}")
-    workers = int(config.get("workers", 1))
+    curve_points = _positive_int(config, "curve_points", 128)
+    workers = _positive_int(config, "workers", 1)
     horizons = config.get("horizons")
     if horizons is None:
         horizons = [None]
     else:
         hs = [int(h) for h in horizons]
+        if not hs:
+            raise ValueError("horizons must not be empty")
         if hs != sorted(hs) or len(set(hs)) != len(hs):
             raise ValueError("horizons must be strictly increasing")
         horizons = hs
+    policy_ids = [pol["id"] for pol in config["policies"]]
+    if not policy_ids:
+        raise ValueError("policies must not be empty")
+    if len(set(policy_ids)) != len(policy_ids):
+        # rows are keyed by policy id, so two entries would merge into one cell
+        raise ValueError(f"policies must have distinct ids, got {policy_ids}")
 
     jobs = []
     for pol in config["policies"]:
@@ -314,8 +330,11 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
                     (config["instance"], T, pol["id"], pol.get("params", {}), rep, base_seed + rep, curve_points)
                 )
     if workers > 1:
+        order = sorted(range(len(jobs)), key=lambda i: -(jobs[i][1] or 0))
+        rows = [None] * len(jobs)
         with Pool(workers) as pool:
-            rows = pool.map(_run_job, jobs)
+            for i, row in zip(order, pool.map(_run_job, [jobs[i] for i in order], chunksize=1)):
+                rows[i] = row
     else:
         rows = [_run_job(j) for j in jobs]
 

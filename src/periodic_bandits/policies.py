@@ -83,10 +83,18 @@ class NestedCBState:
     bar-only row, built from the exploration block alone, stands in for every
     round that has no sample yet.
 
-    An epoch changes one count, so updates are local: ``add_round_sample``
-    refreshes the one cell it touches, and ``add_bar_sample`` refreshes that
-    cell in the bar-only row and in every existing round. The cached values
-    are computed exactly as a from-scratch evaluation would compute them.
+    A width is the count-weighted combination of the reuse block's and round
+    s's Hoeffding radii, a zero count contributing nothing; an unsampled cell
+    has width inf and mean nan. An epoch changes one count, so updates are
+    local: ``add_round_sample`` refreshes the one cell it touches, and
+    ``add_bar_sample`` refreshes that cell in the bar-only row and in every
+    existing round. The cached values are computed exactly as a from-scratch
+    evaluation would compute them.
+
+    What a decision needs that is fixed for the episode is computed once: the
+    round thresholds sigma/2^s, the exploit width sigma/sqrt(T), the full arm
+    list, and each cell's reuse-block part c_bar term(c_bar) of its width
+    (stage two adds no reuse-block sample, so this part is fixed there).
 
     Closed cells are frozen. The tournament charges an epoch to round s only
     at the widest active cell, and only while that cell's width exceeds
@@ -113,13 +121,22 @@ class NestedCBState:
         self.S = max(int(math.floor(math.log2(horizon))), 1)
         self._bar_counts = [[0] * p for p in self.periods]
         self._bar_sums = [[0.0] * p for p in self.periods]
-        # (widths, means) indexed [arm][phase]; an empty cell has width inf
-        # and mean nan, and a decision never reads the mean of such a cell
+        # c_bar term(c_bar) per cell, 0.0 while empty: the reuse block's part
+        # of every width of the cell
+        self._bar_parts = [[0.0] * p for p in self.periods]
+        # (widths, means) indexed [arm][phase], one row per round with
+        # samples and the bar-only row for the others; a decision never reads
+        # the mean of an empty cell
         self._bar_row = ([[math.inf] * p for p in self.periods], [[math.nan] * p for p in self.periods])
         self._round_counts: dict[int, list[list[int]]] = {}
         self._round_sums: dict[int, list[list[float]]] = {}
         self._rows: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
         self._term_cache: dict[int, float] = {}
+        # fixed for the episode, each in the expression a decision would use;
+        # thresholds are indexed by round, 1..S
+        self._thresholds = [self.sigma / (2.0 ** s) for s in range(self.S + 1)]
+        self._narrow = self.sigma / math.sqrt(self.horizon)
+        self._arms = list(range(len(self.periods)))
         self._lcm = math.lcm(*self.periods)
         self._settled: dict[int, tuple[int, list[int]]] | None = {} if self._lcm < self.horizon else None
 
@@ -128,17 +145,16 @@ class NestedCBState:
     ) -> None:
         # width (c_bar term(c_bar) + c_s term(c_s)) / total, a zero count
         # contributing 0.0; mean (bar sum + round sum) / total
-        c_bar = self._bar_counts[arm][p]
-        total = c_bar + c_s
-        row[0][arm][p] = (
-            (c_bar * self._term(c_bar) if c_bar else 0.0) + (c_s * self._term(c_s) if c_s else 0.0)
-        ) / total
+        total = self._bar_counts[arm][p] + c_s
+        row[0][arm][p] = (self._bar_parts[arm][p] + (c_s * self._term(c_s) if c_s else 0.0)) / total
         row[1][arm][p] = (self._bar_sums[arm][p] + sum_s) / total
 
     def add_bar_sample(self, epoch: int, arm: int, reward: float) -> None:
         p = epoch % self.periods[arm]
-        self._bar_counts[arm][p] += 1
+        c_bar = self._bar_counts[arm][p] + 1
+        self._bar_counts[arm][p] = c_bar
         self._bar_sums[arm][p] += reward
+        self._bar_parts[arm][p] = c_bar * self._term(c_bar)
         self._refresh(self._bar_row, arm, p, 0, 0.0)
         for s, row in self._rows.items():
             self._refresh(row, arm, p, self._round_counts[s][arm][p], self._round_sums[s][arm][p])
@@ -146,30 +162,29 @@ class NestedCBState:
             self._settled.clear()
 
     def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
-        if s not in self._rows:
+        row = self._rows.get(s)
+        if row is None:
+            if not 1 <= s <= self.S:
+                raise ValueError(f"round {s} outside 1..{self.S}")
             widths, means = self._bar_row
             self._round_counts[s] = [[0] * p for p in self.periods]
             self._round_sums[s] = [[0.0] * p for p in self.periods]
-            self._rows[s] = ([w[:] for w in widths], [m[:] for m in means])
-        counts, sums, row = self._round_counts[s], self._round_sums[s], self._rows[s]
+            row = self._rows[s] = ([w[:] for w in widths], [m[:] for m in means])
         p = epoch % self.periods[arm]
-        if self._settled and not row[0][arm][p] > self.sigma / (2.0 ** s):
+        widths = row[0][arm]
+        if self._settled and not widths[p] > self._thresholds[s]:
             # the cell was closed: a round passed on it may not pass again
             self._settled.clear()
-        counts[arm][p] += 1
-        sums[arm][p] += reward
-        self._refresh(row, arm, p, counts[arm][p], sums[arm][p])
-
-    def row(self, s: int) -> tuple[list[list[float]], list[list[float]]]:
-        """Cached (widths, means) of round s, each indexed [arm][phase].
-
-        A width is the count-weighted combination of the reuse block's and
-        round s's Hoeffding radii, a zero count contributing nothing; an
-        unsampled cell has width inf and mean nan. A round without samples
-        reads the bar-only row. The lists are the state's own: callers must
-        not modify them.
-        """
-        return self._rows.get(s, self._bar_row)
+        # the one cell this sample lands in, refreshed as _refresh would
+        counts, sums = self._round_counts[s][arm], self._round_sums[s][arm]
+        c_s = counts[p] = counts[p] + 1
+        sum_s = sums[p] = sums[p] + reward
+        total = self._bar_counts[arm][p] + c_s
+        term = self._term_cache.get(c_s)
+        if term is None:
+            term = self._term(c_s)
+        widths[p] = (self._bar_parts[arm][p] + c_s * term) / total
+        row[1][arm][p] = (self._bar_sums[arm][p] + sum_s) / total
 
     def counts_at(self, s: int, arm: int, t: int) -> tuple[int, int]:
         """(reuse-block count, round-s count) at arm's phase of epoch t."""
@@ -209,26 +224,37 @@ def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, in
     passes: the next round and its survivors. That record is all it writes.
     Rounds pass only on closed cells, which no sample of the policy changes
     (see ``NestedCBState``), so the result equals a tournament from round 1;
-    ``row`` and ``counts_at`` read only the samples, never the record.
+    the cached rows and ``counts_at`` read only the samples, never the record.
+    An entry with one survivor first reads that arm's width alone: above the
+    threshold, the round explores it whatever its mean.
     """
     if n_arms != len(state.periods):
         raise ValueError(f"n_arms {n_arms} does not match the state's {len(state.periods)} periods")
-    sigma = state.sigma
-    narrow = sigma / math.sqrt(state.horizon)
-    phases = [t % p for p in state.periods]
+    thresholds, rows, bar_row = state._thresholds, state._rows, state._bar_row
     settled = state._settled
-    key = t % state._lcm
-    entry = settled.get(key) if settled is not None else None
-    s, active = entry if entry is not None else (1, list(range(n_arms)))
+    entry = None
+    if settled is not None:
+        key = t % state._lcm
+        entry = settled.get(key)
+    if entry is None:
+        s, active = 1, state._arms
+    else:
+        s, active = entry
+        if len(active) == 1:
+            k = active[0]
+            if rows.get(s, bar_row)[0][k][t % state.periods[k]] > thresholds[s]:
+                return k, s
+    sigma = state.sigma
+    phases = [t % p for p in state.periods]
     while True:
-        width_row, mean_row = state.row(s)
+        width_row, mean_row = rows.get(s, bar_row)
         widths = [width_row[k][phases[k]] for k in active]
         widest = max(widths)
-        if widest > sigma / (2.0 ** s):
+        if widest > thresholds[s]:
             return active[widths.index(widest)], s
         means = [mean_row[k][phases[k]] for k in active]
         best_m = max(means)
-        if widest <= narrow or s >= state.S:
+        if widest <= state._narrow or s >= state.S:
             return active[means.index(best_m)], None
         cutoff = best_m - sigma * 2.0 ** (1 - s)
         active = [k for k, m in zip(active, means) if m >= cutoff]
@@ -314,6 +340,9 @@ class TwoStagePolicy(Policy):
             for t, y in enumerate(block, start=stage_one.n * k + 1):
                 state.add_bar_sample(t, k, y)
         self._state = state
+        # a (0, 0) cell needs an empty reuse-block cell, and stage two adds no
+        # reuse-block sample: without one, no pull can be a zero-count pull
+        self._may_force = any(0 in counts for counts in state._bar_counts)
 
     def decide(self, t: int) -> int:
         if t <= self._stage_one.end:
@@ -321,7 +350,7 @@ class TwoStagePolicy(Policy):
         if self._state is None:
             self._start_stage_two()
         arm, pending = nested_cb_decide(self._state, t, self._view.n_arms)
-        if pending is not None and self._state.counts_at(pending, arm, t) == (0, 0):
+        if pending is not None and self._may_force and self._state.counts_at(pending, arm, t) == (0, 0):
             self._events.append((t, "zero_count_forced_pull", arm))
         self._pending_round = pending
         return arm
@@ -332,10 +361,6 @@ class TwoStagePolicy(Policy):
             return
         if self._pending_round is not None:
             self._state.add_round_sample(self._pending_round, t, arm, reward)
-
-    @property
-    def state(self) -> NestedCBState | None:
-        return self._state
 
     @property
     def estimated_periods(self) -> tuple[int, ...] | None:
@@ -445,31 +470,34 @@ def _ucb_scale(scale: float) -> float:
 
 
 class _CellUCB:
-    """Independent UCB1 cells: one (count, sum) table per cell of a partition."""
+    """Independent UCB1 cells: one (count, sum, mean) table per cell of a partition."""
 
     def __init__(self, n_cells: int, n_arms: int, scale: float):
         self.counts = [[0] * n_arms for _ in range(n_cells)]
         self.sums = [[0.0] * n_arms for _ in range(n_cells)]
+        # sums[cell][k] / counts[cell][k], refreshed on each sample of k
+        self.means = [[0.0] * n_arms for _ in range(n_cells)]
         self.visits = [0] * n_cells
         self.scale = scale
 
     def pick(self, cell: int) -> int:
         counts = self.counts[cell]
-        for k, c in enumerate(counts):
-            if c == 0:
-                return k
+        if 0 in counts:
+            return counts.index(0)
         two_log_n = 2.0 * math.log(self.visits[cell])
-        sums = self.sums[cell]
+        means, scale = self.means[cell], self.scale
         best, best_idx = -math.inf, 0
         for k, c in enumerate(counts):
-            idx = sums[k] / c + self.scale * math.sqrt(two_log_n / c)
+            idx = means[k] + scale * math.sqrt(two_log_n / c)
             if idx > best:
                 best, best_idx = idx, k
         return best_idx
 
     def update(self, cell: int, arm: int, reward: float) -> None:
-        self.counts[cell][arm] += 1
-        self.sums[cell][arm] += reward
+        counts, sums = self.counts[cell], self.sums[cell]
+        counts[arm] += 1
+        sums[arm] += reward
+        self.means[cell][arm] = sums[arm] / counts[arm]
         self.visits[cell] += 1
 
 

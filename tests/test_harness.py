@@ -175,9 +175,18 @@ def test_report_keeps_summary_bytes(tmp_path):
 @pytest.mark.parametrize(
     ("key", "value"),
     [pytest.param("tail_fraction", v, id=str(v)) for v in (0, -0.5, 1.5, float("nan"))]
-    + [pytest.param("curve_points", v, id=f"curve_points={v}") for v in (0, -3)],
+    + [pytest.param("curve_points", v, id=f"curve_points={v}") for v in (0, -3)]
+    + [pytest.param("replications", v, id=f"replications={v}") for v in (1.7, 0, True)]
+    + [pytest.param("workers", v, id=f"workers={v}") for v in (0, 2.5)]
+    + [pytest.param("horizons", [], id="horizons=[]"), pytest.param("policies", [], id="policies=[]")]
+    + [pytest.param(
+        "policies", [{"id": "stationary_ucb"}, {"id": "stationary_ucb", "params": {"ucb_scale": 2.0}}],
+        id="policies=same-id-twice",
+    )],
 )
 def test_tail_fraction_checked_before_any_episode(key, value):
+    # every malformed sweep setting fails before an episode runs, rather than
+    # being truncated, merged or quietly defaulted
     cfg = small_config()
     cfg[key] = value
     with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
@@ -201,6 +210,37 @@ def test_report_rejects_bad_tail_fraction_before_writing(tmp_path):
         report_from_dir(out)
     with open(summary_path, "rb") as fh:
         assert fh.read() == before
+
+
+def test_pool_takes_longest_horizons_first(tmp_path):
+    # jobs go to the pool one at a time, longest horizon first and in job
+    # order within a horizon; the rows come back in job order
+    submitted = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            assert processes == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs, chunksize=None):
+            assert chunksize == 1
+            submitted.extend((job[1], job[2], job[4]) for job in jobs)
+            return [func(job) for job in jobs]
+
+    with mock.patch.object(harness, "Pool", SerialPool):
+        pooled = monte_carlo(small_config(workers=2, reps=2), out_dir=str(tmp_path / "pool"))
+    assert submitted == [
+        (T, pid, rep) for T in (600, 400) for pid in ("two_stage", "stationary_ucb") for rep in (0, 1)
+    ]
+    serial = monte_carlo(small_config(workers=1, reps=2), out_dir=str(tmp_path / "serial"))
+    assert pooled["raw"] == serial["raw"]
+    name = "regret_curves.csv"
+    assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
 
 # sha256 of a small default-shaped sweep's outputs, recorded with the

@@ -46,14 +46,20 @@ def count_same_phase(actions: dict[int, int], index_set: Sequence[int], arm: int
     return sum(1 for j in index_set if actions.get(j) == arm and j % period == t % period)
 
 
+def row(st: NestedCBState, s: int):
+    """Cached (widths, means) of round s, each indexed [arm][phase]; a round
+    without samples reads the bar-only row, as a decision does."""
+    return st._rows.get(s, st._bar_row)
+
+
 def cell_width(st: NestedCBState, s: int, arm: int, t: int) -> float:
     """Cached width of round s at arm's phase of epoch t."""
-    return st.row(s)[0][arm][t % st.periods[arm]]
+    return row(st, s)[0][arm][t % st.periods[arm]]
 
 
 def cell_mean(st: NestedCBState, s: int, arm: int, t: int) -> float:
     """Cached pooled mean of round s at arm's phase of epoch t."""
-    return st.row(s)[1][arm][t % st.periods[arm]]
+    return row(st, s)[1][arm][t % st.periods[arm]]
 
 
 def run_recording_rounds(inst: BanditInstance, pol, seed: int, decide=None):
@@ -294,7 +300,7 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
             st.add_round_sample(rnd, epoch, arm, y)
         samples.append((rnd, epoch, arm, y))
     for s in (1, 2, 3, 4):  # round 4 never exists: it reads the bar-only row
-        widths, means = st.row(s)
+        widths, means = row(st, s)
         for arm, period in enumerate(periods):
             for phase in range(period):
                 width, mean = reference_cell(st, samples, s, arm, phase)
@@ -305,6 +311,14 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
                 else:
                     assert means[arm][phase] == mean
                     assert cell_mean(st, s, arm, phase) == mean
+
+
+@pytest.mark.parametrize("s", [0, -1, 14])
+def test_round_sample_outside_the_rounds_rejected(s):
+    # the tournament reads rounds 1..S only (S = 13 at T = 10000)
+    st = NestedCBState([2], sigma=1.0, horizon=10000, delta=0.01)
+    with pytest.raises(ValueError, match="round"):
+        st.add_round_sample(s, 5, 0, 0.5)
 
 
 def test_nested_decide_exploit_branch():
@@ -333,7 +347,7 @@ def test_nested_decide_wide_branch_prefers_widest():
 
 
 def reference_tournament(st: NestedCBState, t: int, n_arms: int):
-    """The screening tournament restated over ``st.row(s)``.
+    """The screening tournament restated over the cached rows.
 
     Returns (arm, round, trace), where trace holds one {round, means,
     survivors} entry per elimination step, means keyed by the active arms.
@@ -364,7 +378,7 @@ def test_nested_elimination_soundness_and_termination():
 
     pol = make_policy("two_stage", COUPLING_PARAMS)
     run_episode(COUPLING_INSTANCE, pol, seed=4)
-    st = pol.state
+    st = pol._state
     sigma = COUPLING_INSTANCE.noise.sigma
     eliminations = 0
     for t in range(5900, 6001):
@@ -398,14 +412,14 @@ def test_count_matches_literal_definition():
     pol = make_policy("two_stage", COUPLING_PARAMS)
     res, _, psi_bar, psi_rounds = run_recording_rounds(COUPLING_INSTANCE, pol, seed=0)
     assert psi_rounds  # stage two charged epochs to some round
-    assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
+    assert_counts_match_index_sets(pol._state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
 def test_stage_one_phase_coverage():
     # consecutive block: every phase of a period below n/2 sampled >= 2 times
     pol = make_policy("two_stage", COUPLING_PARAMS)
     run_episode(COUPLING_INSTANCE, pol, seed=1)
-    st = pol.state
+    st = pol._state
     n = COUPLING_PARAMS["n"]
     for arm, period in enumerate(st.periods):
         assert period < n / 2
@@ -425,7 +439,7 @@ def test_psi_sets_disjoint_partition():
             seen.add(epoch)
     assert set(psi_bar) == set(range(1, nK + 1))
     assert all(nK < e <= COUPLING_INSTANCE.horizon for r in psi_rounds.values() for e in r)
-    assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
+    assert_counts_match_index_sets(pol._state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
 @settings(max_examples=25, deadline=None)
@@ -453,7 +467,7 @@ def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy
     assert sorted(rounds) == list(range(nK + 1, horizon + 1))
     explored = [t for r in psi_rounds.values() for t in r]
     assert len(set(explored)) == len(explored)
-    assert_counts_match_index_sets(pol.state, res, pol._stage_one.end, psi_bar, psi_rounds)
+    assert_counts_match_index_sets(pol._state, res, pol._stage_one.end, psi_bar, psi_rounds)
 
 
 random_profiles = hst.lists(
@@ -523,6 +537,20 @@ def test_settled_rounds_cleared_when_a_closed_cell_changes(change):
     assert policies.nested_cb_decide(st, 302, 2) == reference_tournament(st, 302, 2)[:2] == (1, 2)
 
 
+def test_single_survivor_passes_the_round_its_cell_closed_in():
+    # the entry keeps arm 0 alone at round 2; once round-2 samples bring its
+    # width to sigma/4, the next tournament passes round 2 (the entry is not
+    # cleared: no sample landed in a closed cell) and explores in round 3
+    st = settled_state()
+    epoch = 301
+    while cell_width(st, 2, 0, epoch) > 0.25:
+        st.add_round_sample(2, epoch, 0, 2.0)
+        epoch += 1
+    assert st._settled == {0: (2, [0])}
+    assert policies.nested_cb_decide(st, epoch, 2) == reference_tournament(st, epoch, 2)[:2] == (0, 3)
+    assert st._settled == {0: (3, [0])}
+
+
 def test_no_settled_entries_when_no_phase_key_repeats():
     # lcm(3, 4) = 12 reaches the horizon: no key comes back, so none is kept
     st = NestedCBState([3, 4], sigma=1.0, horizon=12, delta=0.5)
@@ -560,7 +588,7 @@ def test_round_samples_land_only_in_open_cells(profiles, sigma, horizon, policy_
     widths = []
 
     def add_round_sample(st, s, epoch, arm, reward):
-        widths.append((st.row(s)[0][arm][epoch % st.periods[arm]], st.sigma / 2.0 ** s))
+        widths.append((cell_width(st, s, arm, epoch), st.sigma / 2.0 ** s))
         real_add(st, s, epoch, arm, reward)
 
     with mock.patch.object(NestedCBState, "add_round_sample", add_round_sample):
@@ -577,7 +605,7 @@ def test_noise_free_phase_means_exact():
     inst = instance([[0.9, 0.1], [0.4, 0.6]], sigma=0.0, horizon=500)
     pol = make_policy("two_stage", {"n": 64, "g": 8})
     run_episode(inst, pol, seed=0)
-    st = pol.state
+    st = pol._state
     for arm in range(2):
         for t in (495, 496):
             assert cell_mean(st, 1, arm, t) == pytest.approx(inst.mean_at(arm, t), abs=1e-12)
@@ -647,8 +675,8 @@ def test_oracle_coupling_on_random_instances(profiles, sigma, horizon, seed):
         assert np.array_equal(two.actions, orc.actions)
         assert np.array_equal(two.rewards, orc.rewards)
         # the same stage-two state too, not only the actions it led to
-        widths = lambda st: [st.row(s)[0] for s in range(1, st.S + 1)]
-        assert widths(two_pol.state) == widths(orc_pol.state)
+        widths = lambda st: [row(st, s)[0] for s in range(1, st.S + 1)]
+        assert widths(two_pol._state) == widths(orc_pol._state)
 
 
 @pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
@@ -705,6 +733,34 @@ def test_zero_count_phase_forces_pull_and_logs_event():
     a = pol.decide(7)
     assert a == 0
     assert any(ev[1] == "zero_count_forced_pull" for ev in pol.events)
+
+
+@pytest.mark.parametrize(
+    ("policy_id", "inst", "params", "forced"),
+    [
+        # period 8 above n = 6: phase 7 has no reuse-block sample
+        ("oracle", instance([[0.5, 0.1, 0.9, 0.3, 0.7, 0.2, 0.6, 0.4]], 0.5, 200), {"n": 6, "g": 3}, True),
+        ("two_stage", COUPLING_INSTANCE, COUPLING_PARAMS, False),
+    ],
+    ids=["empty-bar-cell", "no-empty-bar-cell"],
+)
+def test_forced_pull_events_match_a_check_at_every_epoch(policy_id, inst, params, forced):
+    # the policy looks for zero-count pulls only when some reuse-block cell is
+    # empty; it logs exactly the pulls that a counts_at check at every
+    # stage-two epoch finds
+    real = policies.nested_cb_decide
+    expected = []
+
+    def decide(state, t, n_arms):
+        arm, s = real(state, t, n_arms)
+        if s is not None and state.counts_at(s, arm, t) == (0, 0):
+            expected.append((t, "zero_count_forced_pull", arm))
+        return arm, s
+
+    pol = make_policy(policy_id, params)
+    res, _, _, _ = run_recording_rounds(inst, pol, 0, decide)
+    assert res.events == expected
+    assert bool(expected) == forced == pol._may_force
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +865,37 @@ def test_per_phase_counts_partition():
             assert pol._cells.counts[phase][arm] == sum(
                 1 for t in epochs if res.actions[t - 1] == arm
             )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    n_arms=hst.integers(1, 4),
+    scale=hst.sampled_from([0.0, 0.5, 1.0, 2.0]),
+    stream=hst.lists(hst.tuples(hst.integers(0, 3), hst.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=80),
+)
+@example(n_arms=3, scale=1.0, stream=[(0, 0.5), (1, 0.5), (2, 0.0), (1, 0.5), (0, 0.5), (2, 1.0)])
+def test_cell_ucb_pick_is_the_scratch_argmax(n_arms, scale, stream):
+    # few distinct rewards make equal indices common: a tie goes to the
+    # smallest arm, and an unpulled arm is taken before any index is compared
+    cells = policies._CellUCB(1, n_arms, scale)
+    pulls = [[] for _ in range(n_arms)]
+    for k, y in stream:
+        counts = [len(p) for p in pulls]
+        if 0 in counts:
+            want = counts.index(0)
+        else:
+            n = sum(counts)
+            index = []
+            for rewards, c in zip(pulls, counts):
+                total = 0.0
+                for r in rewards:
+                    total += r
+                index.append(total / c + scale * math.sqrt(2.0 * math.log(n) / c))
+            want = index.index(max(index))
+        assert cells.pick(0) == want
+        arm = k % n_arms
+        cells.update(0, arm, y)
+        pulls[arm].append(y)
 
 
 def test_per_phase_regret_sublinear_slope():
