@@ -5,6 +5,11 @@ growing the replication count preserves the prefix of results, and noise is
 keyed by (seed, epoch) so every policy in a run faces the identical noise
 sequence. Parallel execution cannot change output bytes: the pool's rows are
 put back in job order and reduced deterministically.
+
+That shared noise also makes the oracle's episode the two_stage episode
+whenever stage one identifies every period, so an ``oracle`` entry with the
+``two_stage`` entry's params runs only where stage one got a period wrong;
+elsewhere its row is a copy of the two_stage row (see ``monte_carlo``).
 """
 from __future__ import annotations
 
@@ -149,10 +154,34 @@ def _curve_grid(T: int, points: int) -> np.ndarray:
     return np.unique(np.linspace(1, T, num=min(T, points)).astype(int))
 
 
-def _run_job(job: tuple) -> dict:
-    instance_dict, horizon, policy_id, params, rep, seed, curve_points = job
+def _run_job(job: tuple) -> list[dict]:
+    """The rows of one (policy, horizon, replication) job.
+
+    A ``two_stage`` job whose ``oracle`` is coupled (last job field true) also
+    returns the oracle's row. If stage one identified every period, that row is
+    a copy of the two_stage row: both policies then run stage two on the true
+    periods with the same blocks, n, g, H and delta, and noise is keyed by
+    (seed, epoch), so the episodes are identical. Otherwise the oracle runs.
+    """
+    instance_dict, horizon, policy_id, params, rep, seed, curve_points, couples_oracle = job
     instance = resolve_instance(instance_dict, horizon=horizon)
-    policy = make_policy(policy_id, params)
+    row = _episode_row(instance, make_policy(policy_id, params), rep, seed, curve_points)
+    if not couples_oracle:
+        return [row]
+    if row["success"]:
+        oracle = {
+            **row,
+            "policy": "oracle",
+            "curve_t": list(row["curve_t"]),
+            "curve_regret": list(row["curve_regret"]),
+            "estimated_periods": list(row["estimated_periods"]),
+        }
+    else:
+        oracle = _episode_row(instance, make_policy("oracle", params), rep, seed, curve_points)
+    return [row, oracle]
+
+
+def _episode_row(instance: BanditInstance, policy: Policy, rep: int, seed: int, curve_points: int) -> dict:
     result = run_episode(instance, policy, seed)
     grid = _curve_grid(instance.horizon, curve_points)
     success = None
@@ -282,12 +311,45 @@ def summarize(rows: list[dict], config: dict) -> dict:
     return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
 
 
-def _positive_int(config: dict, key: str, default: int) -> int:
-    """config[key] (default ``default``) checked to be an integer of at least 1."""
-    value = config.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-        raise ValueError(f"{key} must be an integer of at least 1, got {value!r}")
+def _checked_int(key: str, value, least: int = 1) -> int:
+    """A config value of ``key`` checked to be an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
     return value
+
+
+def _horizons(config: dict) -> list:
+    """config["horizons"] checked to be strictly increasing integers of at
+    least 1, or [None] (the instance's own horizon) when absent."""
+    horizons = config.get("horizons")
+    if horizons is None:
+        return [None]
+    hs = [_checked_int("horizons", h) for h in horizons]
+    if not hs:
+        raise ValueError("horizons must not be empty")
+    if hs != sorted(hs) or len(set(hs)) != len(hs):
+        raise ValueError("horizons must be strictly increasing")
+    return hs
+
+
+def _policy_params(config: dict) -> dict[str, dict]:
+    """{id: params} of config["policies"], each entry built once with
+    ``make_policy`` so an unknown id or a bad param fails before any episode."""
+    entries = config["policies"]
+    policy_ids = [pol["id"] for pol in entries]
+    if not policy_ids:
+        raise ValueError("policies must not be empty")
+    if len(set(policy_ids)) != len(policy_ids):
+        # rows are keyed by policy id, so two entries would merge into one cell
+        raise ValueError(f"policies must have distinct ids, got {policy_ids}")
+    params = {}
+    for pol in entries:
+        try:
+            params[pol["id"]] = dict(pol.get("params") or {})
+            make_policy(pol["id"], params[pol["id"]])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"policies entry {pol['id']!r} cannot be built: {exc}") from exc
+    return params
 
 
 def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
@@ -295,48 +357,47 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
 
     Returns the ``summarize`` result for the episode rows and, when
     ``out_dir`` is given, writes regret_curves.csv, summary.json, run_meta.json
-    and raw/ files. A malformed config raises ``ValueError`` before any
-    episode runs. With ``workers`` > 1 the pool takes the longest horizons
-    first, one job at a time, so no long job starts last; the rows come back
-    in job order.
-    """
-    R = _positive_int(config, "replications", 1)
-    _tail_fraction(config)
-    base_seed = int(config.get("base_seed", 0))
-    curve_points = _positive_int(config, "curve_points", 128)
-    workers = _positive_int(config, "workers", 1)
-    horizons = config.get("horizons")
-    if horizons is None:
-        horizons = [None]
-    else:
-        hs = [int(h) for h in horizons]
-        if not hs:
-            raise ValueError("horizons must not be empty")
-        if hs != sorted(hs) or len(set(hs)) != len(hs):
-            raise ValueError("horizons must be strictly increasing")
-        horizons = hs
-    policy_ids = [pol["id"] for pol in config["policies"]]
-    if not policy_ids:
-        raise ValueError("policies must not be empty")
-    if len(set(policy_ids)) != len(policy_ids):
-        # rows are keyed by policy id, so two entries would merge into one cell
-        raise ValueError(f"policies must have distinct ids, got {policy_ids}")
+    and raw/ files. A malformed config, a policy entry that cannot be built
+    included, raises ``ValueError`` before any episode runs.
 
-    jobs = []
-    for pol in config["policies"]:
-        for T in horizons:
-            for rep in range(R):
-                jobs.append(
-                    (config["instance"], T, pol["id"], pol.get("params", {}), rep, base_seed + rep, curve_points)
-                )
+    An ``oracle`` entry whose params equal the ``two_stage`` entry's (value
+    for value and type for type) is coupled to it: it gets no jobs of its own,
+    and each two_stage job returns the oracle's row too, a copy of its own
+    where stage one identified every period (see ``_run_job``). With
+    ``workers`` > 1 the pool takes the longest horizons first, one job at a
+    time, so no long job starts last. Either way the rows come back in job
+    order: policy-major in config order, then horizon, then replication.
+    """
+    R = _checked_int("replications", config.get("replications", 1))
+    _tail_fraction(config)
+    base_seed = _checked_int("base_seed", config.get("base_seed", 0), least=0)
+    curve_points = _checked_int("curve_points", config.get("curve_points", 128))
+    workers = _checked_int("workers", config.get("workers", 1))
+    horizons = _horizons(config)
+    params = _policy_params(config)
+    # repr, not ==: 64 == 64.0 and True == 1, yet a policy may treat them apart
+    coupled = (
+        "two_stage" in params and "oracle" in params
+        and repr(sorted(params["two_stage"].items())) == repr(sorted(params["oracle"].items()))
+    )
+
+    jobs = [
+        (config["instance"], T, pid, pid_params, rep, base_seed + rep, curve_points, coupled and pid == "two_stage")
+        for pid, pid_params in params.items()
+        if not (coupled and pid == "oracle")
+        for T in horizons
+        for rep in range(R)
+    ]
     if workers > 1:
-        order = sorted(range(len(jobs)), key=lambda i: -(jobs[i][1] or 0))
-        rows = [None] * len(jobs)
         with Pool(workers) as pool:
-            for i, row in zip(order, pool.map(_run_job, [jobs[i] for i in order], chunksize=1)):
-                rows[i] = row
+            done = pool.map(_run_job, sorted(jobs, key=lambda job: -(job[1] or 0)), chunksize=1)
     else:
-        rows = [_run_job(j) for j in jobs]
+        done = [_run_job(j) for j in jobs]
+    rank = {pid: i for i, pid in enumerate(params)}
+    rows = sorted(
+        (row for job_rows in done for row in job_rows),
+        key=lambda r: (rank[r["policy"]], r["T"], r["replication"]),
+    )
 
     results = summarize(rows, config)
     if out_dir is not None:

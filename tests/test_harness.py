@@ -178,15 +178,24 @@ def test_report_keeps_summary_bytes(tmp_path):
     + [pytest.param("curve_points", v, id=f"curve_points={v}") for v in (0, -3)]
     + [pytest.param("replications", v, id=f"replications={v}") for v in (1.7, 0, True)]
     + [pytest.param("workers", v, id=f"workers={v}") for v in (0, 2.5)]
+    + [pytest.param("horizons", v, id=f"horizons={v}") for v in ([300.9], [True, 400], [0, 400])]
+    + [pytest.param("base_seed", v, id=f"base_seed={v}") for v in (0.7, -1, True)]
     + [pytest.param("horizons", [], id="horizons=[]"), pytest.param("policies", [], id="policies=[]")]
     + [pytest.param(
         "policies", [{"id": "stationary_ucb"}, {"id": "stationary_ucb", "params": {"ucb_scale": 2.0}}],
         id="policies=same-id-twice",
+    )]
+    + [pytest.param("policies", [{"id": "stationary_ucb"}, bad], id=f"policies={name}") for name, bad in (
+        ("misspelt-param", {"id": "lcm_ucb", "params": {"ucb_scal": 2.0}}),
+        ("unknown-id", {"id": "two_stag"}),
+        ("bad-delta", {"id": "two_stage", "params": {"delta": 2.0}}),
+        ("oracle-misspelt-param", {"id": "oracle", "params": {"dleta": 0.1}}),
     )],
 )
 def test_tail_fraction_checked_before_any_episode(key, value):
     # every malformed sweep setting fails before an episode runs, rather than
-    # being truncated, merged or quietly defaulted
+    # being truncated, merged or quietly defaulted; each policy entry is built
+    # up front, so a bad one fails before the entries ahead of it run
     cfg = small_config()
     cfg[key] = value
     with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
@@ -239,6 +248,106 @@ def test_pool_takes_longest_horizons_first(tmp_path):
     ]
     serial = monte_carlo(small_config(workers=1, reps=2), out_dir=str(tmp_path / "serial"))
     assert pooled["raw"] == serial["raw"]
+    name = "regret_curves.csv"
+    assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+# the criterion-3 profiles with more noise: at seed 0 stage one identifies
+# every period, at seeds 1 and 2 it misses one
+COUPLING_INSTANCE = {
+    "arms": [
+        {"period": 2, "values": [1.0, 0.0]},
+        {"period": 3, "values": [1.0, 0.0, 0.0]},
+        {"period": 4, "values": [1.0, 0.0, 0.0, 0.0]},
+    ],
+    "noise": {"kind": "gaussian", "sigma": 0.4},
+    "horizon": 3000,
+}
+COUPLING_PARAMS = {"n": 900, "g": 30}
+
+
+def direct_row(policy_id, params, rep, seed, curve_points):
+    inst = harness.instance_from_dict(COUPLING_INSTANCE)
+    res = run_episode(inst, make_policy(policy_id, params), seed)
+    grid = sorted({int(t) for t in np.linspace(1, inst.horizon, num=min(inst.horizon, curve_points))})
+    return {
+        "policy": policy_id,
+        "T": inst.horizon,
+        "replication": rep,
+        "seed": seed,
+        "final_regret": res.final_regret,
+        "curve_t": grid,
+        "curve_regret": [float(res.cumulative_regret[t - 1]) for t in grid],
+        "estimated_periods": list(res.estimated_periods),
+        "success": tuple(res.estimated_periods) == inst.periods,
+        "n_events": len(res.events),
+    }
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize(
+    "policies",
+    [
+        pytest.param([{"id": "oracle", "params": COUPLING_PARAMS}, {"id": "two_stage", "params": COUPLING_PARAMS}],
+                     id="coupled"),
+        pytest.param([{"id": "two_stage", "params": COUPLING_PARAMS},
+                      {"id": "oracle", "params": {**COUPLING_PARAMS, "delta": 0.5}}], id="delta-differs"),
+        pytest.param([{"id": "oracle", "params": COUPLING_PARAMS}], id="oracle-only"),
+    ],
+)
+def test_coupled_oracle_rows_equal_direct_episodes(policies, workers):
+    cfg = {"instance": COUPLING_INSTANCE, "policies": policies, "replications": 3, "base_seed": 0,
+           "curve_points": 40, "workers": workers}
+    params = {pol["id"]: pol["params"] for pol in policies}
+    with mock.patch.object(harness, "run_episode", wraps=run_episode) as episodes:
+        raw = monte_carlo(cfg)["raw"]
+    assert [(r["policy"], r["replication"]) for r in raw] == [(p["id"], rep) for p in policies for rep in range(3)]
+    for row in raw:
+        direct = direct_row(row["policy"], params[row["policy"]], row["replication"], row["seed"], 40)
+        assert list(row) == list(direct)
+        assert row == direct
+    if workers == 1:
+        oracle_runs = sum(1 for c in episodes.call_args_list if c.args[1].policy_id == "oracle")
+        if "two_stage" in params and params["two_stage"] == params["oracle"]:
+            identified = [r["success"] for r in raw if r["policy"] == "two_stage"]
+            assert True in identified and False in identified
+            assert oracle_runs == identified.count(False)
+        else:
+            assert oracle_runs == 3
+
+
+def test_pool_takes_no_job_for_a_coupled_oracle(tmp_path):
+    # the two_stage jobs bring the oracle's rows; outputs match the serial run
+    submitted = []
+
+    class SerialPool:
+        def __init__(self, processes):
+            assert processes == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, func, jobs, chunksize=None):
+            assert chunksize == 1
+            submitted.extend((job[1], job[2], job[4]) for job in jobs)
+            return [func(job) for job in jobs]
+
+    def config(workers):
+        cfg = small_config(workers=workers, reps=2)
+        cfg["policies"].insert(1, {"id": "oracle", "params": {"n": 64, "g": 8}})
+        return cfg
+
+    with mock.patch.object(harness, "Pool", SerialPool):
+        pooled = monte_carlo(config(2), out_dir=str(tmp_path / "pool"))
+    assert submitted == [
+        (T, pid, rep) for T in (600, 400) for pid in ("two_stage", "stationary_ucb") for rep in (0, 1)
+    ]
+    serial = monte_carlo(config(1), out_dir=str(tmp_path / "serial"))
+    assert pooled["raw"] == serial["raw"]
+    assert {(r["policy"], r["T"]) for r in serial["raw"] if r["policy"] == "oracle"} == {("oracle", 400), ("oracle", 600)}
     name = "regret_curves.csv"
     assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
 
