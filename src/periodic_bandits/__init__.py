@@ -26,12 +26,10 @@ from .spectral import (
     ThresholdConstants,
     a_sup,
     amplitude_condition_coefficients,
-    candidate_frequencies,
     compute_periodogram,
     default_H,
     default_t_max,
     detector_parameters,
-    dft_at,
     estimate_periods,
     failure_probability_bound,
     frequency_grid,
@@ -60,13 +58,11 @@ from .policies import (
 )
 from .harness import (
     AggregateStats,
-    bound_overlay,
     default_sweep_config,
     default_sweep_instance,
     loglog_slope,
     make_preset_instance,
     monte_carlo,
-    regret_rate_envelope,
     report_from_dir,
     run_episode,
 )

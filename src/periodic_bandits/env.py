@@ -1,8 +1,10 @@
 """Periodic bandit environments: mean profiles, noise, sampling, pseudo-regret.
 
 An instance holds K arms, each with a mean-reward profile that repeats with an
-integer period, plus a zero-mean sub-Gaussian noise model. Noise draws are keyed
-by (seed, epoch) only, never by the arm pulled, so two policies facing the same
+integer period, plus a zero-mean sub-Gaussian noise model. The mean of arm k at
+epoch t (1-based) is ``arms[k].values[(t - 1) % period]``, and
+``means_matrix()`` holds every one over the horizon. Noise draws are keyed by
+(seed, epoch) only, never by the arm pulled, so two policies facing the same
 instance and seed observe identical noise at every epoch regardless of which
 arms they choose.
 """
@@ -86,13 +88,8 @@ class MeanProfile:
             vals.append(z.real)
         return cls(period=T, values=tuple(vals))
 
-    def mean_at(self, epoch: int) -> float:
-        if epoch < 1:
-            raise ValueError("epochs are 1-based")
-        return self.values[(epoch - 1) % self.period]
-
     def fourier_coefficients(self) -> np.ndarray:
-        """Harmonic coefficients b_j with mean_at(t) = sum_j b_j exp(2*pi*i*j*t/T)."""
+        """Harmonic coefficients b_j with values[t - 1] = sum_j b_j exp(2*pi*i*j*t/T)."""
         T = self.period
         t = np.arange(1, T + 1)
         j = np.arange(T)
@@ -155,31 +152,25 @@ class BanditInstance:
     def periods(self) -> tuple[int, ...]:
         return tuple(p.period for p in self.arms)
 
-    def mean_at(self, arm: int, epoch: int) -> float:
-        if not 0 <= arm < self.n_arms:
-            raise IndexError(f"arm {arm} out of range for {self.n_arms} arms")
-        return self.arms[arm].mean_at(epoch)
-
-    def means_matrix(self, horizon: int | None = None) -> np.ndarray:
+    def means_matrix(self) -> np.ndarray:
         """(K, T) matrix of mean rewards over epochs 1..T."""
-        T = self.horizon if horizon is None else horizon
+        T = self.horizon
         out = np.empty((self.n_arms, T))
         t = np.arange(1, T + 1)
         for k, prof in enumerate(self.arms):
             out[k] = np.asarray(prof.values)[(t - 1) % prof.period]
         return out
 
-    def noise_stream(self, seed: int, horizon: int | None = None) -> "NoiseStream":
-        T = self.horizon if horizon is None else horizon
-        return NoiseStream(self.noise, seed, T)
+    def noise_stream(self, seed: int) -> "NoiseStream":
+        return NoiseStream(self.noise, seed, self.horizon)
 
 
 class NoiseStream:
-    """Deterministic per-replication noise, indexed by absolute epoch.
+    """Deterministic per-replication noise over the instance's horizon.
 
-    The whole horizon is materialized up front from the seed, so the draw at a
-    given epoch is a pure function of (seed, epoch) and repeated lookups are
-    bit-identical.
+    The whole horizon is drawn up front from the seed, so ``values[t - 1]``,
+    the draw at epoch t, is a pure function of (seed, epoch), and two streams
+    of one seed are bit-identical.
     """
 
     def __init__(self, model: NoiseModel, seed: int, horizon: int):
@@ -190,20 +181,13 @@ class NoiseStream:
         """All draws for epochs 1..horizon (index t-1 holds epoch t)."""
         return self._eps
 
-    def at(self, epoch: int) -> float:
-        if epoch < 1 or epoch > len(self._eps):
-            raise IndexError(f"epoch {epoch} outside materialized horizon")
-        return float(self._eps[epoch - 1])
-
 
 @dataclass
 class RunResult:
-    """One episode's trace and its cumulative pseudo-regret."""
+    """One episode's actions and its cumulative pseudo-regret."""
 
     actions: np.ndarray
-    rewards: np.ndarray
     cumulative_regret: np.ndarray
-    policy_id: str
     estimated_periods: tuple[int, ...] | None = None
     events: list = field(default_factory=list)
 

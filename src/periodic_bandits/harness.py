@@ -18,7 +18,7 @@ import json
 import math
 import os
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from multiprocessing import Pool
 
 import numpy as np
@@ -34,7 +34,6 @@ from .env import (
     pseudo_regret,
 )
 from .policies import InstanceView, Policy, make_policy
-from .spectral import failure_probability_bound
 
 CSV_HEADER = "policy,T,replication,t,cum_regret"
 
@@ -51,7 +50,6 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
     )
     policy.begin(view)
     actions = np.empty(T, dtype=int)
-    rewards = np.empty(T, dtype=float)
     # Python floats in the loop: numpy scalar arithmetic costs more per epoch
     profiles = [p.values for p in instance.arms]
     periods = instance.periods
@@ -62,13 +60,10 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
         y = profiles[a][(t - 1) % periods[a]] + eps[t - 1]
         observe(t, a, y)
         actions[t - 1] = a
-        rewards[t - 1] = y
     _, cum = pseudo_regret(instance, actions)
     return RunResult(
         actions=actions,
-        rewards=rewards,
         cumulative_regret=cum,
-        policy_id=policy.policy_id,
         estimated_periods=policy.estimated_periods,
         events=list(policy.events),
     )
@@ -213,17 +208,6 @@ class AggregateStats:
     success_rate: float | None
     curve_slope: float | None
 
-    def to_dict(self) -> dict:
-        return {
-            "policy": self.policy,
-            "T": self.T,
-            "n_reps": self.n_reps,
-            "mean_final_regret": self.mean_final_regret,
-            "se_final_regret": self.se_final_regret,
-            "success_rate": self.success_rate,
-            "curve_slope": self.curve_slope,
-        }
-
 
 def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> float:
     """OLS slope of log(y) against log(x) over the tail of a curve.
@@ -282,11 +266,12 @@ def _by_cell(rows: list[dict]) -> dict[tuple[str, int], list[dict]]:
 
 
 def _tail_fraction(config: dict) -> float:
-    """config["tail_fraction"] (default 0.5), checked to lie in (0, 1]."""
-    tail_fraction = float(config.get("tail_fraction", 0.5))
-    if not 0 < tail_fraction <= 1:
-        raise ValueError(f"tail_fraction must be in (0, 1], got {tail_fraction}")
-    return tail_fraction
+    """config["tail_fraction"] (default 0.5), checked to be a number (not a
+    bool) in (0, 1]."""
+    value = config.get("tail_fraction", 0.5)
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
+        raise ValueError(f"tail_fraction must be a number in (0, 1], got {value!r}")
+    return float(value)
 
 
 def summarize(rows: list[dict], config: dict) -> dict:
@@ -319,11 +304,13 @@ def _checked_int(key: str, value, least: int = 1) -> int:
 
 
 def _horizons(config: dict) -> list:
-    """config["horizons"] checked to be strictly increasing integers of at
-    least 1, or [None] (the instance's own horizon) when absent."""
+    """config["horizons"] checked to be a list of strictly increasing integers
+    of at least 1, or [None] (the instance's own horizon) when absent."""
     horizons = config.get("horizons")
     if horizons is None:
         return [None]
+    if not isinstance(horizons, (list, tuple)):
+        raise ValueError(f"horizons must be a list of integers, got {horizons!r}")
     hs = [_checked_int("horizons", h) for h in horizons]
     if not hs:
         raise ValueError("horizons must not be empty")
@@ -335,10 +322,15 @@ def _horizons(config: dict) -> list:
 def _policy_params(config: dict) -> dict[str, dict]:
     """{id: params} of config["policies"], each entry built once with
     ``make_policy`` so an unknown id or a bad param fails before any episode."""
-    entries = config["policies"]
-    policy_ids = [pol["id"] for pol in entries]
-    if not policy_ids:
+    entries = config.get("policies")
+    if not isinstance(entries, (list, tuple)):
+        raise ValueError(f"policies must be a list of entries, got {entries!r}")
+    if not entries:
         raise ValueError("policies must not be empty")
+    for pol in entries:
+        if not isinstance(pol, dict) or "id" not in pol:
+            raise ValueError(f"policies entry {pol!r} has no 'id'")
+    policy_ids = [pol["id"] for pol in entries]
     if len(set(policy_ids)) != len(policy_ids):
         # rows are keyed by policy id, so two entries would merge into one cell
         raise ValueError(f"policies must have distinct ids, got {policy_ids}")
@@ -368,6 +360,8 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     time, so no long job starts last. Either way the rows come back in job
     order: policy-major in config order, then horizon, then replication.
     """
+    if not isinstance(config.get("instance"), dict):
+        raise ValueError(f"instance must be a dict, got {config.get('instance')!r}")
     R = _checked_int("replications", config.get("replications", 1))
     _tail_fraction(config)
     base_seed = _checked_int("base_seed", config.get("base_seed", 0), least=0)
@@ -424,7 +418,7 @@ def write_curves_csv(rows: list[dict], path: str) -> None:
 
 
 def summary_dict(config: dict, results: dict) -> dict:
-    cells = [s.to_dict() for s in results["cells"].values()]
+    cells = [asdict(s) for s in results["cells"].values()]
     cells.sort(key=lambda c: (c["policy"], c["T"]))
     return {
         "config_hash": config_hash(config),
@@ -474,23 +468,3 @@ def report_from_dir(out_dir: str) -> dict:
         write_curves_csv(rows, csv_path)
     return results
 
-
-# ---------------------------------------------------------------------------
-# Theory overlays
-# ---------------------------------------------------------------------------
-
-def regret_rate_envelope(T: int, d: int, constant: float = 1.0) -> float:
-    """constant * sqrt(T d log(T)^2 log(T/d)); the shape of the two-stage rate."""
-    if T <= d:
-        raise ValueError("need T > d for the envelope")
-    return constant * math.sqrt(T * d * math.log(T) ** 2 * math.log(T / d))
-
-
-def bound_overlay(T: int, d: int, K: int, n: int, H: float, sigma: float, constant: float = 1.0) -> dict:
-    """Theoretical companions for an empirical regret curve: the stage-one
-    misidentification bound and a scaled rate envelope."""
-    del sigma  # the failure bound depends on the noise only through H's choice
-    return {
-        "failure_bound": failure_probability_bound(n, K, H),
-        "rate_envelope": regret_rate_envelope(T, d, constant),
-    }

@@ -205,7 +205,7 @@ class NestedCBState:
         return cached
 
 
-def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, int | None]:
+def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
     """One screening tournament at epoch t; returns (arm, exploration round).
 
     Rounds s = 1, 2, ...: if some active arm's width at the current phase
@@ -215,7 +215,7 @@ def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, in
     index); the epoch joins no index set (round None). Otherwise drop arms
     more than 2^(1-s) sigma below the best estimate and continue. The round
     counter is capped at floor(log2 T), falling through to the exploit branch.
-    ``n_arms`` must equal the number of the state's periods.
+    The arms are the state's, one per period.
 
     Each round reads the widths and means of the state's cached round-s row
     at the phases of t, so a decision computes no confidence radius. The
@@ -228,8 +228,6 @@ def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, in
     An entry with one survivor first reads that arm's width alone: above the
     threshold, the round explores it whatever its mean.
     """
-    if n_arms != len(state.periods):
-        raise ValueError(f"n_arms {n_arms} does not match the state's {len(state.periods)} periods")
     thresholds, rows, bar_row = state._thresholds, state._rows, state._bar_row
     settled = state._settled
     entry = None
@@ -261,6 +259,13 @@ def nested_cb_decide(state: NestedCBState, t: int, n_arms: int) -> tuple[int, in
         s += 1
         if settled is not None:
             settled[key] = (s, active)
+
+
+def _checked_H(H: float | None) -> float | None:
+    """A policy's stage-one H, if set, checked to be finite and positive."""
+    if H is not None and not (math.isfinite(H) and H > 0):
+        raise ValueError(f"H must be finite and positive, got {H}")
+    return H
 
 
 class _StageOne:
@@ -317,7 +322,7 @@ class TwoStagePolicy(Policy):
     ):
         if delta is not None and not 0.0 < delta <= 1.0:
             raise ValueError(f"delta must be in (0, 1], got {delta}")
-        self.n, self.g, self.H, self.t_max, self.delta = n, g, H, t_max, delta
+        self.n, self.g, self.H, self.t_max, self.delta = n, g, _checked_H(H), t_max, delta
 
     def begin(self, view: InstanceView) -> None:
         self._stage_one = _StageOne(view, self.n, self.g, self.H, self.t_max)
@@ -349,7 +354,7 @@ class TwoStagePolicy(Policy):
             return self._stage_one.arm(t)
         if self._state is None:
             self._start_stage_two()
-        arm, pending = nested_cb_decide(self._state, t, self._view.n_arms)
+        arm, pending = nested_cb_decide(self._state, t)
         if pending is not None and self._may_force and self._state.counts_at(pending, arm, t) == (0, 0):
             self._events.append((t, "zero_count_forced_pull", arm))
         self._pending_round = pending
@@ -556,7 +561,7 @@ class LcmUCB(Policy):
         t_max: int | None = None,
         ucb_scale: float = 1.0,
     ):
-        self.n, self.g, self.H, self.t_max = n, g, H, t_max
+        self.n, self.g, self.H, self.t_max = n, g, _checked_H(H), t_max
         self.scale = _ucb_scale(ucb_scale)
 
     def begin(self, view: InstanceView) -> None:

@@ -86,8 +86,10 @@ def noise_bound(n: int, sigma: float, H: float) -> float:
     """High-probability envelope for the noise DFT: 2 sigma H / (1 - pi/24) * sqrt(log(n)/n)."""
     if n < 2:
         raise ValueError("n must be at least 2")
-    if sigma < 0 or H <= 0:
-        raise ValueError("sigma must be >= 0 and H > 0")
+    if not (math.isfinite(sigma) and sigma >= 0):
+        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
+    if not (math.isfinite(H) and H > 0):
+        raise ValueError(f"H must be finite and > 0, got {H}")
     return 2.0 * sigma * H / (1.0 - math.pi / 24.0) * math.sqrt(math.log(n) / n)
 
 
@@ -148,8 +150,8 @@ def failure_probability_bound(n: int, K: int, H: float) -> float:
     Three-term sum 48K/n^(H^2-1) + 200K/n^(0.867 H^2-1) + 200K/n^(0.694 H^2-1);
     meaningful (and decreasing in n) only for H > 1.
     """
-    if n < 2 or K < 1 or H <= 0:
-        raise ValueError("need n >= 2, K >= 1, H > 0")
+    if n < 2 or K < 1 or not (math.isfinite(H) and H > 0):
+        raise ValueError(f"need n >= 2, K >= 1 and a finite H > 0, got n={n}, K={K}, H={H}")
     h2 = H * H
     return (
         48.0 * K / n ** (h2 - 1.0)
@@ -163,19 +165,15 @@ def amplitude_condition_coefficients(n: int, g: int, sigma: float, H: float | No
     coefficient satisfies b >= c_sigma * sigma + c_B * B (B the strongest).
 
     c_sigma multiplies sigma via the noise envelope, so it does not depend on
-    sigma itself; c_B collects the worst of the two leakage routes.
+    sigma itself; c_B collects the worst of the two leakage routes. Both come
+    from the threshold's own constants at unit sigma.
     """
-    if H is None:
-        H = default_H(n)
-    u1, u2 = u_constants(n, g)
-    denom = 1.0 - math.pi * u2
-    if denom <= 0:
-        raise ValueError("degenerate constants: 1 - pi U2 <= 0")
-    eps_over_sigma = 2.0 * H / (1.0 - math.pi / 24.0) * math.sqrt(math.log(n) / n)
-    sigma_coeff = (2.0 * math.pi * u1 / denom + 2.0) * eps_over_sigma
+    c = threshold_constants(n, g, 1.0, H)
+    ratio = c.leakage_ratio  # raises on degenerate constants
+    sigma_coeff = (2.0 * ratio + 2.0) * c.eps_bar
     b_coeff = max(
-        (8.0 * math.pi / 3.0) * u2,
-        (math.pi * u1 / denom) * max(math.pi * u1, math.pi * u2 + 1.0) + math.pi * u2,
+        (8.0 * math.pi / 3.0) * c.u2,
+        ratio * max(math.pi * c.u1, math.pi * c.u2 + 1.0) + math.pi * c.u2,
     )
     return sigma_coeff, b_coeff
 
@@ -208,26 +206,14 @@ def _direct_dft(y: np.ndarray, offsets: np.ndarray, freqs: np.ndarray) -> np.nda
     return np.exp(-2j * np.pi * np.outer(freqs, offsets)) @ y / y.size
 
 
-def dft_at(samples: Sequence[float], epochs: Sequence[int], v: float) -> complex:
-    """Normalized DFT (1/n) sum_t Y_t exp(-2 pi i v t) over absolute epochs."""
-    y, t = _as_block(samples, epochs)
-    return complex(_direct_dft(y, t - t[0], np.array([v], dtype=float))[0] * np.exp(-2j * np.pi * v * t[0]))
-
-
 @lru_cache(maxsize=None)
 def _candidates(t_max: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
-    """Sorted candidate rationals for ``t_max`` and their (read-only) float values."""
+    """Sorted, reduced, deduplicated rationals j1/j2 with 1 <= j1 < j2 <= t_max,
+    and their (read-only) float values; both empty for t_max < 2."""
     cands = tuple(sorted({Fraction(j1, j2) for j2 in range(2, t_max + 1) for j1 in range(1, j2)}))
     vals = np.array([float(c) for c in cands])
     vals.flags.writeable = False
     return cands, vals
-
-
-def candidate_frequencies(t_max: int) -> list[Fraction]:
-    """Reduced, deduplicated rationals j1/j2 with 1 <= j1 < j2 <= t_max."""
-    if t_max < 2:
-        raise ValueError("t_max must be at least 2")
-    return list(_candidates(t_max)[0])
 
 
 def default_t_max(n: int, g: int) -> int:

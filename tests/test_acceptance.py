@@ -38,7 +38,6 @@ from periodic_bandits.spectral import (
     amplitude_condition_coefficients,
     compute_periodogram,
     default_H,
-    dft_at,
     estimate_periods,
     failure_probability_bound,
     frequency_grid,
@@ -118,7 +117,7 @@ def test_criterion2_demo_identification():
     H = default_H(50)
     target = [Fraction(1, 4), Fraction(1, 2)]
 
-    noise_free = [inst.mean_at(0, t) for t in range(1, 51)]
+    noise_free = inst.means_matrix()[0]
     periods, ests = estimate_periods([(noise_free, range(1, 51))], 50, 8, H, 0.2, t_max=10)
     assert periods == (4,)
     assert ests[0].identified == target
@@ -127,8 +126,7 @@ def test_criterion2_demo_identification():
 
     hits = 0
     for rep in range(1000):
-        stream = inst.noise_stream(rep, horizon=50)
-        samples = [inst.mean_at(0, t) + stream.at(t) for t in range(1, 51)]
+        samples = inst.means_matrix()[0] + inst.noise_stream(rep).values
         p, e = estimate_periods([(samples, range(1, 51))], 50, 8, H, 0.2, t_max=10)
         hits += p[0] == 4 and e[0].identified == target
     elapsed = time.time() - t0
@@ -144,7 +142,7 @@ def test_criterion2_demo_identification():
 # Criterion 3: oracle coupling
 # ---------------------------------------------------------------------------
 
-def test_criterion3_oracle_coupling():
+def test_criterion3_oracle_coupling(run_recording_rewards):
     t0 = time.time()
     inst = BanditInstance(
         arms=(
@@ -158,14 +156,14 @@ def test_criterion3_oracle_coupling():
     params = {"n": 900, "g": 30}
     qualifying, coupled = 0, 0
     for seed in range(20):
-        two = run_episode(inst, make_policy("two_stage", params), seed)
+        two, two_rewards = run_recording_rewards(inst, make_policy("two_stage", params), seed)
         if tuple(two.estimated_periods) != inst.periods:
             continue
         qualifying += 1
-        orc = run_episode(inst, make_policy("oracle", params), seed)
+        orc, orc_rewards = run_recording_rewards(inst, make_policy("oracle", params), seed)
         same = (
             np.array_equal(two.actions, orc.actions)
-            and np.array_equal(two.rewards, orc.rewards)
+            and np.array_equal(two_rewards, orc_rewards)
             and np.array_equal(two.cumulative_regret, orc.cumulative_regret)
         )
         assert same, f"seed {seed}: correct estimate but traces diverge"
@@ -305,7 +303,8 @@ def test_criterion6_spectral_invariants():
 
         # conjugate symmetry at arbitrary frequencies
         for v in rng.uniform(0, 0.5, 3):
-            assert abs(abs(dft_at(samples, t, v)) - abs(dft_at(samples, t, 1 - v))) < 1e-12
+            mags = compute_periodogram(samples, t, [v, 1 - v]).magnitudes
+            assert abs(mags[0] - mags[1]) < 1e-12
 
         # shift invariance of magnitudes
         grid = frequency_grid(min(n, 24))
@@ -315,8 +314,9 @@ def test_criterion6_spectral_invariants():
 
         # orthogonality: |DFT| at j/T equals |b_j|; absent harmonics vanish
         coeffs = np.exp(-2j * np.pi * np.outer(np.arange(T), np.arange(1, T + 1)) / T) @ vals / T
-        for j in range(1, T // 2 + 1):
-            got = abs(dft_at(samples, t, j / T))
+        js = range(1, T // 2 + 1)
+        mags = compute_periodogram(samples, t, [j / T for j in js]).magnitudes
+        for j, got in zip(js, mags):
             assert abs(got - abs(coeffs[j])) < 1e-9
     print("[PASS] criterion 6: symmetry, shift invariance, orthogonality on 100 random profiles")
 

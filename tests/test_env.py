@@ -18,6 +18,11 @@ from periodic_bandits.env import (
 )
 
 
+def mean(profile: MeanProfile, t: int) -> float:
+    """The mean of ``profile`` at epoch t (1-based), read off its cycle."""
+    return profile.values[(t - 1) % profile.period]
+
+
 def instance_metric(a: BanditInstance, b: BanditInstance) -> float:
     """Root sum of squared per-(arm, phase) mean differences between instances.
 
@@ -31,7 +36,7 @@ def instance_metric(a: BanditInstance, b: BanditInstance) -> float:
     for pa, pb in zip(a.arms, b.arms):
         span = max(pa.period, pb.period)
         for t in range(1, span + 1):
-            total += (pa.mean_at(t) - pb.mean_at(t)) ** 2
+            total += (mean(pa, t) - mean(pb, t)) ** 2
     return math.sqrt(total)
 
 
@@ -83,20 +88,12 @@ def test_fourier_constant_coefficient_must_be_real():
 
 def test_mean_at_demo_value():
     inst = make_demo_instance(50, 0.2)
-    assert inst.mean_at(0, 1) == pytest.approx(3.0, abs=1e-12)
+    assert inst.means_matrix()[0, 0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_mean_at_small_profile_wraps():
     inst = two_arm([0.2, 0.8], [0.5])
-    assert inst.mean_at(0, 5) == 0.2  # (5-1) mod 2 = 0
-
-
-def test_mean_at_bad_arm():
-    inst = two_arm([0.2, 0.8], [0.5])
-    with pytest.raises(IndexError):
-        inst.mean_at(2, 1)
-    with pytest.raises(ValueError):
-        inst.mean_at(0, 0)
+    assert inst.means_matrix()[0, 4] == 0.2  # epoch 5: (5-1) mod 2 = 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,7 +106,8 @@ def test_mean_periodicity(vals, t):
         prof = MeanProfile.from_values(vals)
     except ValueError:
         return  # non-minimal draws are rejected by construction
-    assert prof.mean_at(t) == prof.mean_at(t + prof.period)
+    means = BanditInstance((prof,), NoiseModel(), horizon=t + prof.period).means_matrix()[0]
+    assert means[t - 1] == means[t - 1 + prof.period]
 
 
 # ---------------------------------------------------------------------------
@@ -119,30 +117,29 @@ def test_mean_periodicity(vals, t):
 def test_zero_noise_is_exact():
     inst = two_arm([0.2, 0.8], [0.5], sigma=0.0)
     stream = inst.noise_stream(seed=7)
-    assert inst.mean_at(0, 2) + stream.at(2) == 0.8
+    assert inst.means_matrix()[0, 1] + stream.values[1] == 0.8
 
 
 def test_sampling_bit_identical_across_streams():
     inst = two_arm([0.2, 0.8], [0.5], sigma=1.0, horizon=100)
-    a = [inst.mean_at(0, t) + inst.noise_stream(3).at(t) for t in range(1, 101)]
-    b = [inst.mean_at(0, t) + inst.noise_stream(3).at(t) for t in range(1, 101)]
-    assert a == b
+    a = inst.means_matrix()[0] + inst.noise_stream(3).values
+    b = inst.means_matrix()[0] + inst.noise_stream(3).values
+    assert np.array_equal(a, b)
 
 
 def test_noise_is_arm_independent():
     # the draw at epoch t depends on (seed, epoch) only, never on the arm
     inst = two_arm([0.2, 0.8], [0.5], sigma=1.0, horizon=50)
     s1, s2 = inst.noise_stream(3), inst.noise_stream(3)
-    for t in range(1, 51):
-        assert s1.at(t) == s2.at(t)
-        assert inst.mean_at(1, t) + s2.at(t) == inst.mean_at(1, t) + s1.at(t)
+    means = inst.means_matrix()[1]
+    assert np.array_equal(s1.values, s2.values)
+    assert np.array_equal(means + s2.values, means + s1.values)
 
 
 def test_law_of_large_numbers_at_fixed_phase():
     # 1e5 draws of arm 0 at phase 1; tolerance 5 sigma / sqrt(N) = 0.0158 < 0.02
-    inst = make_demo_instance(8, 1.0)
-    stream = inst.noise_stream(123, horizon=4 * 10**5)
-    draws = [inst.mean_at(0, t) + stream.at(t) for t in range(1, 4 * 10**5 + 1, 4)]
+    inst = make_demo_instance(4 * 10**5, 1.0)
+    draws = (inst.means_matrix()[0] + inst.noise_stream(123).values)[::4]  # epochs 1, 5, 9, ...
     assert abs(np.mean(draws) - 3.0) < 0.02
 
 
@@ -198,8 +195,8 @@ def test_pseudo_regret_matches_bruteforce():
     # independent per-epoch recomputation
     expected = []
     for t in range(1, 21):
-        best = max(inst.mean_at(k, t) for k in range(3))
-        expected.append(best - inst.mean_at(int(actions[t - 1]), t))
+        best = max(mean(prof, t) for prof in inst.arms)
+        expected.append(best - mean(inst.arms[int(actions[t - 1])], t))
     assert np.allclose(gaps, expected, atol=1e-12)
     assert np.allclose(cum, np.cumsum(expected), atol=1e-12)
 
@@ -270,9 +267,7 @@ def test_e3_zero_perturbation_matches_seed_means():
     e3 = make_lower_bound_instance(
         "e3", T=1000, delta_gap=0.2, periods=[3, 2], perturbation=0.0
     )
-    for t in range(1, 13):
-        assert e3.mean_at(0, t) == seed.mean_at(0, t)
-        assert e3.mean_at(1, t) == seed.mean_at(1, t)
+    assert np.array_equal(e3.means_matrix(), seed.means_matrix())
     assert e3.periods[1] == 1  # flat arm collapses to period 1
 
 

@@ -9,14 +9,12 @@ import pytest
 
 from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, make_demo_instance
 from periodic_bandits.harness import (
-    bound_overlay,
     config_hash,
     default_sweep_config,
     default_sweep_instance,
     loglog_slope,
     make_preset_instance,
     monte_carlo,
-    regret_rate_envelope,
     report_from_dir,
     run_episode,
 )
@@ -57,12 +55,12 @@ def test_single_arm_oracle_zero_regret():
     assert res.final_regret == 0.0
 
 
-def test_same_seed_identical_runs():
+def test_same_seed_identical_runs(run_recording_rewards):
     inst = default_sweep_instance(horizon=2000)
-    a = run_episode(inst, make_policy("two_stage"), 9)
-    b = run_episode(inst, make_policy("two_stage"), 9)
+    a, a_rewards = run_recording_rewards(inst, make_policy("two_stage"), 9)
+    b, b_rewards = run_recording_rewards(inst, make_policy("two_stage"), 9)
     assert np.array_equal(a.actions, b.actions)
-    assert np.array_equal(a.rewards, b.rewards)
+    assert np.array_equal(a_rewards, b_rewards)
     assert np.array_equal(a.cumulative_regret, b.cumulative_regret)
 
 
@@ -79,7 +77,8 @@ def test_stage_one_regret_matches_recomputation():
     expected = 0.0
     for t in range(1, 2 * n + 1):
         arm = (t - 1) // n
-        expected += max(inst.mean_at(0, t), inst.mean_at(1, t)) - inst.mean_at(arm, t)
+        mu = [prof.values[(t - 1) % prof.period] for prof in arms]
+        expected += max(mu) - mu[arm]
     assert res.cumulative_regret[2 * n - 1] == pytest.approx(expected, abs=1e-9)
 
 
@@ -172,9 +171,20 @@ def test_report_keeps_summary_bytes(tmp_path):
         assert fh.read() == before
 
 
+MISSING = object()  # a config value that stands for deleting its key
+
+
 @pytest.mark.parametrize(
     ("key", "value"),
     [pytest.param("tail_fraction", v, id=str(v)) for v in (0, -0.5, 1.5, float("nan"))]
+    + [pytest.param("tail_fraction", v, id=f"tail_fraction={v!r}") for v in ("0.5", True)]
+    + [pytest.param("horizons", 300, id="horizons=300")]
+    + [pytest.param("instance", MISSING, id="instance=missing")]
+    + [pytest.param("policies", v, id=f"policies={name}") for name, v in (
+        ("missing", MISSING),
+        ("dict", {"stationary_ucb": {}}),
+        ("no-id", [{"id": "stationary_ucb"}, {"params": {"ucb_scale": 2.0}}]),
+    )]
     + [pytest.param("curve_points", v, id=f"curve_points={v}") for v in (0, -3)]
     + [pytest.param("replications", v, id=f"replications={v}") for v in (1.7, 0, True)]
     + [pytest.param("workers", v, id=f"workers={v}") for v in (0, 2.5)]
@@ -190,6 +200,7 @@ def test_report_keeps_summary_bytes(tmp_path):
         ("unknown-id", {"id": "two_stag"}),
         ("bad-delta", {"id": "two_stage", "params": {"delta": 2.0}}),
         ("oracle-misspelt-param", {"id": "oracle", "params": {"dleta": 0.1}}),
+        ("H-nan", {"id": "two_stage", "params": {"H": float("nan")}}),
     )],
 )
 def test_tail_fraction_checked_before_any_episode(key, value):
@@ -197,7 +208,10 @@ def test_tail_fraction_checked_before_any_episode(key, value):
     # being truncated, merged or quietly defaulted; each policy entry is built
     # up front, so a bad one fails before the entries ahead of it run
     cfg = small_config()
-    cfg[key] = value
+    if value is MISSING:
+        del cfg[key]
+    else:
+        cfg[key] = value
     with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
         with pytest.raises(ValueError, match=key):
             monte_carlo(cfg)
@@ -408,7 +422,7 @@ def test_demo_preset_takes_the_function_defaults():
 
 
 # ---------------------------------------------------------------------------
-# slope fitting and overlays
+# slope fitting
 # ---------------------------------------------------------------------------
 
 def test_loglog_slope_recovers_power_laws():
@@ -432,22 +446,6 @@ def test_loglog_slope_rejects_tiny_input():
         loglog_slope([10, 20], [0.0, 0.0], tail_fraction=1.0)
 
 
-def test_bound_overlay_values():
-    overlay = bound_overlay(T=10000, d=9, K=5, n=50, H=math.sqrt(1 + math.log(50)), sigma=0.2)
-    assert overlay["failure_bound"] == pytest.approx(0.0837, abs=2e-4)
-    assert overlay["rate_envelope"] > 0
-    assert bound_overlay(10000, 9, 5, 50, 2.2163, 0.2, constant=0.0)["rate_envelope"] == 0.0
-
-
-def test_rate_envelope_doubling():
-    # fixed d: quadrupling T multiplies the envelope by a bit more than 2
-    lo = regret_rate_envelope(10000, 9)
-    hi = regret_rate_envelope(40000, 9)
-    assert 2.0 < hi / lo < 2.6
-    with pytest.raises(ValueError):
-        regret_rate_envelope(8, 9)
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -464,7 +462,7 @@ def test_cli_constants(capsys):
 def test_cli_detect(tmp_path, capsys):
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     path = tmp_path / "series.csv"
-    path.write_text("\n".join(str(inst.mean_at(0, t)) for t in range(1, 51)))
+    path.write_text("\n".join(str(m) for m in inst.means_matrix()[0].tolist()))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["period"] == 4
@@ -473,10 +471,22 @@ def test_cli_detect(tmp_path, capsys):
     assert out["failure_bound"] == pytest.approx(0.0167, abs=5e-4)
 
 
+@pytest.mark.parametrize(
+    ("option", "value"), [("--sigma", "nan"), ("--sigma", "inf"), ("--H", "nan"), ("--H", "inf")]
+)
+def test_cli_detect_rejects_non_finite_sigma_or_H(tmp_path, option, value):
+    # a NaN threshold would report period 1 as if no peak stood out
+    path = tmp_path / "series.csv"
+    path.write_text("\n".join(_demo_rows()))
+    args = ["detect", str(path), "--sigma", "0.2", "--t-max", "10"]
+    with pytest.raises(ValueError, match=f"{option[2:]} must be finite"):
+        cli.main(args + [option, value])
+
+
 def test_cli_detect_epoch_column(tmp_path, capsys):
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     path = tmp_path / "series.csv"
-    rows = ["epoch,value"] + [f"{t},{inst.mean_at(0, t)}" for t in range(1, 51)]
+    rows = ["epoch,value"] + [f"{t},{m}" for t, m in enumerate(inst.means_matrix()[0].tolist(), start=1)]
     path.write_text("\n".join(rows))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["period"] == 4
@@ -484,7 +494,7 @@ def test_cli_detect_epoch_column(tmp_path, capsys):
 
 def _demo_rows():
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
-    return [f"{t},{inst.mean_at(0, t)}" for t in range(1, 51)]
+    return [f"{t},{m}" for t, m in enumerate(inst.means_matrix()[0].tolist(), start=1)]
 
 
 @pytest.mark.parametrize(

@@ -73,8 +73,8 @@ def run_recording_rounds(inst: BanditInstance, pol, seed: int, decide=None):
     rounds = {}
     real = decide or policies.nested_cb_decide
 
-    def recording(state, t, n_arms):
-        arm, s = real(state, t, n_arms)
+    def recording(state, t):
+        arm, s = real(state, t)
         rounds[t] = s
         return arm, s
 
@@ -330,7 +330,7 @@ def test_nested_decide_exploit_branch():
         for i in range(60000):
             st.add_bar_sample(1 + i, arm, value)
     assert cell_width(st, 1, 0, 1) <= 0.5 / math.sqrt(400)
-    arm, pending = nested_cb_decide(st, 399, 2)
+    arm, pending = nested_cb_decide(st, 399)
     assert arm == 1          # strictly larger estimated mean
     assert pending is None   # exploit pulls join no index set
 
@@ -342,18 +342,18 @@ def test_nested_decide_wide_branch_prefers_widest():
     for i in range(40):
         st.add_bar_sample(1 + i, 0, 0.3)
     st.add_bar_sample(41, 1, 0.9)
-    arm, pending = nested_cb_decide(st, 42, 2)
+    arm, pending = nested_cb_decide(st, 42)
     assert arm == 1 and pending == 1  # one sample: widest interval by far
 
 
-def reference_tournament(st: NestedCBState, t: int, n_arms: int):
+def reference_tournament(st: NestedCBState, t: int):
     """The screening tournament restated over the cached rows.
 
     Returns (arm, round, trace), where trace holds one {round, means,
     survivors} entry per elimination step, means keyed by the active arms.
     """
     sigma = st.sigma
-    active = list(range(n_arms))
+    active = list(range(len(st.periods)))
     trace = []
     for s in range(1, st.S + 1):
         widths = {k: cell_width(st, s, k, t) for k in active}
@@ -382,8 +382,8 @@ def test_nested_elimination_soundness_and_termination():
     sigma = COUPLING_INSTANCE.noise.sigma
     eliminations = 0
     for t in range(5900, 6001):
-        arm, s_charged, trace = reference_tournament(st, t, 3)
-        assert nested_cb_decide(st, t, 3) == (arm, s_charged)
+        arm, s_charged, trace = reference_tournament(st, t)
+        assert nested_cb_decide(st, t) == (arm, s_charged)
         assert len(trace) < st.S
         for entry in trace:
             s = entry["round"]
@@ -403,7 +403,7 @@ def test_nested_decide_terminates_within_round_cap():
     for arm in (0, 1):
         for i in range(200000):
             st.add_bar_sample(1 + i, arm, 0.5)
-    arm, pending = nested_cb_decide(st, 3999, 2)
+    arm, pending = nested_cb_decide(st, 3999)
     assert arm in (0, 1)
 
 
@@ -494,9 +494,9 @@ def test_settled_rounds_give_the_full_tournament(profiles, sigma, horizon, polic
     real = policies.nested_cb_decide
     checked = []
 
-    def decide(state, t, n_arms):
-        got = real(state, t, n_arms)
-        assert got == reference_tournament(state, t, n_arms)[:2], t
+    def decide(state, t):
+        got = real(state, t)
+        assert got == reference_tournament(state, t)[:2], t
         checked.append(t)
         return got
 
@@ -518,7 +518,7 @@ def settled_state():
         for i in range(250):
             st.add_bar_sample(1 + i, arm, value)
     assert 0.25 < cell_width(st, 1, 0, 1) <= 0.5
-    assert policies.nested_cb_decide(st, 300, 2) == (0, 2)
+    assert policies.nested_cb_decide(st, 300) == (0, 2)
     assert st._settled == {0: (2, [0])}
     return st
 
@@ -534,7 +534,7 @@ def test_settled_rounds_cleared_when_a_closed_cell_changes(change):
         st.add_round_sample(1, 301, 0, -1000.0)
         assert cell_width(st, 1, 0, 1) <= 0.5  # the cell stays closed
     assert st._settled == {}
-    assert policies.nested_cb_decide(st, 302, 2) == reference_tournament(st, 302, 2)[:2] == (1, 2)
+    assert policies.nested_cb_decide(st, 302) == reference_tournament(st, 302)[:2] == (1, 2)
 
 
 def test_single_survivor_passes_the_round_its_cell_closed_in():
@@ -547,7 +547,7 @@ def test_single_survivor_passes_the_round_its_cell_closed_in():
         st.add_round_sample(2, epoch, 0, 2.0)
         epoch += 1
     assert st._settled == {0: (2, [0])}
-    assert policies.nested_cb_decide(st, epoch, 2) == reference_tournament(st, epoch, 2)[:2] == (0, 3)
+    assert policies.nested_cb_decide(st, epoch) == reference_tournament(st, epoch)[:2] == (0, 3)
     assert st._settled == {0: (3, [0])}
 
 
@@ -559,14 +559,8 @@ def test_no_settled_entries_when_no_phase_key_repeats():
         st.add_bar_sample(t, 1, 5.0)
     assert st._settled is None
     for t in range(5, 13):
-        assert policies.nested_cb_decide(st, t, 2) == reference_tournament(st, t, 2)[:2]
+        assert policies.nested_cb_decide(st, t) == reference_tournament(st, t)[:2]
     assert st._settled is None
-
-
-def test_nested_decide_rejects_arm_count_mismatch():
-    st = NestedCBState([2, 3], sigma=1.0, horizon=100, delta=0.1)
-    with pytest.raises(ValueError, match="n_arms"):
-        policies.nested_cb_decide(st, 10, 1)
 
 
 @settings(max_examples=30, deadline=None)
@@ -608,7 +602,7 @@ def test_noise_free_phase_means_exact():
     st = pol._state
     for arm in range(2):
         for t in (495, 496):
-            assert cell_mean(st, 1, arm, t) == pytest.approx(inst.mean_at(arm, t), abs=1e-12)
+            assert cell_mean(st, 1, arm, t) == pytest.approx(inst.means_matrix()[arm, t - 1], abs=1e-12)
 
 
 def test_screening_suppresses_suboptimal_pulls():
@@ -628,13 +622,13 @@ def test_estimates_exposed():
     assert pol.estimated_periods == (2, 3, 4)
 
 
-def test_coupling_identical_traces():
+def test_coupling_identical_traces(run_recording_rewards):
     for seed in (0, 1, 2):
-        two = run_episode(COUPLING_INSTANCE, make_policy("two_stage", COUPLING_PARAMS), seed)
-        orc = run_episode(COUPLING_INSTANCE, make_policy("oracle", COUPLING_PARAMS), seed)
+        two, two_rewards = run_recording_rewards(COUPLING_INSTANCE, make_policy("two_stage", COUPLING_PARAMS), seed)
+        orc, orc_rewards = run_recording_rewards(COUPLING_INSTANCE, make_policy("oracle", COUPLING_PARAMS), seed)
         assert two.estimated_periods == COUPLING_INSTANCE.periods
         assert np.array_equal(two.actions, orc.actions)
-        assert np.array_equal(two.rewards, orc.rewards)
+        assert np.array_equal(two_rewards, orc_rewards)
         assert np.array_equal(two.cumulative_regret, orc.cumulative_regret)
 
 
@@ -662,18 +656,18 @@ def test_traces_differ_on_misestimation():
     seed=hst.integers(0, 10**6),
 )
 @example(profiles=[[0.9, 0.1], [0.2, 0.8, 0.5], [0.4, 0.6, 0.1, 0.3]], sigma=0.05, horizon=1000, seed=0)
-def test_oracle_coupling_on_random_instances(profiles, sigma, horizon, seed):
+def test_oracle_coupling_on_random_instances(run_recording_rewards, profiles, sigma, horizon, seed):
     # whenever stage one estimates every period correctly, two_stage and the
     # oracle (true periods put in) play the same actions and see the same rewards
     inst = instance(profiles, sigma, horizon)
     params = {"n": 100, "g": 10}  # t_max = 4: every period in 1..4 is representable
     two_pol, orc_pol = make_policy("two_stage", params), make_policy("oracle", params)
-    two = run_episode(inst, two_pol, seed)
-    orc = run_episode(inst, orc_pol, seed)
+    two, two_rewards = run_recording_rewards(inst, two_pol, seed)
+    orc, orc_rewards = run_recording_rewards(inst, orc_pol, seed)
     assert orc.estimated_periods == inst.periods
     if two.estimated_periods == inst.periods:
         assert np.array_equal(two.actions, orc.actions)
-        assert np.array_equal(two.rewards, orc.rewards)
+        assert np.array_equal(two_rewards, orc_rewards)
         # the same stage-two state too, not only the actions it led to
         widths = lambda st: [row(st, s)[0] for s in range(1, st.S + 1)]
         assert widths(two_pol._state) == widths(orc_pol._state)
@@ -751,8 +745,8 @@ def test_forced_pull_events_match_a_check_at_every_epoch(policy_id, inst, params
     real = policies.nested_cb_decide
     expected = []
 
-    def decide(state, t, n_arms):
-        arm, s = real(state, t, n_arms)
+    def decide(state, t):
+        arm, s = real(state, t)
         if s is not None and state.counts_at(s, arm, t) == (0, 0):
             expected.append((t, "zero_count_forced_pull", arm))
         return arm, s
@@ -938,11 +932,13 @@ def test_lcm_ucb_runs_and_estimates():
     [pytest.param(pid, "delta", v, id=f"{pid}-delta={v}")
      for pid in ("two_stage", "oracle") for v in (math.nan, math.inf, 0.0, -1.0, 2.0, 1e6)]
     + [pytest.param(pid, "ucb_scale", v, id=f"{pid}-ucb_scale={v}")
-       for pid in ("stationary_ucb", "per_phase_ucb", "lcm_ucb") for v in (math.nan, math.inf, -1.0)],
+       for pid in ("stationary_ucb", "per_phase_ucb", "lcm_ucb") for v in (math.nan, math.inf, -1.0)]
+    + [pytest.param(pid, "H", v, id=f"{pid}-H={v}")
+       for pid in ("two_stage", "oracle", "lcm_ucb") for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
 )
 def test_bad_confidence_parameter_rejected(policy_id, key, value):
-    # a NaN, infinite or out-of-range level or scale fails at construction,
-    # before any epoch is played
+    # a NaN, infinite or out-of-range level, scale or stage-one H fails at
+    # construction, before any epoch is played
     with pytest.raises(ValueError, match=key):
         make_policy(policy_id, {key: value})
 

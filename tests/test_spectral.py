@@ -12,11 +12,9 @@ from periodic_bandits.spectral import (
     _candidates,
     a_sup,
     amplitude_condition_coefficients,
-    candidate_frequencies,
     compute_periodogram,
     default_H,
     default_t_max,
-    dft_at,
     estimate_periods,
     failure_probability_bound,
     frequency_grid,
@@ -116,6 +114,26 @@ def test_noise_bound_value():
     assert noise_bound(50, 0.2, H50) == pytest.approx(0.28532, abs=5e-6)
 
 
+@pytest.mark.parametrize(
+    ("sigma", "H", "key"),
+    [pytest.param(v, H50, "sigma", id=f"sigma={v}") for v in (math.nan, math.inf, -0.1)]
+    + [pytest.param(0.2, v, "H", id=f"H={v}") for v in (math.nan, math.inf, 0.0, -1.0)],
+)
+def test_noise_bound_rejects_bad_sigma_or_H(sigma, H, key):
+    # a NaN sigma or H would make the threshold NaN, and every peak would
+    # then fall below it
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        noise_bound(50, sigma, H)
+
+
+@pytest.mark.parametrize("H", [math.nan, math.inf, 0.0, -1.0])
+def test_failure_bound_rejects_bad_H(H):
+    with pytest.raises(ValueError, match="finite H > 0"):
+        failure_probability_bound(50, 5, H)
+    with pytest.raises(ValueError, match="H must be finite"):
+        amplitude_condition_coefficients(50, 8, 0.2, H)
+
+
 def test_noise_bound_homogeneous_in_sigma():
     assert noise_bound(50, 0.0, H50) == 0.0
     assert noise_bound(50, 0.8, H50) == pytest.approx(2 * noise_bound(50, 0.4, H50))
@@ -192,12 +210,12 @@ def test_failure_probability_linear_in_k():
 # ---------------------------------------------------------------------------
 
 def test_dft_constant_at_zero():
-    assert dft_at([2.5] * 10, range(1, 11), 0.0) == pytest.approx(2.5)
+    assert compute_periodogram([2.5] * 10, range(1, 11), [0.0]).values[0] == pytest.approx(2.5)
 
 
 def test_dft_empty_errors():
     with pytest.raises(ValueError):
-        dft_at([], [], 0.1)
+        compute_periodogram([], [], [0.1])
 
 
 def test_dft_pure_tone_orthogonality():
@@ -205,9 +223,10 @@ def test_dft_pure_tone_orthogonality():
     b, T, j, n = 1.7, 5, 2, 40
     t = np.arange(1, n + 1)
     tone = np.real(b * np.exp(2j * np.pi * j * t / T))  # real part: b/2 at j/T and (T-j)/T
-    val = dft_at(tone, t, j / T)
+    pg = compute_periodogram(tone, t, [j / T, 1 / T])
+    val = pg.values[0]
     assert abs(val) == pytest.approx(b / 2, abs=1e-9)
-    assert abs(dft_at(tone, t, 1 / T)) == pytest.approx(0.0, abs=1e-9)
+    assert pg.magnitudes[1] == pytest.approx(0.0, abs=1e-9)
     # cross-check against the explicit sum
     assert val == pytest.approx(brute_dft(tone, t, j / T), abs=1e-12)
 
@@ -221,7 +240,8 @@ def test_dft_conjugate_symmetry(seed, v):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=16)
     t = np.arange(1, 17)
-    assert abs(dft_at(y, t, v)) == pytest.approx(abs(dft_at(y, t, 1 - v)), abs=1e-12)
+    mags = compute_periodogram(y, t, [v, 1 - v]).magnitudes
+    assert mags[0] == pytest.approx(mags[1], abs=1e-12)
 
 
 def test_dft_shift_changes_phase_only():
@@ -243,7 +263,7 @@ def test_periodogram_rejects_non_finite_sample():
         estimate_periods([(samples, range(1, 41))], 40, 7, default_H(40), 0.1)
     samples[17] = math.inf
     with pytest.raises(ValueError, match="non-finite sample inf at index 17"):
-        dft_at(samples, range(1, 41), 0.25)
+        compute_periodogram(samples, range(1, 41), [0.25])
 
 
 def test_periodogram_rejects_gapped_epochs():
@@ -269,7 +289,7 @@ def test_periodogram_matches_direct_sum(n, start, t_max, other_n, seed):
     rng = np.random.default_rng(seed)
     y = rng.normal(size=n)
     t = np.arange(start, start + n)
-    cands = candidate_frequencies(t_max)
+    cands = _candidates(t_max)[0]
     own = frequency_grid(n, cands)
     foreign = frequency_grid(other_n + (other_n == n), cands)
     for grid in (own, foreign):
@@ -284,7 +304,7 @@ def test_periodogram_matches_direct_sum(n, start, t_max, other_n, seed):
 
 
 def test_frequency_grid_layout():
-    cands = candidate_frequencies(4)
+    cands = _candidates(4)[0]
     grid = frequency_grid(10, cands)
     mesh = (2 * np.arange(1, 121) - 1) / 480
     assert np.all(np.isin(mesh, grid))
@@ -297,7 +317,7 @@ def test_frequency_grid_layout():
     # the grid that filtering the rationals with exact comparisons built
     for n in (1, 10, 50, 500):
         for t_max in (2, 4, 10, 30):
-            cands = candidate_frequencies(t_max)
+            cands = _candidates(t_max)[0]
             old = np.unique(np.concatenate([
                 (2.0 * np.arange(1, 12 * n + 1) - 1.0) / (48.0 * n),
                 np.asarray([float(c) for c in cands if 0 < c <= Fraction(1, 2)], dtype=float),
@@ -311,16 +331,12 @@ def test_frequency_grid_layout():
 # ---------------------------------------------------------------------------
 
 def test_candidate_frequencies_reduced_and_unique():
-    cands = candidate_frequencies(6)
+    cands, vals = _candidates(6)
     assert len(cands) == len(set(cands))
     assert all(1 <= c.numerator < c.denominator <= 6 for c in cands)
     assert Fraction(1, 2) in cands and Fraction(5, 6) in cands
-    assert sorted(cands) == cands
-
-
-def test_candidate_frequencies_tmax_too_small():
-    with pytest.raises(ValueError):
-        candidate_frequencies(1)
+    assert sorted(cands) == list(cands)
+    assert vals.tolist() == [float(c) for c in cands]
 
 
 def test_default_t_max():
@@ -340,7 +356,7 @@ def test_lcm_of_denominators():
 
 def demo_noise_free_estimate(t_max=10):
     inst = make_demo_instance(50, 0.2)
-    samples = [inst.mean_at(0, t) for t in range(1, 51)]
+    samples = inst.means_matrix()[0]
     periods, ests = estimate_periods([(samples, range(1, 51))], 50, 8, H50, 0.2, t_max=t_max)
     return periods, ests[0]
 
@@ -354,7 +370,7 @@ def test_demo_noise_free_identification():
 
 def test_constant_signal_identifies_nothing():
     consts = threshold_constants(50, 8, sigma=0.5)
-    grid = frequency_grid(50, candidate_frequencies(3))
+    grid = frequency_grid(50, _candidates(3)[0])
     pg = compute_periodogram([1.0] * 50, range(1, 51), grid)
     est = identify_frequencies(pg, consts, t_max=3)
     assert est.identified == []
@@ -411,8 +427,7 @@ def test_noisy_demo_success_rate_small():
     inst = make_demo_instance(50, 0.2)
     hits = 0
     for rep in range(100):
-        stream = inst.noise_stream(rep, horizon=50)
-        samples = [inst.mean_at(0, t) + stream.at(t) for t in range(1, 51)]
+        samples = inst.means_matrix()[0] + inst.noise_stream(rep).values
         periods, _ = estimate_periods([(samples, range(1, 51))], 50, 8, H50, 0.2, t_max=10)
         hits += periods[0] == 4
     assert hits >= 98
@@ -434,8 +449,9 @@ def test_noise_free_orthogonality(seed, mult):
     t = np.arange(1, n + 1)
     samples = vals[(t - 1) % T]
     coeffs = np.exp(-2j * np.pi * np.outer(np.arange(T), np.arange(1, T + 1)) / T) @ vals / T
-    for j in range(1, T // 2 + 1):
-        got = abs(dft_at(samples, t, j / T))
+    js = range(1, T // 2 + 1)
+    mags = compute_periodogram(samples, t, [j / T for j in js]).magnitudes
+    for j, got in zip(js, mags):
         assert got == pytest.approx(abs(coeffs[j]), abs=1e-9)
 
 
