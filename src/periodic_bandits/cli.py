@@ -21,7 +21,7 @@ from .harness import monte_carlo, report_from_dir
 def _cmd_constants(args: argparse.Namespace) -> int:
     H = args.H if args.H is not None else spectral.default_H(args.n)
     u1, u2 = spectral.u_constants(args.n, args.g)
-    sig_c, b_c = spectral.amplitude_condition_coefficients(args.n, args.g, args.sigma, H)
+    sig_c, b_c = spectral.amplitude_condition_coefficients(args.n, args.g, H)
     row = {
         "n": args.n,
         "g": args.g,

@@ -317,7 +317,8 @@ def validity_report(
     Always reports the [0, 1] mean-range check, K >= 2 and T >= 4K. When
     stage-one parameters (n, g) are given, also reports which periods violate
     T_k < n / (2 g); with sigma and H as well, evaluates the minimum-amplitude
-    condition for reliable frequency detection per arm.
+    condition for reliable frequency detection per arm. Every value is a plain
+    Python bool, int or float, so the report serialises with ``json.dumps``.
     """
     report: dict = {
         "means_in_unit_interval": [
@@ -335,11 +336,11 @@ def validity_report(
         if sigma is not None and H is not None:
             from .spectral import amplitude_condition_coefficients
 
-            sig_c, b_c = amplitude_condition_coefficients(n, g, sigma, H)
+            sig_c, b_c = amplitude_condition_coefficients(n, g, H)
             checks = []
             for prof in instance.arms:
                 weakest, strongest = prof.amplitude_range()
-                required = sig_c * sigma + b_c * strongest
+                required = float(sig_c * sigma + b_c * strongest)
                 checks.append(
                     {
                         "weakest": weakest,

@@ -158,8 +158,7 @@ def _run_job(job: tuple) -> list[dict]:
     periods with the same blocks, n, g, H and delta, and noise is keyed by
     (seed, epoch), so the episodes are identical. Otherwise the oracle runs.
     """
-    instance_dict, horizon, policy_id, params, rep, seed, curve_points, couples_oracle = job
-    instance = resolve_instance(instance_dict, horizon=horizon)
+    instance, _, policy_id, params, rep, seed, curve_points, couples_oracle = job
     row = _episode_row(instance, make_policy(policy_id, params), rep, seed, curve_points)
     if not couples_oracle:
         return [row]
@@ -319,6 +318,15 @@ def _horizons(config: dict) -> list:
     return hs
 
 
+def _instance_at(spec: dict, horizon: int | None) -> BanditInstance:
+    """``resolve_instance`` with every failure of a bad spec (an unknown
+    preset, a misspelt param, a missing key) raised as ``ValueError``."""
+    try:
+        return resolve_instance(spec, horizon=horizon)
+    except (KeyError, TypeError, ValueError, OSError) as exc:
+        raise ValueError(f"instance {spec!r} at horizon {horizon}: {type(exc).__name__}: {exc}") from exc
+
+
 def _policy_params(config: dict) -> dict[str, dict]:
     """{id: params} of config["policies"], each entry built once with
     ``make_policy`` so an unknown id or a bad param fails before any episode."""
@@ -349,8 +357,8 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
 
     Returns the ``summarize`` result for the episode rows and, when
     ``out_dir`` is given, writes regret_curves.csv, summary.json, run_meta.json
-    and raw/ files. A malformed config, a policy entry that cannot be built
-    included, raises ``ValueError`` before any episode runs.
+    and raw/ files. A malformed config, an instance spec or a policy entry that
+    cannot be built included, raises ``ValueError`` before any episode runs.
 
     An ``oracle`` entry whose params equal the ``two_stage`` entry's (value
     for value and type for type) is coupled to it: it gets no jobs of its own,
@@ -375,8 +383,10 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
         and repr(sorted(params["two_stage"].items())) == repr(sorted(params["oracle"].items()))
     )
 
+    instances = {T: _instance_at(config["instance"], T) for T in horizons}
+
     jobs = [
-        (config["instance"], T, pid, pid_params, rep, base_seed + rep, curve_points, coupled and pid == "two_stage")
+        (instances[T], T, pid, pid_params, rep, base_seed + rep, curve_points, coupled and pid == "two_stage")
         for pid, pid_params in params.items()
         if not (coupled and pid == "oracle")
         for T in horizons

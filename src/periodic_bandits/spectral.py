@@ -10,6 +10,12 @@ denominators of the matched frequencies.
 The grid's 12n-point mesh lies on the bins k/(48n) of a 48n-point DFT, so one
 zero-padded real FFT of the block gives the whole mesh in O(n log n); only the
 candidate rationals off that lattice (at most t_max^2 points) are direct sums.
+``estimate_periods`` builds a detection plan once per (n, t_max): the
+read-only grid, each point's FFT bin and the direct-sum basis. The phase
+vector exp(-2 pi i v t0) that shifts a block to its start epoch t0 is kept
+for a fixed number of recent (n, t_max, t0). A block then costs one FFT, one
+gather, one small matrix-vector product and one multiply by the phase, with
+the same bits as computing each piece afresh.
 
 All constants are deterministic functions of (n, g, H, sigma); "log" is the
 natural logarithm throughout.
@@ -160,7 +166,7 @@ def failure_probability_bound(n: int, K: int, H: float) -> float:
     )
 
 
-def amplitude_condition_coefficients(n: int, g: int, sigma: float, H: float | None = None) -> tuple[float, float]:
+def amplitude_condition_coefficients(n: int, g: int, H: float | None = None) -> tuple[float, float]:
     """(c_sigma, c_B) such that detection is reliable when the weakest present
     coefficient satisfies b >= c_sigma * sigma + c_B * B (B the strongest).
 
@@ -194,16 +200,6 @@ def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> tuple[np.ndarr
     if bad.size:
         raise ValueError(f"non-finite sample {y[bad[0]]} at index {bad[0]}")
     return y, t
-
-
-def _direct_dft(y: np.ndarray, offsets: np.ndarray, freqs: np.ndarray) -> np.ndarray:
-    """(1/n) sum_s y_s exp(-2 pi i v s) at every v in ``freqs``; O(len(freqs) * n).
-
-    ``offsets`` are the epochs relative to the block's first one; callers shift
-    the result by exp(-2 pi i v t_0), so a large absolute epoch costs the
-    magnitudes no accuracy.
-    """
-    return np.exp(-2j * np.pi * np.outer(freqs, offsets)) @ y / y.size
 
 
 @lru_cache(maxsize=None)
@@ -244,15 +240,76 @@ class Periodogram:
     magnitudes: np.ndarray
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class _DetectionPlan:
+    """What ``compute_periodogram`` needs from (n, grid) alone.
+
+    ``bins`` gives each grid point's FFT bin (0 for the points off the
+    lattice), ``off`` indexes the off-lattice points and ``basis`` holds
+    exp(-2 pi i v s) for them at offsets s = 0..n-1. ``key`` is the (n, t_max)
+    of a cached detection grid, and None for a plan built for one call.
+    """
+
+    def __init__(self, n: int, grid: np.ndarray, key: tuple[int, int] | None = None):
+        scaled = 48.0 * n * grid
+        bins = np.rint(scaled)
+        on = (np.abs(scaled - bins) <= _LATTICE_TOL) & (bins >= 0) & (bins <= 24 * n)
+        self.n, self.grid, self.key = n, grid, key
+        self.bins = np.where(on, bins, 0).astype(np.intp)
+        self.off = np.flatnonzero(~on)
+        self.basis = np.exp(-2j * np.pi * np.outer(grid[self.off], np.arange(n, dtype=float)))
+        for a in (self.bins, self.off, self.basis):
+            _read_only(a)
+
+    def phase(self, t0: float) -> np.ndarray:
+        """exp(-2 pi i v t0) over the grid, cached per start epoch for a cached grid."""
+        if self.key is None:
+            return np.exp(-2j * np.pi * self.grid * t0)
+        key = (*self.key, t0)
+        phase = _phases.get(key)
+        if phase is None:
+            if len(_phases) >= _PHASE_SLOTS:
+                del _phases[next(iter(_phases))]
+            phase = _phases[key] = _read_only(np.exp(-2j * np.pi * self.grid * t0))
+        return phase
+
+
+# Bounded caches, oldest entry evicted first: any start epoch a caller passes
+# fits. A sweep needs one plan per horizon, and stage one one phase per arm.
+_PLAN_SLOTS = 16
+_PHASE_SLOTS = 32
+_plans: dict[tuple[int, int], _DetectionPlan] = {}
+_phases: dict[tuple[int, int, float], np.ndarray] = {}
+
+
+def _detection_plan(n: int, t_max: int) -> _DetectionPlan:
+    """The cached plan of ``frequency_grid(n, _candidates(t_max)[1])``, whose
+    grid is read-only."""
+    key = (n, t_max)
+    plan = _plans.get(key)
+    if plan is None:
+        if len(_plans) >= _PLAN_SLOTS:
+            del _plans[next(iter(_plans))]
+        grid = _read_only(frequency_grid(n, _candidates(t_max)[1]))
+        plan = _plans[key] = _DetectionPlan(n, grid, key)
+    return plan
+
+
 def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: np.ndarray) -> Periodogram:
     """Normalized DFT of one block of consecutive epochs at every grid frequency.
 
     Grid points on the lattice k/(48n), 0 <= k <= 24n, which holds the whole
     mesh of ``frequency_grid(n)``, come from one zero-padded real FFT of the
-    block, phase-shifted to its absolute start epoch; the remaining points
-    (candidate rationals off the lattice, or a grid built for another n) are
-    direct sums. Raises ``ValueError`` on a non-finite sample or on epochs that
-    are not consecutive.
+    block; the remaining points (candidate rationals off the lattice, or a grid
+    built for another n) are direct sums. Both are then phase-shifted to the
+    block's absolute start epoch. A cached detection grid (the one
+    ``estimate_periods`` passes) reuses its plan and start-epoch phases; any
+    other grid gets a plan built for this call. Raises ``ValueError`` on a
+    non-finite sample or on epochs that are not consecutive.
     """
     y, t = _as_block(samples, epochs)
     n = y.size
@@ -261,13 +318,13 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
         i = gaps[0]
         raise ValueError(f"epochs must be consecutive: epoch {t[i + 1]:g} follows {t[i]:g}")
     grid = np.asarray(grid, dtype=float)
-    scaled = 48.0 * n * grid
-    bins = np.rint(scaled)
-    on = (np.abs(scaled - bins) <= _LATTICE_TOL) & (bins >= 0) & (bins <= 24 * n)
-    vals = np.empty(grid.size, dtype=complex)
-    vals[on] = np.fft.rfft(y, 48 * n)[bins[on].astype(int)] / n
-    vals[~on] = _direct_dft(y, t - t[0], grid[~on])
-    vals *= np.exp(-2j * np.pi * grid * t[0])
+    plan = next((p for p in _plans.values() if p.grid is grid), None)
+    if plan is None or plan.n != n:
+        plan = _DetectionPlan(n, grid)
+    vals = np.fft.rfft(y, 48 * n)[plan.bins]
+    vals[plan.off] = plan.basis @ y
+    vals /= n
+    vals *= plan.phase(t[0])
     return Periodogram(n=n, grid=grid, values=vals, magnitudes=np.abs(vals))
 
 
@@ -367,7 +424,7 @@ def estimate_periods(
     consts = threshold_constants(n, g, sigma, H)
     if t_max is None:
         t_max = default_t_max(n, g)
-    grid = frequency_grid(n, _candidates(t_max)[1])
+    grid = _detection_plan(n, t_max).grid
     estimates = []
     for samples, epochs in blocks:
         if len(samples) != n:

@@ -74,7 +74,7 @@ TABLE_ERRATA = {((50, 8), "fail"): 8.374e-2}
 def _row_values(n, g):
     H = default_H(n)
     u1, u2 = u_constants(n, g)
-    sig, bcoef = amplitude_condition_coefficients(n, g, 1.0, H)
+    sig, bcoef = amplitude_condition_coefficients(n, g, H)
     return {"u1": u1, "u2": u2, "sig": sig, "bcoef": bcoef,
             "fail": failure_probability_bound(n, 5, H)}
 

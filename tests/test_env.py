@@ -312,6 +312,17 @@ def test_validity_report_amplitude_condition():
     assert check["satisfied"]
 
 
+def test_validity_report_is_plain_json():
+    # the amplitude check's constants are numpy scalars; the report is not
+    from periodic_bandits.harness import default_sweep_instance
+
+    report = validity_report(default_sweep_instance(), 115, 11, 0.04, 2.3)
+    assert json.loads(json.dumps(report)) == report
+    for check in report["amplitude_condition"]:
+        assert type(check["required"]) is float and type(check["satisfied"]) is bool
+    assert [c["satisfied"] for c in report["amplitude_condition"]] == [True, False, False]
+
+
 def test_instance_json_roundtrip(tmp_path):
     inst = two_arm([0.2, 0.8], [0.5, 0.1, 0.9], sigma=0.25, horizon=77)
     spec = {

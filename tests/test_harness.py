@@ -180,6 +180,11 @@ MISSING = object()  # a config value that stands for deleting its key
     + [pytest.param("tail_fraction", v, id=f"tail_fraction={v!r}") for v in ("0.5", True)]
     + [pytest.param("horizons", 300, id="horizons=300")]
     + [pytest.param("instance", MISSING, id="instance=missing")]
+    + [pytest.param("instance", v, id=f"instance={name}") for name, v in (
+        ("misspelt-param", {"preset": "sweep_default", "params": {"sigmaa": 0.1}}),
+        ("no-horizon", {"arms": [{"period": 2, "values": [0.9, 0.1]}], "noise": {"sigma": 0.2}}),
+        ("unknown-preset", {"preset": "sweep_defualt"}),
+    )]
     + [pytest.param("policies", v, id=f"policies={name}") for name, v in (
         ("missing", MISSING),
         ("dict", {"stationary_ucb": {}}),

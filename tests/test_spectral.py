@@ -1,3 +1,4 @@
+import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -7,14 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from periodic_bandits.env import make_demo_instance
+from periodic_bandits import spectral
+from periodic_bandits.env import MeanProfile, make_demo_instance
+from periodic_bandits.harness import default_sweep_instance
 from periodic_bandits.spectral import (
     _candidates,
+    _detection_plan,
     a_sup,
     amplitude_condition_coefficients,
     compute_periodogram,
     default_H,
     default_t_max,
+    detector_parameters,
     estimate_periods,
     failure_probability_bound,
     frequency_grid,
@@ -131,7 +136,7 @@ def test_failure_bound_rejects_bad_H(H):
     with pytest.raises(ValueError, match="finite H > 0"):
         failure_probability_bound(50, 5, H)
     with pytest.raises(ValueError, match="H must be finite"):
-        amplitude_condition_coefficients(50, 8, 0.2, H)
+        amplitude_condition_coefficients(50, 8, H)
 
 
 def test_noise_bound_homogeneous_in_sigma():
@@ -141,7 +146,7 @@ def test_noise_bound_homogeneous_in_sigma():
 
 @pytest.mark.parametrize("ng,expected", CONSTANTS_TABLE.items())
 def test_amplitude_condition_rows(ng, expected):
-    sig_c, b_c = amplitude_condition_coefficients(*ng, sigma=1.0)
+    sig_c, b_c = amplitude_condition_coefficients(*ng)
     assert sig_c == pytest.approx(expected[2], rel=5e-4)
     assert b_c == pytest.approx(expected[3], rel=5e-4)
 
@@ -324,6 +329,103 @@ def test_frequency_grid_layout():
             ]))
             assert np.array_equal(frequency_grid(n, _candidates(t_max)[1]), old)
             assert np.array_equal(frequency_grid(n, cands), old)
+
+
+def _assert_matches_fresh_plan(y, epochs, n, t_max):
+    # estimate_periods (the cached plan and start-epoch phase) against a fresh
+    # grid, plan and phase built for this call alone
+    n, g, H = detector_parameters(n)
+    grid = frequency_grid(n, _candidates(t_max)[1])
+    fresh = compute_periodogram(y, epochs, grid)
+    ref = identify_frequencies(fresh, threshold_constants(n, g, 0.3, H), t_max=t_max)
+    for _ in range(2):  # the second call reads the cached phase
+        cached = compute_periodogram(y, epochs, _detection_plan(n, t_max).grid)
+        assert np.array_equal(cached.grid, grid)
+        assert np.array_equal(cached.values, fresh.values)
+        assert np.array_equal(cached.magnitudes, fresh.magnitudes)
+        periods, (est,) = estimate_periods([(y, epochs)], n, g, H, 0.3, t_max=t_max)
+        assert periods == (ref.period_estimate,)
+        assert est.threshold == ref.threshold
+        assert repr(est.trace) == repr(ref.trace)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    n=st.integers(2, 600),
+    t_max=st.integers(1, 12),
+    start=st.integers(1, 10**5),
+    period=st.integers(1, 12),
+    seed=st.integers(0, 2**31),
+)
+def test_cached_detection_plan_matches_fresh(n, t_max, start, period, seed):
+    rng = np.random.default_rng(seed)
+    t = np.arange(start, start + n)
+    y = rng.uniform(0, 1, period)[(t - 1) % period] + rng.normal(0, 0.3, n)
+    _assert_matches_fresh_plan(y, t, n, t_max)
+
+
+def test_detection_plan_is_per_n_and_t_max():
+    # one n, one set of start epochs, t_max back and forth: a plan or phase
+    # kept for another t_max would give the wrong grid
+    n = 200
+    t = np.arange(1, 3 * n + 1)
+    y = (t % 5 == 0) + np.random.default_rng(5).normal(0, 0.2, t.size)
+    for t_max in (2, 6, 3, 6, 2):
+        for k in range(3):
+            _assert_matches_fresh_plan(y[k * n:(k + 1) * n], t[k * n:(k + 1) * n], n, t_max)
+
+
+def test_detection_plan_arrays_are_read_only_and_bounded():
+    plan = _detection_plan(50, 3)
+    for a in (plan.grid, plan.bins, plan.off, plan.basis, plan.phase(51.0)):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+    # any start epoch and (n, t_max) may come in; the caches stay at their size
+    y = np.random.default_rng(0).normal(size=50)
+    for start in range(1, 2 * spectral._PHASE_SLOTS + 2):
+        compute_periodogram(y, range(start, start + 50), plan.grid)
+    assert len(spectral._phases) == spectral._PHASE_SLOTS
+    for t_max in range(2, 2 * spectral._PLAN_SLOTS + 2):
+        _detection_plan(30, t_max)
+    assert len(spectral._plans) == spectral._PLAN_SLOTS
+    # an evicted plan's grid, and a cached grid with a block of another n,
+    # both get a plan for the call
+    assert all(p is not plan for p in spectral._plans.values())
+    for block, grid in ((y, plan.grid), (y[:40], _detection_plan(50, 3).grid)):
+        epochs = range(7, 7 + block.size)
+        got = compute_periodogram(block, epochs, grid).values
+        assert np.array_equal(got, compute_periodogram(block, epochs, np.array(grid)).values)
+
+
+def test_stage_one_detection_golden():
+    # v_star, magnitude and threshold, bit for bit, over fixed stage-one
+    # blocks: n=500 with the detect_n500 profiles, and the sweep's arms at
+    # n=81 and n=115, plus blocks that start off the n k + 1 epochs
+    detect_arms = tuple(MeanProfile.from_values([1.0] + [0.0] * (p - 1)) for p in (2, 3, 4))
+    sweep_arms = default_sweep_instance().arms
+    lines = []
+    for n, g, t_max, arms, sigma, start in (
+        (500, 23, 10, detect_arms, 0.3, None),
+        (81, None, None, sweep_arms, 0.04, None),
+        (115, None, None, sweep_arms, 0.04, None),
+        (115, None, None, sweep_arms[2:], 0.04, 12345),
+    ):
+        n, g, H = detector_parameters(n, g)
+        t_max = default_t_max(n, g) if t_max is None else t_max
+        for seed in (0, 1):
+            eps = np.random.default_rng(seed).normal(0.0, sigma, n * len(arms))
+            blocks = []
+            for k, arm in enumerate(arms):
+                t0 = n * k + 1 if start is None else start
+                epochs = range(t0, t0 + n)
+                samples = [arm.values[(t - 1) % arm.period] + float(eps[n * k + s]) for s, t in enumerate(epochs)]
+                blocks.append((samples, epochs))
+            for est in estimate_periods(blocks, n, g, H, sigma, t_max=t_max)[1]:
+                lines.append(repr(est.threshold))
+                lines += [f"{e['v_star']!r} {e['magnitude']!r}" for e in est.trace]
+    assert len(lines) == 42
+    digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+    assert digest == "25b55adec34de8092a3d4c72fe5c6ddad2d179107fd382ccf528807676f276b5"
 
 
 # ---------------------------------------------------------------------------
