@@ -340,7 +340,7 @@ def validity_report(
             checks = []
             for prof in instance.arms:
                 weakest, strongest = prof.amplitude_range()
-                required = float(sig_c * sigma + b_c * strongest)
+                required = sig_c * sigma + b_c * strongest
                 checks.append(
                     {
                         "weakest": weakest,

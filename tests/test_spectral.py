@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_bandits import spectral
@@ -308,6 +308,52 @@ def test_periodogram_matches_direct_sum(n, start, t_max, other_n, seed):
             assert pg.values[i] == pytest.approx(ref, abs=1e-9)
 
 
+def exact_mesh_dft(y, start):
+    # the DFT at every mesh point k/(48n), k = 1, 3, .., 24n - 1, with each
+    # phase k t mod 48n reduced in integers, so no round-off from the epochs
+    n = y.size
+    k = np.arange(1, 24 * n, 2, dtype=np.int64)
+    t = np.arange(start, start + n, dtype=np.int64)
+    return k, np.concatenate([
+        np.exp(-2j * np.pi / (48 * n) * (ks[:, None] * t % (48 * n))) @ y / n
+        for ks in np.array_split(k, max(1, k.size // 1024))
+    ])
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    n=st.integers(2, 700),
+    start=st.integers(1, 10**5),
+    t_max=st.integers(1, 12),
+    seed=st.integers(0, 2**31),
+)
+@example(n=2, start=1, t_max=1, seed=0)
+@example(n=3, start=99_999, t_max=2, seed=1)
+@example(n=577, start=20_001, t_max=12, seed=2)
+@example(n=81, start=3, t_max=3, seed=3)
+@example(n=115, start=12_345, t_max=4, seed=4)
+@example(n=499, start=501, t_max=10, seed=5)
+def test_mesh_from_decimated_fft(n, start, t_max, seed):
+    # every mesh point k = 48j + r, from the FFT rows (r < 24) and from their
+    # conjugates (r > 24), against the exact direct sum and against the
+    # zero-padded 48n-point real FFT, whose odd bins are the mesh
+    y = np.random.default_rng(seed).normal(size=n)
+    grid = _detection_plan(n, t_max).grid
+    epochs = range(start, start + n)
+    pg = compute_periodogram(y, epochs, grid)
+    assert np.array_equal(compute_periodogram(y, np.arange(start, start + n), grid).values, pg.values)
+    k, exact = exact_mesh_dft(y, start)
+    mesh = k / (48.0 * n)
+    idx = np.searchsorted(grid, mesh)
+    assert np.array_equal(grid[idx], mesh)
+    assert np.max(np.abs(pg.magnitudes[idx] - np.abs(exact))) <= 1e-12
+    # the absolute-epoch phase exp(-2 pi i v t_0) is rounded at v t_0 <= 5e4
+    assert np.max(np.abs(pg.values[idx] - exact)) <= 1e-9
+    padded = np.fft.rfft(y, 48 * n)[1:24 * n:2] / n
+    unshifted = pg.values[idx] * np.exp(2j * np.pi * mesh * start)
+    assert np.max(np.abs(unshifted - padded)) <= 1e-13
+
+
 def test_frequency_grid_layout():
     cands = _candidates(4)[0]
     grid = frequency_grid(10, cands)
@@ -377,7 +423,7 @@ def test_detection_plan_is_per_n_and_t_max():
 
 def test_detection_plan_arrays_are_read_only_and_bounded():
     plan = _detection_plan(50, 3)
-    for a in (plan.grid, plan.bins, plan.off, plan.basis, plan.phase(51.0)):
+    for a in (plan.grid, plan.gather, plan.pre, plan.basis, plan.phase(51.0)):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     # any start epoch and (n, t_max) may come in; the caches stay at their size
@@ -425,7 +471,7 @@ def test_stage_one_detection_golden():
                 lines += [f"{e['v_star']!r} {e['magnitude']!r}" for e in est.trace]
     assert len(lines) == 42
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "25b55adec34de8092a3d4c72fe5c6ddad2d179107fd382ccf528807676f276b5"
+    assert digest == "79714f4207a58ce684c72cb9ea43a4ead6b1a54696febb597f649e079a47f1bf"
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +514,14 @@ def test_demo_noise_free_identification():
     assert periods == (4,)
     assert est.identified == [Fraction(1, 4), Fraction(1, 2)]
     assert est.threshold == pytest.approx(0.851925, abs=1e-5)
+
+
+def test_constants_are_plain_floats():
+    # numpy scalars would leak into every JSON writer and repr
+    _, est = demo_noise_free_estimate()
+    assert type(est.threshold) is float
+    assert all(type(a_sup(j)) is float for j in range(1, 41))
+    assert all(type(v) is float for v in (*u_constants(500, 23), *amplitude_condition_coefficients(500, 23)))
 
 
 def test_constant_signal_identifies_nothing():
