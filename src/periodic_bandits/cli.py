@@ -130,7 +130,10 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    report_from_dir(args.indir)
+    try:
+        report_from_dir(args.indir)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     print(f"rebuilt summary in {args.indir}")
     return 0
 

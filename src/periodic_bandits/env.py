@@ -357,15 +357,23 @@ def validity_report(
 # JSON instance files
 # ---------------------------------------------------------------------------
 
+def _checked_int(key: str, value, least: int = 1) -> int:
+    """A config value of ``key`` checked to be an integer (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
     for arm in spec["arms"]:
+        period = _checked_int("period", arm["period"])
         if "values" in arm:
-            prof = MeanProfile(period=int(arm["period"]), values=tuple(float(v) for v in arm["values"]))
+            prof = MeanProfile(period=period, values=tuple(float(v) for v in arm["values"]))
         elif "fourier" in arm:
             coeffs = [complex(re, im) for re, im in arm["fourier"]]
-            if len(coeffs) != int(arm["period"]):
+            if len(coeffs) != period:
                 raise ValueError("fourier coefficient count must equal period")
             prof = MeanProfile.from_fourier(coeffs)
         else:
@@ -375,7 +383,7 @@ def instance_from_dict(spec: dict) -> BanditInstance:
     return BanditInstance(
         arms=tuple(arms),
         noise=NoiseModel(noise.get("kind", "gaussian"), float(noise.get("sigma", 1.0))),
-        horizon=int(spec["horizon"]),
+        horizon=_checked_int("horizon", spec["horizon"]),
     )
 
 

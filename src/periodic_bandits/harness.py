@@ -27,6 +27,7 @@ from . import __version__
 from .env import (
     BanditInstance,
     RunResult,
+    _checked_int,
     instance_from_dict,
     load_instance,
     make_demo_instance,
@@ -295,13 +296,6 @@ def summarize(rows: list[dict], config: dict) -> dict:
     return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
 
 
-def _checked_int(key: str, value, least: int = 1) -> int:
-    """A config value of ``key`` checked to be an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def _horizons(config: dict) -> list:
     """config["horizons"] checked to be a list of strictly increasing integers
     of at least 1, or [None] (the instance's own horizon) when absent."""
@@ -458,13 +452,19 @@ def write_outputs(config: dict, results: dict, out_dir: str) -> None:
 
 
 def report_from_dir(out_dir: str) -> dict:
-    """Recompute summary.json (and regret_curves.csv if absent) from raw files."""
+    """Recompute summary.json (and regret_curves.csv if absent) from raw files.
+
+    Raises ``ValueError``, and writes nothing, when raw/ is missing or holds
+    no episode rows.
+    """
     raw_dir = os.path.join(out_dir, "raw")
     rows: list[dict] = []
-    for name in sorted(os.listdir(raw_dir)):
+    for name in sorted(os.listdir(raw_dir)) if os.path.isdir(raw_dir) else ():
         if name.endswith(".json"):
             with open(os.path.join(raw_dir, name)) as fh:
                 rows.extend(json.load(fh))
+    if not rows:
+        raise ValueError(f"{raw_dir}: missing, or holds no episode rows to report")
     meta_path = os.path.join(out_dir, "run_meta.json")
     config = {}
     if os.path.exists(meta_path):

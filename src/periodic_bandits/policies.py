@@ -590,22 +590,15 @@ class LcmUCB(Policy):
         return self._estimated
 
 
-POLICY_IDS = ("two_stage", "oracle", "seq_elim", "per_phase_ucb", "stationary_ucb", "lcm_ucb")
+_POLICIES = {
+    cls.policy_id: cls
+    for cls in (TwoStagePolicy, OraclePolicy, SequentialEliminationPolicy, PerPhaseUCB, StationaryUCB, LcmUCB)
+}
+POLICY_IDS = tuple(_POLICIES)
 
 
 def make_policy(policy_id: str, params: dict | None = None) -> Policy:
     """Instantiate a policy by its id with a namespaced parameter dict."""
-    params = dict(params or {})
-    if policy_id == "two_stage":
-        return TwoStagePolicy(**params)
-    if policy_id == "oracle":
-        return OraclePolicy(**params)
-    if policy_id == "seq_elim":
-        return SequentialEliminationPolicy(**params)
-    if policy_id == "per_phase_ucb":
-        return PerPhaseUCB(**params)
-    if policy_id == "stationary_ucb":
-        return StationaryUCB(**params)
-    if policy_id == "lcm_ucb":
-        return LcmUCB(**params)
-    raise ValueError(f"unknown policy id {policy_id!r}; expected one of {POLICY_IDS}")
+    if policy_id not in _POLICIES:
+        raise ValueError(f"unknown policy id {policy_id!r}; expected one of {POLICY_IDS}")
+    return _POLICIES[policy_id](**dict(params or {}))

@@ -7,19 +7,19 @@ threshold, snap it to the nearest candidate rational frequency, and excise a
 g/n-neighborhood around the match. The period estimate is the LCM of the
 denominators of the matched frequencies.
 
-The grid's 12n-point mesh lies on the odd bins k = 48j + r of a 48n-point
-DFT. For odd r < 24 the bins with residue r are one length-n FFT of the block
-times exp(-2 pi i r s/(48n)); since the block is real, the residues r > 24 are
-conjugates of those, read backwards. Twelve length-n FFTs thus give the whole
-mesh in O(n log n), with no zero padding; only the candidate rationals off
-the odd bins (at most t_max^2 points) are direct sums. ``estimate_periods``
-builds a detection plan once per (n, t_max): the read-only grid, the twelve
-twiddle rows, one gather index over the FFT rows, their conjugates and the
-direct sums, and the direct-sum basis. The phase vector exp(-2 pi i v t0)
-that shifts a block to its start epoch t0 is kept for a fixed number of
-recent (n, t_max, t0). A block then costs one batched FFT, one gather, one
-small matrix-vector product and one multiply by the phase, with the same bits
-as building the plan and phase afresh.
+Stage one thresholds periodogram magnitudes, which do not depend on the
+block's start epoch, so the DFT is taken with offsets s = 0..n-1 from the
+first sample. The grid's 12n-point mesh lies on the odd bins k = 48j + r of a
+48n-point DFT. For odd r < 24 the bins with residue r are one length-n FFT of
+the block times exp(-2 pi i r s/(48n)); since the block is real, a residue
+r > 24 has the magnitude of residue 48 - r, read backwards. Twelve length-n
+FFTs thus give the whole mesh in O(n log n), with no zero padding; only the
+candidate rationals off the odd bins (at most t_max^2 points) are direct
+sums. ``estimate_periods`` builds a detection plan once per (n, t_max): the
+read-only grid, the twelve twiddle rows, the direct-sum basis, and one gather
+index over the magnitudes of the FFT rows and direct sums. A block then costs
+one batched FFT, one small matrix-vector product and one gather, with the
+same bits as building the plan afresh.
 
 All constants are deterministic functions of (n, g, H, sigma); "log" is the
 natural logarithm throughout.
@@ -239,11 +239,10 @@ def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
 
 @dataclass
 class Periodogram:
-    """DFT values and magnitudes of one sample block on a frequency grid."""
+    """DFT magnitudes of one sample block on a frequency grid."""
 
     n: int
     grid: np.ndarray
-    values: np.ndarray
     magnitudes: np.ndarray
 
 
@@ -257,50 +256,35 @@ class _DetectionPlan:
 
     A grid point on an odd bin k = 48j + r of the 48n-point DFT (0 < k < 48n)
     reads the length-n FFT of y * ``pre[(r - 1) // 2]`` at j for r < 24, and
-    the conjugate of row (47 - r) // 2 at n - 1 - j for r > 24, since y is
-    real. ``pre`` holds exp(-2 pi i r s / (48n)) for r = 1, 3, .., 23 at
-    offsets s = 0..n-1. ``basis`` holds exp(-2 pi i v s) for the remaining
-    points (even bins and off the lattice), and ``gather`` picks each grid
-    point from the FFT rows, their conjugates and the direct sums laid end to
-    end. ``key`` is the (n, t_max) of a cached detection grid, and None for a
-    plan built for one call.
+    row (47 - r) // 2 at n - 1 - j for r > 24: y is real, so that bin is the
+    conjugate of this one and has its magnitude. ``pre`` holds
+    exp(-2 pi i r s / (48n)) for r = 1, 3, .., 23 at offsets s = 0..n-1.
+    ``basis`` holds exp(-2 pi i v s) for the remaining points (even bins and
+    off the lattice), and ``gather`` picks each grid point's magnitude from
+    the FFT rows and the direct sums laid end to end.
     """
 
-    def __init__(self, n: int, grid: np.ndarray, key: tuple[int, int] | None = None):
+    def __init__(self, n: int, grid: np.ndarray):
         scaled = 48.0 * n * grid
         bins = np.rint(scaled)
         on = (np.abs(scaled - bins) <= _LATTICE_TOL) & (bins > 0) & (bins < 48 * n) & (bins % 2 == 1)
         j, r = np.divmod(bins[on].astype(np.intp), 48)
         off = np.flatnonzero(~on)
-        self.n, self.grid, self.key = n, grid, key
+        self.n, self.grid = n, grid
         self.gather = np.empty(grid.size, dtype=np.intp)
-        self.gather[on] = np.where(r > 24, 12 * n + (47 - r) // 2 * n + n - 1 - j, (r - 1) // 2 * n + j)
-        self.gather[off] = 24 * n + np.arange(off.size)
+        self.gather[on] = np.where(r > 24, (47 - r) // 2 * n + n - 1 - j, (r - 1) // 2 * n + j)
+        self.gather[off] = 12 * n + np.arange(off.size)
         s = np.arange(n)
         self.pre = np.exp(-2j * np.pi / (48 * n) * np.outer(np.arange(1, 24, 2), s))
         self.basis = np.exp(-2j * np.pi * np.outer(grid[off], s.astype(float)))
         for a in (self.gather, self.pre, self.basis):
             _read_only(a)
 
-    def phase(self, t0: float) -> np.ndarray:
-        """exp(-2 pi i v t0) over the grid, cached per start epoch for a cached grid."""
-        if self.key is None:
-            return np.exp(-2j * np.pi * self.grid * t0)
-        key = (*self.key, t0)
-        phase = _phases.get(key)
-        if phase is None:
-            if len(_phases) >= _PHASE_SLOTS:
-                del _phases[next(iter(_phases))]
-            phase = _phases[key] = _read_only(np.exp(-2j * np.pi * self.grid * t0))
-        return phase
 
-
-# Bounded caches, oldest entry evicted first: any start epoch a caller passes
-# fits. A sweep needs one plan per horizon, and stage one one phase per arm.
+# Bounded cache, oldest entry evicted first: any (n, t_max) a caller passes
+# fits. A sweep needs one plan per horizon.
 _PLAN_SLOTS = 16
-_PHASE_SLOTS = 32
 _plans: dict[tuple[int, int], _DetectionPlan] = {}
-_phases: dict[tuple[int, int, float], np.ndarray] = {}
 
 
 def _detection_plan(n: int, t_max: int) -> _DetectionPlan:
@@ -312,20 +296,21 @@ def _detection_plan(n: int, t_max: int) -> _DetectionPlan:
         if len(_plans) >= _PLAN_SLOTS:
             del _plans[next(iter(_plans))]
         grid = _read_only(frequency_grid(n, _candidates(t_max)[1]))
-        plan = _plans[key] = _DetectionPlan(n, grid, key)
+        plan = _plans[key] = _DetectionPlan(n, grid)
     return plan
 
 
 def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: np.ndarray) -> Periodogram:
-    """Normalized DFT of one block of consecutive epochs at every grid frequency.
+    """Normalized DFT magnitude of one block of consecutive epochs at every
+    grid frequency.
 
     Grid points on the odd bins k/(48n), 0 < k < 48n, which hold the whole
     mesh of ``frequency_grid(n)``, come from twelve length-n FFTs of the
     twiddled block; the remaining points (candidate rationals on even bins or
-    off the lattice, or a grid built for another n) are direct sums. Both are
-    then phase-shifted to the block's absolute start epoch. A cached detection
-    grid (the one ``estimate_periods`` passes) reuses its plan and start-epoch
-    phases; any other grid gets a plan built for this call. Raises
+    off the lattice, or a grid built for another n) are direct sums. A
+    magnitude does not depend on the start epoch, so the epochs are only
+    checked. A cached detection grid (the one ``estimate_periods`` passes)
+    reuses its plan; any other grid gets a plan built for this call. Raises
     ``ValueError`` on a non-finite sample or on epochs that are not
     consecutive.
     """
@@ -341,9 +326,8 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
         plan = _DetectionPlan(n, grid)
     y = y / n  # n real divisions: dividing the complex values instead is ~10x slower
     rows = np.fft.fft(plan.pre * y).ravel()
-    vals = np.concatenate((rows, rows.conj(), plan.basis @ y))[plan.gather]
-    vals *= plan.phase(t[0])
-    return Periodogram(n=n, grid=grid, values=vals, magnitudes=np.abs(vals))
+    mags = np.abs(np.concatenate((rows, plan.basis @ y)))[plan.gather]
+    return Periodogram(n=n, grid=grid, magnitudes=mags)
 
 
 # ---------------------------------------------------------------------------

@@ -337,6 +337,27 @@ def test_instance_json_roundtrip(tmp_path):
     assert all(np.allclose(a.values, b.values) for a, b in zip(inst.arms, again.arms))
 
 
+@pytest.mark.parametrize(
+    "edit,key",
+    [
+        (lambda spec: spec["arms"][0].update(period=2.7), "period"),
+        (lambda spec: spec["arms"][0].update(period=True), "period"),
+        (lambda spec: spec.update(horizon=300.7), "horizon"),
+        (lambda spec: spec.update(horizon=True), "horizon"),
+        (lambda spec: spec.update(horizon="300"), "horizon"),
+        (lambda spec: spec["arms"][0].update(period=2.0), "period"),
+    ],
+    ids=["fractional-period", "bool-period", "fractional-horizon", "bool-horizon", "string-horizon", "float-period"],
+)
+def test_instance_from_dict_rejects_non_integer_period_or_horizon(edit, key):
+    # int() would truncate 2.7 to 2 and 300.7 to 300, and read True as 1
+    spec = {"arms": [{"period": 2, "values": [0.1, 0.2]}], "horizon": 300}
+    assert instance_from_dict(spec).horizon == 300
+    edit(spec)
+    with pytest.raises(ValueError, match=f"{key} must be an integer"):
+        instance_from_dict(spec)
+
+
 def test_instance_from_fourier_spec():
     spec = {
         "arms": [{"period": 2, "fourier": [[0.5, 0.0], [0.25, 0.0]]}],

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 from unittest import mock
 
 import numpy as np
@@ -533,6 +534,19 @@ def test_cli_simulate_and_report(tmp_path, capsys):
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["cells"]
+
+
+@pytest.mark.parametrize("make_raw", [False, True], ids=["missing-raw", "empty-raw"])
+def test_report_without_raw_rows_writes_nothing(tmp_path, make_raw):
+    # a summary with no cells would look like a run that had no policies
+    out = tmp_path / "run"
+    (out / "raw" if make_raw else out).mkdir(parents=True)
+    raw_dir = str(out / "raw")
+    with pytest.raises(ValueError, match=re.escape(raw_dir)):
+        report_from_dir(str(out))
+    with pytest.raises(SystemExit, match=re.escape(raw_dir)):
+        cli.main(["report", "--in", str(out)])
+    assert sorted(p.name for p in out.iterdir()) == (["raw"] if make_raw else [])
 
 
 def test_cli_sweep(tmp_path):

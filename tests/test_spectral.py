@@ -215,7 +215,7 @@ def test_failure_probability_linear_in_k():
 # ---------------------------------------------------------------------------
 
 def test_dft_constant_at_zero():
-    assert compute_periodogram([2.5] * 10, range(1, 11), [0.0]).values[0] == pytest.approx(2.5)
+    assert compute_periodogram([2.5] * 10, range(1, 11), [0.0]).magnitudes[0] == pytest.approx(2.5)
 
 
 def test_dft_empty_errors():
@@ -229,11 +229,10 @@ def test_dft_pure_tone_orthogonality():
     t = np.arange(1, n + 1)
     tone = np.real(b * np.exp(2j * np.pi * j * t / T))  # real part: b/2 at j/T and (T-j)/T
     pg = compute_periodogram(tone, t, [j / T, 1 / T])
-    val = pg.values[0]
-    assert abs(val) == pytest.approx(b / 2, abs=1e-9)
+    assert pg.magnitudes[0] == pytest.approx(b / 2, abs=1e-9)
     assert pg.magnitudes[1] == pytest.approx(0.0, abs=1e-9)
     # cross-check against the explicit sum
-    assert val == pytest.approx(brute_dft(tone, t, j / T), abs=1e-12)
+    assert pg.magnitudes[0] == pytest.approx(abs(brute_dft(tone, t, j / T)), abs=1e-12)
 
 
 @settings(max_examples=40, deadline=None)
@@ -250,13 +249,28 @@ def test_dft_conjugate_symmetry(seed, v):
 
 
 def test_dft_shift_changes_phase_only():
+    # a shift of the epochs multiplies every DFT value by a unit phase, so
+    # the magnitudes are the same bits, on a grid with its own plan for the
+    # call and on the cached detection grid
     rng = np.random.default_rng(0)
     y = rng.normal(size=30)
     t = np.arange(1, 31)
-    grid = frequency_grid(30)
-    base = compute_periodogram(y, t, grid)
-    shifted = compute_periodogram(y, t + 137, grid)
-    assert np.allclose(base.magnitudes, shifted.magnitudes, atol=1e-12)
+    for grid in (frequency_grid(30), _detection_plan(30, 3).grid):
+        base = compute_periodogram(y, t, grid)
+        shifted = compute_periodogram(y, t + 137, grid)
+        assert np.array_equal(base.magnitudes, shifted.magnitudes)
+
+
+def test_estimate_periods_ignores_the_start_epoch():
+    # the same n=500 samples of a period-4 profile read at epochs 1.. and at
+    # epochs 12001.. give the same trace and threshold
+    n, g, H = detector_parameters(500)
+    t = np.arange(1, n + 1)
+    y = np.array([0.9, 0.1, 0.5, 0.3])[t % 4] + np.random.default_rng(7).normal(0, 0.1, n)
+    (a,), (b,) = (estimate_periods([(y, range(t0, t0 + n))], n, g, H, 0.1)[1] for t0 in (1, 12001))
+    assert repr(a.trace) == repr(b.trace)
+    assert a.threshold == b.threshold
+    assert a.period_estimate == 4
 
 
 def test_periodogram_rejects_non_finite_sample():
@@ -302,10 +316,7 @@ def test_periodogram_matches_direct_sum(n, start, t_max, other_n, seed):
         cand_idx = np.flatnonzero(np.isin(grid, [float(c) for c in cands]))
         idx = np.union1d(cand_idx, rng.choice(grid.size, size=min(12, grid.size), replace=False))
         for i in idx:
-            ref = brute_dft(y, t, grid[i])
-            assert pg.magnitudes[i] == pytest.approx(abs(ref), abs=1e-12)
-            # the absolute-epoch phase exp(-2 pi i v t_0) is rounded at v t_0 <= 5e4
-            assert pg.values[i] == pytest.approx(ref, abs=1e-9)
+            assert pg.magnitudes[i] == pytest.approx(abs(brute_dft(y, t, grid[i])), abs=1e-12)
 
 
 def exact_mesh_dft(y, start):
@@ -334,24 +345,22 @@ def exact_mesh_dft(y, start):
 @example(n=115, start=12_345, t_max=4, seed=4)
 @example(n=499, start=501, t_max=10, seed=5)
 def test_mesh_from_decimated_fft(n, start, t_max, seed):
-    # every mesh point k = 48j + r, from the FFT rows (r < 24) and from their
-    # conjugates (r > 24), against the exact direct sum and against the
-    # zero-padded 48n-point real FFT, whose odd bins are the mesh
+    # the magnitude at every mesh point k = 48j + r, from the FFT rows
+    # (r < 24) and from those rows read backwards (r > 24), against the exact
+    # direct sum and against the zero-padded 48n-point real FFT, whose odd
+    # bins are the mesh
     y = np.random.default_rng(seed).normal(size=n)
     grid = _detection_plan(n, t_max).grid
     epochs = range(start, start + n)
     pg = compute_periodogram(y, epochs, grid)
-    assert np.array_equal(compute_periodogram(y, np.arange(start, start + n), grid).values, pg.values)
+    assert np.array_equal(compute_periodogram(y, np.arange(start, start + n), grid).magnitudes, pg.magnitudes)
     k, exact = exact_mesh_dft(y, start)
     mesh = k / (48.0 * n)
     idx = np.searchsorted(grid, mesh)
     assert np.array_equal(grid[idx], mesh)
     assert np.max(np.abs(pg.magnitudes[idx] - np.abs(exact))) <= 1e-12
-    # the absolute-epoch phase exp(-2 pi i v t_0) is rounded at v t_0 <= 5e4
-    assert np.max(np.abs(pg.values[idx] - exact)) <= 1e-9
     padded = np.fft.rfft(y, 48 * n)[1:24 * n:2] / n
-    unshifted = pg.values[idx] * np.exp(2j * np.pi * mesh * start)
-    assert np.max(np.abs(unshifted - padded)) <= 1e-13
+    assert np.max(np.abs(pg.magnitudes[idx] - np.abs(padded))) <= 1e-13
 
 
 def test_frequency_grid_layout():
@@ -378,16 +387,15 @@ def test_frequency_grid_layout():
 
 
 def _assert_matches_fresh_plan(y, epochs, n, t_max):
-    # estimate_periods (the cached plan and start-epoch phase) against a fresh
-    # grid, plan and phase built for this call alone
+    # estimate_periods (the cached plan) against a fresh grid and plan built
+    # for this call alone
     n, g, H = detector_parameters(n)
     grid = frequency_grid(n, _candidates(t_max)[1])
     fresh = compute_periodogram(y, epochs, grid)
     ref = identify_frequencies(fresh, threshold_constants(n, g, 0.3, H), t_max=t_max)
-    for _ in range(2):  # the second call reads the cached phase
+    for _ in range(2):  # the second call reads the cached plan
         cached = compute_periodogram(y, epochs, _detection_plan(n, t_max).grid)
         assert np.array_equal(cached.grid, grid)
-        assert np.array_equal(cached.values, fresh.values)
         assert np.array_equal(cached.magnitudes, fresh.magnitudes)
         periods, (est,) = estimate_periods([(y, epochs)], n, g, H, 0.3, t_max=t_max)
         assert periods == (ref.period_estimate,)
@@ -411,8 +419,8 @@ def test_cached_detection_plan_matches_fresh(n, t_max, start, period, seed):
 
 
 def test_detection_plan_is_per_n_and_t_max():
-    # one n, one set of start epochs, t_max back and forth: a plan or phase
-    # kept for another t_max would give the wrong grid
+    # one n, one set of start epochs, t_max back and forth: a plan kept for
+    # another t_max would give the wrong grid
     n = 200
     t = np.arange(1, 3 * n + 1)
     y = (t % 5 == 0) + np.random.default_rng(5).normal(0, 0.2, t.size)
@@ -423,14 +431,11 @@ def test_detection_plan_is_per_n_and_t_max():
 
 def test_detection_plan_arrays_are_read_only_and_bounded():
     plan = _detection_plan(50, 3)
-    for a in (plan.grid, plan.gather, plan.pre, plan.basis, plan.phase(51.0)):
+    for a in (plan.grid, plan.gather, plan.pre, plan.basis):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
-    # any start epoch and (n, t_max) may come in; the caches stay at their size
+    # any (n, t_max) may come in; the cache stays at its size
     y = np.random.default_rng(0).normal(size=50)
-    for start in range(1, 2 * spectral._PHASE_SLOTS + 2):
-        compute_periodogram(y, range(start, start + 50), plan.grid)
-    assert len(spectral._phases) == spectral._PHASE_SLOTS
     for t_max in range(2, 2 * spectral._PLAN_SLOTS + 2):
         _detection_plan(30, t_max)
     assert len(spectral._plans) == spectral._PLAN_SLOTS
@@ -439,8 +444,8 @@ def test_detection_plan_arrays_are_read_only_and_bounded():
     assert all(p is not plan for p in spectral._plans.values())
     for block, grid in ((y, plan.grid), (y[:40], _detection_plan(50, 3).grid)):
         epochs = range(7, 7 + block.size)
-        got = compute_periodogram(block, epochs, grid).values
-        assert np.array_equal(got, compute_periodogram(block, epochs, np.array(grid)).values)
+        got = compute_periodogram(block, epochs, grid).magnitudes
+        assert np.array_equal(got, compute_periodogram(block, epochs, np.array(grid)).magnitudes)
 
 
 def test_stage_one_detection_golden():
@@ -471,7 +476,7 @@ def test_stage_one_detection_golden():
                 lines += [f"{e['v_star']!r} {e['magnitude']!r}" for e in est.trace]
     assert len(lines) == 42
     digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
-    assert digest == "79714f4207a58ce684c72cb9ea43a4ead6b1a54696febb597f649e079a47f1bf"
+    assert digest == "bbc0fda3a0d7e677be690fdd48ce3cd6718403fa4072b931202890a04505ddbe"
 
 
 # ---------------------------------------------------------------------------
