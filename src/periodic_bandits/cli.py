@@ -42,9 +42,10 @@ def _cmd_constants(args: argparse.Namespace) -> int:
 def _read_series(path: str) -> tuple[list[float], list[int]]:
     """Samples, and epochs if the file has an epoch column, from a detect CSV.
 
-    The first nonblank row may be a header; any other row that does not parse
-    as numbers, a non-finite value, and an epoch column that does not count up
-    by one each exit with a message naming the line.
+    The first nonblank row may be a header; a row of more than two columns,
+    any other row that does not parse as numbers, a non-finite value, and an
+    epoch column that does not count up by one each exit with a message naming
+    the line.
     """
     samples: list[float] = []
     epochs: list[int] = []
@@ -54,6 +55,11 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
             parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
             if not parts:
                 continue
+            if len(parts) > 2:
+                raise SystemExit(
+                    f"{path}, line {lineno}: {len(parts)} columns in {line.strip()!r};"
+                    " a row is one value or epoch,value"
+                )
             try:
                 nums = [float(p) for p in parts]
             except ValueError:

@@ -10,6 +10,13 @@ That shared noise also makes the oracle's episode the two_stage episode
 whenever stage one identifies every period, so an ``oracle`` entry with the
 ``two_stage`` entry's params runs only where stage one got a period wrong;
 elsewhere its row is a copy of the two_stage row (see ``monte_carlo``).
+
+A job is one episode. Most jobs give the row of one (policy, horizon,
+replication) cell, plus the coupled oracle's. A ``horizon_free`` policy
+(``stationary_ucb``, ``per_phase_ucb``) never reads T, so on an instance that
+is the same at every horizon its episode at a shorter horizon is a prefix of
+the longest one: it gets one job per replication, at the longest horizon, and
+that job's rows for every horizon are cut from its one episode.
 """
 from __future__ import annotations
 
@@ -153,16 +160,23 @@ def _curve_grid(T: int, points: int) -> np.ndarray:
 def _run_job(job: tuple) -> list[dict]:
     """The rows of one (policy, horizon, replication) job.
 
-    A ``two_stage`` job whose ``oracle`` is coupled (last job field true) also
-    returns the oracle's row. If stage one identified every period, that row is
-    a copy of the two_stage row: both policies then run stage two on the true
-    periods with the same blocks, n, g, H and delta, and noise is keyed by
-    (seed, epoch), so the episodes are identical. Otherwise the oracle runs.
+    The job runs one episode at its horizon and returns a row for each horizon
+    in its last field, cut from that episode (see ``_episode_rows``). That is
+    its own horizon alone, unless the policy is ``horizon_free`` and the job
+    stands for every horizon of a sweep.
+
+    A ``two_stage`` job whose ``oracle`` is coupled (second to last job field
+    true) also returns the oracle's row. If stage one identified every period,
+    that row is a copy of the two_stage row: both policies then run stage two
+    on the true periods with the same blocks, n, g, H and delta, and noise is
+    keyed by (seed, epoch), so the episodes are identical. Otherwise the oracle
+    runs.
     """
-    instance, _, policy_id, params, rep, seed, curve_points, couples_oracle = job
-    row = _episode_row(instance, make_policy(policy_id, params), rep, seed, curve_points)
+    instance, _, policy_id, params, rep, seed, curve_points, couples_oracle, cuts = job
+    rows = _episode_rows(instance, make_policy(policy_id, params), rep, seed, curve_points, cuts)
     if not couples_oracle:
-        return [row]
+        return rows
+    (row,) = rows
     if row["success"]:
         oracle = {
             **row,
@@ -172,28 +186,36 @@ def _run_job(job: tuple) -> list[dict]:
             "estimated_periods": list(row["estimated_periods"]),
         }
     else:
-        oracle = _episode_row(instance, make_policy("oracle", params), rep, seed, curve_points)
+        (oracle,) = _episode_rows(instance, make_policy("oracle", params), rep, seed, curve_points, cuts)
     return [row, oracle]
 
 
-def _episode_row(instance: BanditInstance, policy: Policy, rep: int, seed: int, curve_points: int) -> dict:
+def _episode_rows(
+    instance: BanditInstance, policy: Policy, rep: int, seed: int, curve_points: int, cuts: tuple[int, ...]
+) -> list[dict]:
+    """One episode at ``instance.horizon``, as one row per horizon T in
+    ``cuts``: the row of its first T epochs, with T's curve grid."""
     result = run_episode(instance, policy, seed)
-    grid = _curve_grid(instance.horizon, curve_points)
     success = None
     if result.estimated_periods is not None:
         success = tuple(result.estimated_periods) == tuple(instance.periods)
-    return {
-        "policy": policy.policy_id,
-        "T": instance.horizon,
-        "replication": rep,
-        "seed": seed,
-        "final_regret": result.final_regret,
-        "curve_t": grid.tolist(),
-        "curve_regret": [float(result.cumulative_regret[t - 1]) for t in grid],
-        "estimated_periods": list(result.estimated_periods) if result.estimated_periods else None,
-        "success": success,
-        "n_events": len(result.events),
-    }
+    cum = result.cumulative_regret
+    rows = []
+    for T in cuts:
+        grid = _curve_grid(T, curve_points)
+        rows.append({
+            "policy": policy.policy_id,
+            "T": T,
+            "replication": rep,
+            "seed": seed,
+            "final_regret": float(cum[T - 1]),
+            "curve_t": grid.tolist(),
+            "curve_regret": [float(cum[t - 1]) for t in grid],
+            "estimated_periods": list(result.estimated_periods) if result.estimated_periods else None,
+            "success": success,
+            "n_events": sum(1 for event in result.events if event[0] <= T),
+        })
+    return rows
 
 
 @dataclass
@@ -280,11 +302,13 @@ def summarize(rows: list[dict], config: dict) -> dict:
     Returns {"cells": {(policy, T): AggregateStats}, "raw": rows,
     "sweep_slopes": {policy: slope of mean final regret vs horizon}}; the
     slope fits the tail of the horizons given by config["tail_fraction"]
-    (default 0.5), and a fraction outside (0, 1] raises ``ValueError``.
+    (default 0.5), and is None where the fit is undefined (fewer than two
+    positive means in the tail). A fraction outside (0, 1] raises
+    ``ValueError``.
     """
     tail_fraction = _tail_fraction(config)
     cells = {key: aggregate(cell_rows) for key, cell_rows in _by_cell(rows).items()}
-    sweep_slopes: dict[str, float] = {}
+    sweep_slopes: dict[str, float | None] = {}
     for pid in sorted({p for p, _ in cells}):
         ts = sorted(T for (p, T) in cells if p == pid)
         if len(ts) >= 2:
@@ -292,7 +316,7 @@ def summarize(rows: list[dict], config: dict) -> dict:
             try:
                 sweep_slopes[pid] = loglog_slope(ts, finals, tail_fraction=tail_fraction)
             except ValueError:
-                sweep_slopes[pid] = float("nan")
+                sweep_slopes[pid] = None
     return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
 
 
@@ -357,7 +381,12 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     An ``oracle`` entry whose params equal the ``two_stage`` entry's (value
     for value and type for type) is coupled to it: it gets no jobs of its own,
     and each two_stage job returns the oracle's row too, a copy of its own
-    where stage one identified every period (see ``_run_job``). With
+    where stage one identified every period (see ``_run_job``). A
+    ``horizon_free`` policy gets one job per replication, at the longest
+    horizon, which returns a row for every horizon cut from its one episode,
+    provided every horizon resolves to the same arms and noise; otherwise (an
+    ``e1``/``e2``/``e3`` preset, whose means read T) it gets one job per
+    horizon like any other policy. With
     ``workers`` > 1 the pool takes the longest horizons first, one job at a
     time, so no long job starts last. Either way the rows come back in job
     order: policy-major in config order, then horizon, then replication.
@@ -378,12 +407,23 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     )
 
     instances = {T: _instance_at(config["instance"], T) for T in horizons}
+    # an e1/e2/e3 preset's means depend on T, so only an instance that stays
+    # the same at every horizon has shorter episodes that are prefixes
+    longest = instances[horizons[-1]]
+    same_instance = all(inst.arms == longest.arms and inst.noise == longest.noise for inst in instances.values())
+    all_cuts = tuple(inst.horizon for inst in instances.values())
+
+    def runs(pid: str) -> list[tuple]:
+        """(job horizon, horizons cut from its episode) per job of a replication."""
+        if same_instance and make_policy(pid, params[pid]).horizon_free:
+            return [(horizons[-1], all_cuts)]
+        return [(T, (instances[T].horizon,)) for T in horizons]
 
     jobs = [
-        (instances[T], T, pid, pid_params, rep, base_seed + rep, curve_points, coupled and pid == "two_stage")
+        (instances[T], T, pid, pid_params, rep, base_seed + rep, curve_points, coupled and pid == "two_stage", cuts)
         for pid, pid_params in params.items()
         if not (coupled and pid == "oracle")
-        for T in horizons
+        for T, cuts in runs(pid)
         for rep in range(R)
     ]
     if workers > 1:
@@ -431,11 +471,18 @@ def summary_dict(config: dict, results: dict) -> dict:
     }
 
 
+def _write_summary(config: dict, results: dict, out_dir: str) -> None:
+    """summary.json as strict JSON: a NaN or an infinity raises ``ValueError``
+    before the file is opened, rather than being written as a bare ``NaN``."""
+    text = json.dumps(summary_dict(config, results), indent=2, sort_keys=True, allow_nan=False)
+    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
+        fh.write(text)
+
+
 def write_outputs(config: dict, results: dict, out_dir: str) -> None:
     os.makedirs(out_dir, exist_ok=True)
     write_curves_csv(results["raw"], os.path.join(out_dir, "regret_curves.csv"))
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary_dict(config, results), fh, indent=2, sort_keys=True)
+    _write_summary(config, results, out_dir)
     meta = {
         "config": config,
         "config_hash": config_hash(config),
@@ -471,8 +518,7 @@ def report_from_dir(out_dir: str) -> dict:
         with open(meta_path) as fh:
             config = json.load(fh).get("config", {})
     results = summarize(rows, config)
-    with open(os.path.join(out_dir, "summary.json"), "w") as fh:
-        json.dump(summary_dict(config, results), fh, indent=2, sort_keys=True)
+    _write_summary(config, results, out_dir)
     csv_path = os.path.join(out_dir, "regret_curves.csv")
     if not os.path.exists(csv_path):
         write_curves_csv(rows, csv_path)

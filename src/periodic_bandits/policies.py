@@ -46,10 +46,15 @@ class InstanceView:
 
 
 class Policy:
-    """Sequential decision interface: begin once, then decide/observe per epoch."""
+    """Sequential decision interface: begin once, then decide/observe per epoch.
+
+    A ``horizon_free`` policy never reads ``view.horizon``, so its episode at
+    a horizon T is the first T epochs of its episode at any longer horizon.
+    """
 
     policy_id = "base"
     uses_true_periods = False
+    horizon_free = False
 
     def begin(self, view: InstanceView) -> None:
         raise NotImplementedError
@@ -510,6 +515,7 @@ class StationaryUCB(Policy):
     """UCB1 that ignores periodicity altogether."""
 
     policy_id = "stationary_ucb"
+    horizon_free = True
 
     def __init__(self, ucb_scale: float = 1.0):
         self.scale = _ucb_scale(ucb_scale)
@@ -529,6 +535,7 @@ class PerPhaseUCB(Policy):
 
     policy_id = "per_phase_ucb"
     uses_true_periods = True
+    horizon_free = True
 
     def __init__(self, ucb_scale: float = 1.0):
         self.scale = _ucb_scale(ucb_scale)

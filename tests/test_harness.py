@@ -8,7 +8,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, make_demo_instance
+from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, NoiseStream, make_demo_instance
 from periodic_bandits.harness import (
     config_hash,
     default_sweep_config,
@@ -264,8 +264,8 @@ def test_pool_takes_longest_horizons_first(tmp_path):
     with mock.patch.object(harness, "Pool", SerialPool):
         pooled = monte_carlo(small_config(workers=2, reps=2), out_dir=str(tmp_path / "pool"))
     assert submitted == [
-        (T, pid, rep) for T in (600, 400) for pid in ("two_stage", "stationary_ucb") for rep in (0, 1)
-    ]
+        (600, pid, rep) for pid in ("two_stage", "stationary_ucb") for rep in (0, 1)
+    ] + [(400, "two_stage", rep) for rep in (0, 1)]
     serial = monte_carlo(small_config(workers=1, reps=2), out_dir=str(tmp_path / "serial"))
     assert pooled["raw"] == serial["raw"]
     name = "regret_curves.csv"
@@ -363,13 +363,116 @@ def test_pool_takes_no_job_for_a_coupled_oracle(tmp_path):
     with mock.patch.object(harness, "Pool", SerialPool):
         pooled = monte_carlo(config(2), out_dir=str(tmp_path / "pool"))
     assert submitted == [
-        (T, pid, rep) for T in (600, 400) for pid in ("two_stage", "stationary_ucb") for rep in (0, 1)
-    ]
+        (600, pid, rep) for pid in ("two_stage", "stationary_ucb") for rep in (0, 1)
+    ] + [(400, "two_stage", rep) for rep in (0, 1)]
     serial = monte_carlo(config(1), out_dir=str(tmp_path / "serial"))
     assert pooled["raw"] == serial["raw"]
     assert {(r["policy"], r["T"]) for r in serial["raw"] if r["policy"] == "oracle"} == {("oracle", 400), ("oracle", 600)}
     name = "regret_curves.csv"
     assert (tmp_path / "pool" / name).read_bytes() == (tmp_path / "serial" / name).read_bytes()
+
+
+def horizon_row(inst, policy_id, rep, seed):
+    """The row (40 curve points) of one episode run directly at
+    ``inst.horizon``, and the episode."""
+    res = run_episode(inst, make_policy(policy_id), seed)
+    grid = sorted({int(t) for t in np.linspace(1, inst.horizon, num=min(inst.horizon, 40))})
+    row = {
+        "policy": policy_id,
+        "T": inst.horizon,
+        "replication": rep,
+        "seed": seed,
+        "final_regret": res.final_regret,
+        "curve_t": grid,
+        "curve_regret": [float(res.cumulative_regret[t - 1]) for t in grid],
+        "estimated_periods": list(res.estimated_periods) if res.estimated_periods else None,
+        "success": None if res.estimated_periods is None else tuple(res.estimated_periods) == inst.periods,
+        "n_events": len(res.events),
+    }
+    return row, res
+
+
+# two arms of one period, so per_phase_ucb can run; lcm_ucb's stage-one n
+# reads T, so its episodes at different horizons are not prefixes
+HORIZON_FREE_POLICIES = [{"id": "stationary_ucb"}, {"id": "per_phase_ucb"}, {"id": "lcm_ucb"}]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
+def test_horizon_free_rows_equal_direct_episodes(kind, workers):
+    spec = {
+        "arms": [{"period": 2, "values": [0.9, 0.1]}, {"period": 2, "values": [0.2, 0.7]}],
+        "noise": {"kind": kind, "sigma": 0.3},
+        "horizon": 600,
+    }
+    horizons = [150, 300, 600]
+    cfg = {"instance": spec, "policies": HORIZON_FREE_POLICIES, "horizons": horizons, "replications": 2,
+           "base_seed": 0, "curve_points": 40, "workers": workers}
+    with mock.patch.object(harness, "run_episode", wraps=run_episode) as episodes:
+        raw = monte_carlo(cfg)["raw"]
+    assert [(r["policy"], r["T"], r["replication"]) for r in raw] == [
+        (p["id"], T, rep) for p in HORIZON_FREE_POLICIES for T in horizons for rep in range(2)
+    ]
+    inst = harness.instance_from_dict(spec)
+    for row in raw:
+        at_T = BanditInstance(arms=inst.arms, noise=inst.noise, horizon=row["T"])
+        direct, res = horizon_row(at_T, row["policy"], row["replication"], row["seed"])
+        assert row == direct
+        if row["policy"] != "lcm_ucb":
+            # the shorter episode is the first T epochs of the longest one
+            _, longest = horizon_row(inst, row["policy"], row["replication"], row["seed"])
+            assert np.array_equal(res.actions, longest.actions[: row["T"]])
+            assert np.array_equal(res.cumulative_regret, longest.cumulative_regret[: row["T"]])
+    if workers == 1:
+        # one episode per replication for a horizon-free policy, one per
+        # (horizon, replication) otherwise
+        runs = [(c.args[1].policy_id, c.args[0].horizon) for c in episodes.call_args_list]
+        assert runs == [(pid, 600) for pid in ("stationary_ucb", "per_phase_ucb") for _ in range(2)] + [
+            ("lcm_ucb", T) for T in horizons for _ in range(2)
+        ]
+
+
+def test_horizon_dependent_instance_is_not_shared():
+    # an e1 preset's gap is sqrt(1/(2T)), so its T=400 instance is not the
+    # T=800 one: stationary_ucb runs at each horizon and matches direct episodes
+    cfg = {"instance": {"preset": "e1"}, "policies": [{"id": "stationary_ucb"}], "horizons": [400, 800],
+           "replications": 2, "base_seed": 0, "curve_points": 40, "workers": 1}
+    with mock.patch.object(harness, "run_episode", wraps=run_episode) as episodes:
+        raw = monte_carlo(cfg)["raw"]
+    assert [c.args[0].horizon for c in episodes.call_args_list] == [400, 400, 800, 800]
+    for row in raw:
+        inst = make_preset_instance("e1", {"T": row["T"]})
+        direct, _ = horizon_row(inst, "stationary_ucb", row["replication"], row["seed"])
+        assert row == direct
+    assert raw[0]["final_regret"] == pytest.approx(10.50, abs=0.005)
+
+
+@pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
+@pytest.mark.parametrize("seed", range(5))
+def test_noise_stream_is_a_prefix_of_a_longer_one(kind, seed):
+    # what lets a horizon-free policy's short episodes be cut from a long one
+    model = NoiseModel(kind, 0.5)
+    long = NoiseStream(model, seed, 5000).values
+    for T in (1, 37, 2500, 4999):
+        assert np.array_equal(NoiseStream(model, seed, T).values, long[:T])
+
+
+@pytest.mark.filterwarnings("ignore:skipped")
+def test_undefined_sweep_slope_is_null_in_strict_json(tmp_path):
+    # one arm: zero regret at every horizon, so no slope can be fitted; a bare
+    # NaN would make summary.json invalid JSON
+    def reject(constant):
+        raise ValueError(f"{constant} in summary.json")
+
+    cfg = {"instance": {"arms": [{"period": 2, "values": [0.9, 0.1]}], "noise": {"sigma": 0.2}, "horizon": 400},
+           "policies": [{"id": "stationary_ucb"}], "horizons": [100, 200, 400], "replications": 2,
+           "base_seed": 0, "workers": 1}
+    monte_carlo(cfg, out_dir=str(tmp_path))
+    path = tmp_path / "summary.json"
+    assert json.loads(path.read_text(), parse_constant=reject)["sweep_slopes"] == {"stationary_ucb": None}
+    before = path.read_bytes()
+    report_from_dir(str(tmp_path))
+    assert path.read_bytes() == before
 
 
 # sha256 of a small default-shaped sweep's outputs, recorded with the
@@ -511,8 +614,9 @@ def _demo_rows():
         (lambda rows: rows[:25] + [f"{t},0.5" for t in range(40, 65)], r"line 27: epoch 40 does not follow epoch 25"),
         (lambda rows: rows[:9] + ["10,nan"] + rows[10:], r"line 11: non-finite value"),
         (lambda rows: ["1.5,0.2"] + rows[1:], r"line 2: epoch 1.5 is not an integer"),
+        (lambda rows: rows[:5] + ["6,0.1,7.5"] + rows[6:], r"line 7: 3 columns in '6,0.1,7.5'"),
     ],
-    ids=["late-text-row", "second-header", "epoch-gap", "nan-value", "fractional-epoch"],
+    ids=["late-text-row", "second-header", "epoch-gap", "nan-value", "fractional-epoch", "extra-column"],
 )
 def test_cli_detect_rejects_malformed_csv(tmp_path, edit, message):
     path = tmp_path / "series.csv"
