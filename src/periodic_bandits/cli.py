@@ -115,24 +115,34 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 def _load_config(path: str) -> dict:
     with open(path) as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict):
+        raise ValueError("config must be a JSON object")
+    return config
+
+
+def _run_config(args: argparse.Namespace, sweep: bool) -> int:
+    """Run the config file across its horizon list (sweep) or at its instance
+    horizon; a bad config exits with its one-line message."""
+    try:
+        config = _load_config(args.config)
+        if not sweep:
+            config.pop("horizons", None)
+        elif "horizons" not in config:
+            raise ValueError("sweep config needs a 'horizons' list")
+        monte_carlo(config, out_dir=args.out)
+    except ValueError as exc:
+        raise SystemExit(f"{args.config}: {exc}") from None
+    print(f"wrote outputs to {args.out}")
+    return 0
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    config.pop("horizons", None)
-    monte_carlo(config, out_dir=args.out)
-    print(f"wrote outputs to {args.out}")
-    return 0
+    return _run_config(args, sweep=False)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    config = _load_config(args.config)
-    if "horizons" not in config:
-        raise SystemExit("sweep config needs a 'horizons' list")
-    monte_carlo(config, out_dir=args.out)
-    print(f"wrote outputs to {args.out}")
-    return 0
+    return _run_config(args, sweep=True)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -154,7 +154,12 @@ def default_sweep_config() -> dict:
 # ---------------------------------------------------------------------------
 
 def _curve_grid(T: int, points: int) -> np.ndarray:
-    return np.unique(np.linspace(1, T, num=min(T, points)).astype(int))
+    """The distinct epochs of min(T, points) evenly spaced points in [1, T],
+    truncated to integers, in increasing order."""
+    # nondecreasing already, so dropping repeats needs no sort; numpy's
+    # unique() would also import numpy.ma into every pool worker's first job
+    grid = np.linspace(1, T, num=min(T, points)).astype(int)
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 def _run_job(job: tuple) -> list[dict]:
@@ -231,12 +236,10 @@ class AggregateStats:
     curve_slope: float | None
 
 
-def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> float:
-    """OLS slope of log(y) against log(x) over the tail of a curve.
-
-    The tail keeps the last ceil(len * tail_fraction) points; nonpositive y
-    values in the tail are skipped with a warning. Needs two usable points.
-    """
+def _tail_slope(xs, ys, tail_fraction: float) -> tuple[float | None, int]:
+    """The fit behind ``loglog_slope``, without its warning: the slope, or
+    None where fewer than two positive points are left in the tail, and the
+    number of nonpositive tail points skipped."""
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 2:
@@ -246,15 +249,30 @@ def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> float:
     k = max(2, math.ceil(xs.size * tail_fraction))
     xs, ys = xs[-k:], ys[-k:]
     keep = ys > 0
-    if not keep.all():
-        warnings.warn(f"skipped {int((~keep).sum())} nonpositive regret points in slope fit")
+    skipped = int((~keep).sum())
     xs, ys = xs[keep], ys[keep]
     if xs.size < 2:
+        return None, skipped
+    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0]), skipped
+
+
+def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> float:
+    """OLS slope of log(y) against log(x) over the tail of a curve.
+
+    The tail keeps the last ceil(len * tail_fraction) points; nonpositive y
+    values in the tail are skipped with a warning. Needs two usable points.
+    """
+    slope, skipped = _tail_slope(xs, ys, tail_fraction)
+    if skipped:
+        warnings.warn(f"skipped {skipped} nonpositive regret points in slope fit")
+    if slope is None:
         raise ValueError("fewer than two positive points left in the tail")
-    return float(np.polyfit(np.log(xs), np.log(ys), 1)[0])
+    return slope
 
 
-def aggregate(rep_rows: list[dict]) -> AggregateStats:
+def aggregate(rep_rows: list[dict]) -> tuple[AggregateStats, int]:
+    """One cell's summary, and the number of nonpositive points its curve
+    slope fit skipped."""
     finals = np.array([r["final_regret"] for r in rep_rows])
     R = len(rep_rows)
     se = float(finals.std(ddof=1) / math.sqrt(R)) if R > 1 else 0.0
@@ -263,9 +281,9 @@ def aggregate(rep_rows: list[dict]) -> AggregateStats:
     grid = np.asarray(rep_rows[0]["curve_t"])
     mean_curve = np.mean([r["curve_regret"] for r in rep_rows], axis=0)
     try:
-        slope = loglog_slope(grid, mean_curve, tail_fraction=0.5)
+        slope, skipped = _tail_slope(grid, mean_curve, tail_fraction=0.5)
     except ValueError:
-        slope = None
+        slope, skipped = None, 0
     return AggregateStats(
         policy=rep_rows[0]["policy"],
         T=rep_rows[0]["T"],
@@ -274,7 +292,7 @@ def aggregate(rep_rows: list[dict]) -> AggregateStats:
         se_final_regret=se,
         success_rate=success_rate,
         curve_slope=slope,
-    )
+    ), skipped
 
 
 def _by_cell(rows: list[dict]) -> dict[tuple[str, int], list[dict]]:
@@ -304,19 +322,26 @@ def summarize(rows: list[dict], config: dict) -> dict:
     slope fits the tail of the horizons given by config["tail_fraction"]
     (default 0.5), and is None where the fit is undefined (fewer than two
     positive means in the tail). A fraction outside (0, 1] raises
-    ``ValueError``.
+    ``ValueError``. Fits that skip nonpositive points (a cell's curve slope or
+    a sweep slope) are named in one ``UserWarning`` per call.
     """
     tail_fraction = _tail_fraction(config)
-    cells = {key: aggregate(cell_rows) for key, cell_rows in _by_cell(rows).items()}
+    cells = {}
+    skipped = []  # the fits that dropped nonpositive points, named in one warning
+    for (pid, T), cell_rows in _by_cell(rows).items():
+        cells[(pid, T)], n_skipped = aggregate(cell_rows)
+        if n_skipped:
+            skipped.append(f"{pid} T={T} ({n_skipped} points)")
     sweep_slopes: dict[str, float | None] = {}
     for pid in sorted({p for p, _ in cells}):
         ts = sorted(T for (p, T) in cells if p == pid)
         if len(ts) >= 2:
             finals = [cells[(pid, T)].mean_final_regret for T in ts]
-            try:
-                sweep_slopes[pid] = loglog_slope(ts, finals, tail_fraction=tail_fraction)
-            except ValueError:
-                sweep_slopes[pid] = None
+            sweep_slopes[pid], n_skipped = _tail_slope(ts, finals, tail_fraction)
+            if n_skipped:
+                skipped.append(f"{pid} sweep ({n_skipped} points)")
+    if skipped:
+        warnings.warn(f"skipped nonpositive regret points in the slope fits of {', '.join(skipped)}")
     return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
 
 
@@ -495,7 +520,7 @@ def write_outputs(config: dict, results: dict, out_dir: str) -> None:
     os.makedirs(raw_dir, exist_ok=True)
     for (pid, T), cell_rows in sorted(_by_cell(results["raw"]).items()):
         with open(os.path.join(raw_dir, f"{pid}_T{T}.json"), "w") as fh:
-            json.dump(cell_rows, fh)
+            fh.write(json.dumps(cell_rows))
 
 
 def report_from_dir(out_dir: str) -> dict:

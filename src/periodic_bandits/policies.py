@@ -232,6 +232,12 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
     the cached rows and ``counts_at`` read only the samples, never the record.
     An entry with one survivor first reads that arm's width alone: above the
     threshold, the round explores it whatever its mean.
+
+    Each round walks the active arms once for the widest cell and, unless it
+    explores, once more for the means and the leader. Both walks start from
+    the first active arm and replace it only on a strictly larger value, so a
+    tie goes to the arm first in ``active`` order (the smallest index, as the
+    arm lists stay sorted): the arm that ``max`` and ``list.index`` pick.
     """
     thresholds, rows, bar_row = state._thresholds, state._rows, state._bar_row
     settled = state._settled
@@ -249,18 +255,28 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
                 return k, s
     sigma = state.sigma
     phases = [t % p for p in state.periods]
+    first = active[0]
     while True:
         width_row, mean_row = rows.get(s, bar_row)
-        widths = [width_row[k][phases[k]] for k in active]
-        widest = max(widths)
+        widest_arm, widest = first, width_row[first][phases[first]]
+        for k in active:
+            w = width_row[k][phases[k]]
+            if w > widest:
+                widest_arm, widest = k, w
         if widest > thresholds[s]:
-            return active[widths.index(widest)], s
-        means = [mean_row[k][phases[k]] for k in active]
-        best_m = max(means)
+            return widest_arm, s
+        leader, best_m = first, mean_row[first][phases[first]]
+        means = []
+        for k in active:
+            m = mean_row[k][phases[k]]
+            means.append(m)
+            if m > best_m:
+                leader, best_m = k, m
         if widest <= state._narrow or s >= state.S:
-            return active[means.index(best_m)], None
+            return leader, None
         cutoff = best_m - sigma * 2.0 ** (1 - s)
         active = [k for k, m in zip(active, means) if m >= cutoff]
+        first = active[0]
         s += 1
         if settled is not None:
             settled[key] = (s, active)

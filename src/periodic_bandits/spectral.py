@@ -234,7 +234,9 @@ def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
     """
     mesh = (2.0 * np.arange(1, 12 * n + 1) - 1.0) / (48.0 * n)
     extra = np.asarray(candidates, dtype=float)
-    return np.unique(np.concatenate([mesh, extra[(extra > 0) & (extra <= 0.5)]]))
+    grid = np.sort(np.concatenate([mesh, extra[(extra > 0) & (extra <= 0.5)]]))
+    # sorted, so a repeat is adjacent (numpy's unique() would import numpy.ma)
+    return grid[np.concatenate(([True], grid[1:] != grid[:-1]))]
 
 
 @dataclass

@@ -3,6 +3,9 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
+import textwrap
 from unittest import mock
 
 import numpy as np
@@ -21,6 +24,8 @@ from periodic_bandits.harness import (
 )
 from periodic_bandits.policies import make_policy
 from periodic_bandits import cli, harness
+
+SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
 
 
 def small_config(tmp=None, workers=1, reps=3):
@@ -475,6 +480,33 @@ def test_undefined_sweep_slope_is_null_in_strict_json(tmp_path):
     assert path.read_bytes() == before
 
 
+def test_curve_grid_equals_sorted_unique():
+    # the grid drops repeats of a nondecreasing array by adjacent difference;
+    # it is numpy's unique() of the same points, value for value and in dtype
+    for T in (1, 2, 3, 7, 100, 127, 128, 129, 400, 2500, 40000):
+        for points in (1, 2, 3, 40, 128, 1000, 50000):
+            want = np.unique(np.linspace(1, T, num=min(T, points)).astype(int))
+            got = harness._curve_grid(T, points)
+            assert got.dtype == want.dtype and np.array_equal(got, want), (T, points)
+
+
+def test_sweep_job_imports_no_masked_arrays():
+    # numpy's unique() imports numpy.ma on its first call, about 27 ms in a
+    # fresh pool worker; a job (workers=1 runs the pool's _run_job in process)
+    # and the summary must not pay it
+    code = textwrap.dedent("""
+        import sys
+        from periodic_bandits.harness import default_sweep_config, monte_carlo
+        cfg = default_sweep_config()
+        cfg.update(horizons=[300, 600], replications=1, workers=1)
+        monte_carlo(cfg)
+        assert "numpy.ma" not in sys.modules, "numpy.ma imported"
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+
+
 # sha256 of a small default-shaped sweep's outputs, recorded with the
 # per-decision recomputation of every confidence width; an optimisation that
 # flips a tie or reorders a float operation changes them
@@ -661,3 +693,41 @@ def test_cli_sweep(tmp_path):
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert {c["T"] for c in summary["cells"]} == {400, 600}
+
+
+@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize(
+    "config, message",
+    [
+        ({"replications": 0}, "replications"),
+        ([1, 2], "config must be a JSON object"),
+        ("horizons", "config must be a JSON object"),
+    ],
+    ids=["zero-replications", "list", "string"],
+)
+def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
+    # like report, sweep and simulate turn a ValueError into a one-line exit
+    # message naming the config file, not a traceback
+    if isinstance(config, dict):
+        config = {**small_config(), **config}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(config))
+    out = tmp_path / "run"
+    with pytest.raises(SystemExit, match=re.escape(str(cfg_path)) + ".*" + message) as exc:
+        cli.main([command, "--config", str(cfg_path), "--out", str(out)])
+    assert "\n" not in str(exc.value.code)
+    assert not out.exists()
+
+
+def test_summarize_warns_once_naming_the_fits(tmp_path):
+    # one arm: zero regret everywhere, so every cell's curve fit and the sweep
+    # fit skip points; sweep and report each warn once and name all of them
+    cfg = {"instance": {"arms": [{"period": 2, "values": [0.9, 0.1]}], "noise": {"sigma": 0.2}, "horizon": 400},
+           "policies": [{"id": "stationary_ucb"}], "horizons": [100, 200, 400], "replications": 2}
+    for run in (lambda: monte_carlo(cfg, out_dir=str(tmp_path)), lambda: report_from_dir(str(tmp_path))):
+        with pytest.warns(UserWarning) as caught:
+            run()
+        assert len(caught) == 1
+        message = str(caught[0].message)
+        for name in ("stationary_ucb T=100", "stationary_ucb T=200", "stationary_ucb T=400", "stationary_ucb sweep"):
+            assert name in message

@@ -488,6 +488,10 @@ random_profiles = hst.lists(
     seed=hst.integers(0, 10**6),
 )
 @example(profiles=[[0.9, 0.1], [0.2, 0.8, 0.5]], sigma=0.05, horizon=1500, policy_id="two_stage", seed=0)
+# identical arms: their cells fill alike, so widths tie exactly, and with no
+# noise so do means; each tie goes to the first arm
+@example(profiles=[[0.7, 0.2, 0.4]] * 3, sigma=0.0, horizon=600, policy_id="oracle", seed=0)
+@example(profiles=[[0.7, 0.2, 0.4]] * 3, sigma=0.3, horizon=1500, policy_id="oracle", seed=0)
 def test_settled_rounds_give_the_full_tournament(profiles, sigma, horizon, policy_id, seed):
     # at every stage-two epoch the tournament that starts from the settled
     # rounds returns what the reference tournament from round 1 returns

@@ -386,6 +386,17 @@ def test_frequency_grid_layout():
             assert np.array_equal(frequency_grid(n, cands), old)
 
 
+@pytest.mark.parametrize("t_max", [0, 1, 2, 3, 5, 12, 30])
+def test_frequency_grid_equals_sorted_unique(t_max):
+    # the grid drops repeats with an adjacent-difference mask after a sort; it
+    # is numpy's unique() of the same points, value for value and in dtype
+    for n in (1, 2, 3, 7, 24, 28, 57, 115, 500, 577):
+        points = np.concatenate([(2.0 * np.arange(1, 12 * n + 1) - 1.0) / (48.0 * n), _candidates(t_max)[1]])
+        want = np.unique(points[(points > 0) & (points <= 0.5)])
+        got = frequency_grid(n, _candidates(t_max)[1])
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def _assert_matches_fresh_plan(y, epochs, n, t_max):
     # estimate_periods (the cached plan) against a fresh grid and plan built
     # for this call alone
