@@ -34,7 +34,6 @@ from .spectral import (
     failure_probability_bound,
     frequency_grid,
     identify_frequencies,
-    lcm_of_denominators,
     noise_bound,
     threshold,
     threshold_constants,
@@ -54,7 +53,6 @@ from .policies import (
     make_policy,
     nested_cb_decide,
     recommended_parameters,
-    stage_one_schedule,
 )
 from .harness import (
     AggregateStats,

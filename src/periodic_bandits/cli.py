@@ -3,9 +3,12 @@
 Subcommands:
   constants  print the deterministic detection constants for (n, g) as JSON
   detect     estimate the period of a CSV sample series
-  simulate   run a config at a single horizon and write outputs
-  sweep      run a config across its horizon list and write outputs
+  sweep      run a config across its horizon list (or at its instance
+             horizon if it lists none) and write outputs
   report     rebuild summary.json / regret_curves.csv from raw outputs
+
+A config with a misspelt or unknown key, or a config file that cannot be
+read, exits with a one-line message naming the file.
 """
 from __future__ import annotations
 
@@ -93,14 +96,8 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
 
 def _cmd_detect(args: argparse.Namespace) -> int:
     samples, epochs = _read_series(args.csv)
-    n = args.n if args.n is not None else len(samples)
-    if n != len(samples):
-        raise SystemExit(f"--n={args.n} but the file holds {len(samples)} samples")
-    n, g, H = spectral.detector_parameters(n, args.g, args.H)
-    t_max = args.t_max if args.t_max is not None else spectral.default_t_max(n, g)
-    periods, estimates = spectral.estimate_periods(
-        [(samples, epochs)], n, g, H, args.sigma, t_max=t_max
-    )
+    n, g, H = spectral.detector_parameters(len(samples), args.g, args.H)
+    periods, estimates = spectral.estimate_periods([(samples, epochs)], n, g, H, args.sigma, t_max=args.t_max)
     est = estimates[0]
     out = {
         "identified": [str(f) for f in est.identified],
@@ -114,35 +111,27 @@ def _cmd_detect(args: argparse.Namespace) -> int:
 
 
 def _load_config(path: str) -> dict:
-    with open(path) as fh:
-        config = json.load(fh)
+    """The JSON object in ``path``. A file that cannot be read raises
+    ``ValueError`` as a bad config does; an output that cannot be written
+    does not, since that is no fault of the config."""
+    try:
+        with open(path) as fh:
+            config = json.load(fh)
+    except OSError as exc:
+        raise ValueError(exc.strerror) from None
     if not isinstance(config, dict):
         raise ValueError("config must be a JSON object")
     return config
 
 
-def _run_config(args: argparse.Namespace, sweep: bool) -> int:
-    """Run the config file across its horizon list (sweep) or at its instance
-    horizon; a bad config exits with its one-line message."""
+def _cmd_sweep(args: argparse.Namespace) -> int:
+    """Run the config file; a bad or unreadable config exits with one line."""
     try:
-        config = _load_config(args.config)
-        if not sweep:
-            config.pop("horizons", None)
-        elif "horizons" not in config:
-            raise ValueError("sweep config needs a 'horizons' list")
-        monte_carlo(config, out_dir=args.out)
+        monte_carlo(_load_config(args.config), out_dir=args.out)
     except ValueError as exc:
         raise SystemExit(f"{args.config}: {exc}") from None
     print(f"wrote outputs to {args.out}")
     return 0
-
-
-def _cmd_simulate(args: argparse.Namespace) -> int:
-    return _run_config(args, sweep=False)
-
-
-def _cmd_sweep(args: argparse.Namespace) -> int:
-    return _run_config(args, sweep=True)
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -168,19 +157,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("detect", help="estimate the period of a sample series")
     p.add_argument("csv", help="CSV of samples; one column, or epoch,value rows")
-    p.add_argument("--n", type=int, default=None)
     p.add_argument("--g", type=int, default=None)
     p.add_argument("--H", type=float, default=None)
     p.add_argument("--sigma", type=float, required=True)
     p.add_argument("--t-max", dest="t_max", type=int, default=None)
     p.set_defaults(func=_cmd_detect)
 
-    p = sub.add_parser("simulate", help="run a config at its instance horizon")
-    p.add_argument("--config", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=_cmd_simulate)
-
-    p = sub.add_parser("sweep", help="run a config across its horizon list")
+    p = sub.add_parser("sweep", help="run a config across its horizons, or at its instance horizon")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_sweep)

@@ -234,11 +234,6 @@ def make_demo_instance(n: int = 50, sigma: float = 0.2) -> BanditInstance:
     return BanditInstance(arms=(profile,), noise=NoiseModel("gaussian", sigma), horizon=n)
 
 
-def default_gap(T: int) -> float:
-    """The sqrt(1/(2T)) gap used by the hard stationary construction."""
-    return math.sqrt(1.0 / (2.0 * T))
-
-
 def make_lower_bound_instance(
     family: str,
     T: int,
@@ -259,7 +254,7 @@ def make_lower_bound_instance(
         at least 2 gets +perturbation/sqrt(2K) added to its phase-1 mean.
     """
     fam = family.lower()
-    gap = default_gap(T) if delta_gap is None else float(delta_gap)
+    gap = math.sqrt(1.0 / (2.0 * T)) if delta_gap is None else float(delta_gap)
     if fam == "e1":
         if not 0 < gap < 0.5:
             raise ValueError("gap must lie in (0, 0.5)")
@@ -364,10 +359,21 @@ def _checked_int(key: str, value, least: int = 1) -> int:
     return value
 
 
+def _checked_keys(what: str, spec, keys: tuple[str, ...]) -> dict:
+    """A config dict ``spec`` checked to hold no key outside ``keys``, so a
+    misspelt key fails rather than being ignored; ``what`` names it in errors."""
+    if not isinstance(spec, dict):
+        raise ValueError(f"{what} must be a dict, got {spec!r}")
+    unknown = [k for k in spec if k not in keys]
+    if unknown:
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}; expected one of {', '.join(keys)}")
+    return spec
+
+
 def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
-    for arm in spec["arms"]:
+    for arm in _checked_keys("instance", spec, ("arms", "noise", "horizon"))["arms"]:
         period = _checked_int("period", arm["period"])
         if "values" in arm:
             prof = MeanProfile(period=period, values=tuple(float(v) for v in arm["values"]))
@@ -379,10 +385,13 @@ def instance_from_dict(spec: dict) -> BanditInstance:
         else:
             raise ValueError("arm needs either 'values' or 'fourier'")
         arms.append(prof)
-    noise = spec.get("noise", {})
+    noise = _checked_keys("noise", spec.get("noise", {}), ("kind", "sigma"))
+    sigma = noise.get("sigma", 1.0)
+    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
+        raise ValueError(f"noise sigma must be a number, got {sigma!r}")
     return BanditInstance(
         arms=tuple(arms),
-        noise=NoiseModel(noise.get("kind", "gaussian"), float(noise.get("sigma", 1.0))),
+        noise=NoiseModel(noise.get("kind", "gaussian"), float(sigma)),
         horizon=_checked_int("horizon", spec["horizon"]),
     )
 

@@ -33,8 +33,11 @@ import numpy as np
 from . import __version__
 from .env import (
     BanditInstance,
+    MeanProfile,
+    NoiseModel,
     RunResult,
     _checked_int,
+    _checked_keys,
     instance_from_dict,
     load_instance,
     make_demo_instance,
@@ -44,6 +47,7 @@ from .env import (
 from .policies import InstanceView, Policy, make_policy
 
 CSV_HEADER = "policy,T,replication,t,cum_regret"
+CONFIG_KEYS = ("instance", "policies", "horizons", "replications", "base_seed", "curve_points", "workers")
 
 
 def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResult:
@@ -106,8 +110,6 @@ def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditI
     stage-one sample sizes of the larger horizons, and cross-arm margins a few
     multiples of sigma at most phases.
     """
-    from .env import MeanProfile, NoiseModel
-
     arms = (
         MeanProfile.from_values([0.36, 0.04]),
         MeanProfile.from_values([0.04, 0.36, 0.08]),
@@ -117,10 +119,12 @@ def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditI
 
 
 def resolve_instance(spec: dict, horizon: int | None = None) -> BanditInstance:
-    if "file" in spec:
-        inst = load_instance(spec["file"])
-    elif "preset" in spec:
-        params = dict(spec.get("params", {}))
+    """A config's instance spec, {"file"}, {"preset", "params"} or an inline
+    definition, at ``horizon`` if given; a key outside its form is an error."""
+    if isinstance(spec, dict) and "file" in spec:
+        inst = load_instance(_checked_keys("instance", spec, ("file",))["file"])
+    elif isinstance(spec, dict) and "preset" in spec:
+        params = dict(_checked_keys("instance", spec, ("preset", "params")).get("params", {}))
         if horizon is not None and spec["preset"] in ("e1", "e2", "e3"):
             params["T"] = horizon
         inst = make_preset_instance(spec["preset"], params)
@@ -236,16 +240,18 @@ class AggregateStats:
     curve_slope: float | None
 
 
-def _tail_slope(xs, ys, tail_fraction: float) -> tuple[float | None, int]:
-    """The fit behind ``loglog_slope``, without its warning: the slope, or
-    None where fewer than two positive points are left in the tail, and the
-    number of nonpositive tail points skipped."""
+def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> tuple[float | None, int]:
+    """OLS slope of log(y) against log(x) over the tail of a curve, and the
+    number of nonpositive tail points the fit skipped.
+
+    The tail keeps the last ceil(len * tail_fraction) points, two at least.
+    The slope is None where fewer than two positive points are left in it;
+    fewer than two aligned points in all raise ``ValueError``.
+    """
     xs = np.asarray(xs, dtype=float)
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need two aligned sweep points at minimum")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must be in (0, 1]")
     k = max(2, math.ceil(xs.size * tail_fraction))
     xs, ys = xs[-k:], ys[-k:]
     keep = ys > 0
@@ -254,20 +260,6 @@ def _tail_slope(xs, ys, tail_fraction: float) -> tuple[float | None, int]:
     if xs.size < 2:
         return None, skipped
     return float(np.polyfit(np.log(xs), np.log(ys), 1)[0]), skipped
-
-
-def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> float:
-    """OLS slope of log(y) against log(x) over the tail of a curve.
-
-    The tail keeps the last ceil(len * tail_fraction) points; nonpositive y
-    values in the tail are skipped with a warning. Needs two usable points.
-    """
-    slope, skipped = _tail_slope(xs, ys, tail_fraction)
-    if skipped:
-        warnings.warn(f"skipped {skipped} nonpositive regret points in slope fit")
-    if slope is None:
-        raise ValueError("fewer than two positive points left in the tail")
-    return slope
 
 
 def aggregate(rep_rows: list[dict]) -> tuple[AggregateStats, int]:
@@ -281,7 +273,7 @@ def aggregate(rep_rows: list[dict]) -> tuple[AggregateStats, int]:
     grid = np.asarray(rep_rows[0]["curve_t"])
     mean_curve = np.mean([r["curve_regret"] for r in rep_rows], axis=0)
     try:
-        slope, skipped = _tail_slope(grid, mean_curve, tail_fraction=0.5)
+        slope, skipped = loglog_slope(grid, mean_curve)
     except ValueError:
         slope, skipped = None, 0
     return AggregateStats(
@@ -305,27 +297,16 @@ def _by_cell(rows: list[dict]) -> dict[tuple[str, int], list[dict]]:
     return by_cell
 
 
-def _tail_fraction(config: dict) -> float:
-    """config["tail_fraction"] (default 0.5), checked to be a number (not a
-    bool) in (0, 1]."""
-    value = config.get("tail_fraction", 0.5)
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not 0 < value <= 1:
-        raise ValueError(f"tail_fraction must be a number in (0, 1], got {value!r}")
-    return float(value)
-
-
-def summarize(rows: list[dict], config: dict) -> dict:
+def summarize(rows: list[dict]) -> dict:
     """Summarise raw episode rows the one way both sweep and report do.
 
     Returns {"cells": {(policy, T): AggregateStats}, "raw": rows,
     "sweep_slopes": {policy: slope of mean final regret vs horizon}}; the
-    slope fits the tail of the horizons given by config["tail_fraction"]
-    (default 0.5), and is None where the fit is undefined (fewer than two
-    positive means in the tail). A fraction outside (0, 1] raises
-    ``ValueError``. Fits that skip nonpositive points (a cell's curve slope or
-    a sweep slope) are named in one ``UserWarning`` per call.
+    slope fits the last half of the horizons (two at least), and is None where
+    the fit is undefined (fewer than two positive means there). Fits that skip
+    nonpositive points (a cell's curve slope or a sweep slope) are named in
+    one ``UserWarning`` per call.
     """
-    tail_fraction = _tail_fraction(config)
     cells = {}
     skipped = []  # the fits that dropped nonpositive points, named in one warning
     for (pid, T), cell_rows in _by_cell(rows).items():
@@ -337,7 +318,7 @@ def summarize(rows: list[dict], config: dict) -> dict:
         ts = sorted(T for (p, T) in cells if p == pid)
         if len(ts) >= 2:
             finals = [cells[(pid, T)].mean_final_regret for T in ts]
-            sweep_slopes[pid], n_skipped = _tail_slope(ts, finals, tail_fraction)
+            sweep_slopes[pid], n_skipped = loglog_slope(ts, finals)
             if n_skipped:
                 skipped.append(f"{pid} sweep ({n_skipped} points)")
     if skipped:
@@ -379,7 +360,7 @@ def _policy_params(config: dict) -> dict[str, dict]:
     if not entries:
         raise ValueError("policies must not be empty")
     for pol in entries:
-        if not isinstance(pol, dict) or "id" not in pol:
+        if "id" not in _checked_keys("policies entry", pol, ("id", "params")):
             raise ValueError(f"policies entry {pol!r} has no 'id'")
     policy_ids = [pol["id"] for pol in entries]
     if len(set(policy_ids)) != len(policy_ids):
@@ -401,7 +382,9 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     Returns the ``summarize`` result for the episode rows and, when
     ``out_dir`` is given, writes regret_curves.csv, summary.json, run_meta.json
     and raw/ files. A malformed config, an instance spec or a policy entry that
-    cannot be built included, raises ``ValueError`` before any episode runs.
+    cannot be built or a key outside ``CONFIG_KEYS`` included, raises
+    ``ValueError`` before any episode runs. Without ``horizons`` the config
+    runs at its instance's own horizon.
 
     An ``oracle`` entry whose params equal the ``two_stage`` entry's (value
     for value and type for type) is coupled to it: it gets no jobs of its own,
@@ -416,10 +399,8 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     time, so no long job starts last. Either way the rows come back in job
     order: policy-major in config order, then horizon, then replication.
     """
-    if not isinstance(config.get("instance"), dict):
-        raise ValueError(f"instance must be a dict, got {config.get('instance')!r}")
+    _checked_keys("config", config, CONFIG_KEYS)
     R = _checked_int("replications", config.get("replications", 1))
-    _tail_fraction(config)
     base_seed = _checked_int("base_seed", config.get("base_seed", 0), least=0)
     curve_points = _checked_int("curve_points", config.get("curve_points", 128))
     workers = _checked_int("workers", config.get("workers", 1))
@@ -431,7 +412,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
         and repr(sorted(params["two_stage"].items())) == repr(sorted(params["oracle"].items()))
     )
 
-    instances = {T: _instance_at(config["instance"], T) for T in horizons}
+    instances = {T: _instance_at(config.get("instance"), T) for T in horizons}
     # an e1/e2/e3 preset's means depend on T, so only an instance that stays
     # the same at every horizon has shorter episodes that are prefixes
     longest = instances[horizons[-1]]
@@ -462,7 +443,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
         key=lambda r: (rank[r["policy"]], r["T"], r["replication"]),
     )
 
-    results = summarize(rows, config)
+    results = summarize(rows)
     if out_dir is not None:
         write_outputs(config, results, out_dir)
     return results
@@ -486,20 +467,12 @@ def write_curves_csv(rows: list[dict], path: str) -> None:
                 fh.write(base + f"{t},{_fmt(c)}\n")
 
 
-def summary_dict(config: dict, results: dict) -> dict:
-    cells = [asdict(s) for s in results["cells"].values()]
-    cells.sort(key=lambda c: (c["policy"], c["T"]))
-    return {
-        "config_hash": config_hash(config),
-        "cells": cells,
-        "sweep_slopes": results["sweep_slopes"],
-    }
-
-
 def _write_summary(config: dict, results: dict, out_dir: str) -> None:
     """summary.json as strict JSON: a NaN or an infinity raises ``ValueError``
     before the file is opened, rather than being written as a bare ``NaN``."""
-    text = json.dumps(summary_dict(config, results), indent=2, sort_keys=True, allow_nan=False)
+    cells = sorted((asdict(s) for s in results["cells"].values()), key=lambda c: (c["policy"], c["T"]))
+    summary = {"config_hash": config_hash(config), "cells": cells, "sweep_slopes": results["sweep_slopes"]}
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
     with open(os.path.join(out_dir, "summary.json"), "w") as fh:
         fh.write(text)
 
@@ -527,7 +500,8 @@ def report_from_dir(out_dir: str) -> dict:
     """Recompute summary.json (and regret_curves.csv if absent) from raw files.
 
     Raises ``ValueError``, and writes nothing, when raw/ is missing or holds
-    no episode rows.
+    no episode rows, or when run_meta.json's config has a key outside
+    ``CONFIG_KEYS``.
     """
     raw_dir = os.path.join(out_dir, "raw")
     rows: list[dict] = []
@@ -542,7 +516,8 @@ def report_from_dir(out_dir: str) -> dict:
     if os.path.exists(meta_path):
         with open(meta_path) as fh:
             config = json.load(fh).get("config", {})
-    results = summarize(rows, config)
+    _checked_keys(f"{meta_path} config", config, CONFIG_KEYS)
+    results = summarize(rows)
     _write_summary(config, results, out_dir)
     csv_path = os.path.join(out_dir, "regret_curves.csv")
     if not os.path.exists(csv_path):

@@ -28,13 +28,6 @@ def recommended_parameters(T: int, K: int) -> tuple[int, int, float]:
     return detector_parameters(int(math.floor(math.sqrt(T / K))))
 
 
-def stage_one_schedule(t: int, n: int, n_arms: int) -> int:
-    """Arm pulled at epoch t of the exploration block: arms in order, n pulls each."""
-    if not 1 <= t <= n * n_arms:
-        raise ValueError(f"epoch {t} outside stage one (1..{n * n_arms})")
-    return (t - 1) // n
-
-
 @dataclass(frozen=True)
 class InstanceView:
     """What a policy may know: K, T, sigma, and (only if privileged) the true periods."""
@@ -311,7 +304,8 @@ class _StageOne:
         self.blocks: list[list[float]] = [[] for _ in range(K)]
 
     def arm(self, t: int) -> int:
-        return stage_one_schedule(t, self.n, len(self.blocks))
+        """The arm pulled at epoch t <= end: arms in order, n pulls each."""
+        return (t - 1) // self.n
 
     def estimate(self) -> tuple[int, ...]:
         n = self.n

@@ -346,20 +346,10 @@ class FrequencyEstimate:
     trace: list[dict]
 
 
-def lcm_of_denominators(rationals: Sequence[Fraction]) -> int:
-    """LCM of the reduced denominators; 1 for an empty collection.
-
-    For frequencies with unit numerator this is the usual LCM of reciprocals;
-    otherwise it is the smallest integer period containing every harmonic.
-    """
-    dens = [Fraction(r).denominator for r in rationals]
-    return math.lcm(*dens) if dens else 1
-
-
 def identify_frequencies(
     periodogram: Periodogram,
     constants: ThresholdConstants,
-    t_max: int | None = None,
+    t_max: int,
 ) -> FrequencyEstimate:
     """Threshold-and-excise search over the periodogram.
 
@@ -375,8 +365,6 @@ def identify_frequencies(
     if periodogram.grid.size == 0:
         raise ValueError("empty periodogram")
     n, g = constants.n, constants.g
-    if t_max is None:
-        t_max = default_t_max(n, g)
     tau = threshold(constants, float(periodogram.magnitudes.max()))
     if t_max < 2:
         return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
@@ -406,7 +394,7 @@ def identify_frequencies(
     identified.sort()
     return FrequencyEstimate(
         identified=identified,
-        period_estimate=lcm_of_denominators(identified),
+        period_estimate=math.lcm(*(f.denominator for f in identified)),
         threshold=tau,
         trace=trace,
     )

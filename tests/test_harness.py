@@ -163,11 +163,10 @@ def test_report_rebuilds_summary(tmp_path):
 
 
 def test_report_keeps_summary_bytes(tmp_path):
-    # report summarises exactly as sweep did, including a non-default tail
+    # report summarises exactly as sweep did
     out = str(tmp_path / "out")
     cfg = small_config(reps=2)
     cfg["horizons"] = [200, 400, 600]
-    cfg["tail_fraction"] = 1.0
     monte_carlo(cfg, out_dir=out)
     path = os.path.join(out, "summary.json")
     with open(path, "rb") as fh:
@@ -217,7 +216,8 @@ MISSING = object()  # a config value that stands for deleting its key
 def test_tail_fraction_checked_before_any_episode(key, value):
     # every malformed sweep setting fails before an episode runs, rather than
     # being truncated, merged or quietly defaulted; each policy entry is built
-    # up front, so a bad one fails before the entries ahead of it run
+    # up front, so a bad one fails before the entries ahead of it run. The
+    # slope tail is fixed, so a tail_fraction of any value is an unknown key.
     cfg = small_config()
     if value is MISSING:
         del cfg[key]
@@ -228,13 +228,41 @@ def test_tail_fraction_checked_before_any_episode(key, value):
             monte_carlo(cfg)
 
 
+@pytest.mark.parametrize(
+    ("edit", "named"),
+    [
+        (lambda cfg: cfg.update(replication=5), "unknown key 'replication'"),
+        (lambda cfg: cfg["policies"].append({"id": "lcm_ucb", "parms": {"ucb_scale": 5.0}}), "unknown key 'parms'"),
+        (lambda cfg: cfg.update(instance={"preset": "sweep_default", "param": {"sigma": 0.5}}), "unknown key 'param'"),
+        (lambda cfg: cfg.update(instance={"file": "instance.json", "params": {}}), "unknown key 'params'"),
+        (lambda cfg: cfg["instance"].update(horizn=600), "unknown key 'horizn'"),
+        (lambda cfg: cfg["instance"].update(noise={"sigm": 0.1}), "unknown key 'sigm'"),
+        (lambda cfg: cfg["instance"].update(noise="gaussian"), "noise must be a dict"),
+        (lambda cfg: cfg["instance"]["noise"].update(sigma="0.1"), "sigma must be a number, got '0.1'"),
+        (lambda cfg: cfg["instance"]["noise"].update(sigma=True), "sigma must be a number, got True"),
+    ],
+    ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
+         "noise-not-dict", "sigma-string", "sigma-bool"],
+)
+def test_unknown_config_key_fails_before_any_episode(edit, named):
+    # a misspelt key at any level of the config, or a sigma that float()
+    # would accept but is not a number, fails rather than running defaults
+    cfg = small_config()
+    edit(cfg)
+    with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
+        with pytest.raises(ValueError, match=named):
+            monte_carlo(cfg)
+
+
 def test_report_rejects_bad_tail_fraction_before_writing(tmp_path):
+    # a run directory from before the slope tail was fixed may hold
+    # tail_fraction, now an unknown key, instead of being re-summarised at 0.5
     out = str(tmp_path / "out")
     monte_carlo(small_config(reps=1), out_dir=out)
     meta_path = os.path.join(out, "run_meta.json")
     with open(meta_path) as fh:
         meta = json.load(fh)
-    meta["config"]["tail_fraction"] = 0
+    meta["config"]["tail_fraction"] = 0.5
     with open(meta_path, "w") as fh:
         json.dump(meta, fh)
     summary_path = os.path.join(out, "summary.json")
@@ -568,23 +596,23 @@ def test_demo_preset_takes_the_function_defaults():
 
 def test_loglog_slope_recovers_power_laws():
     T = np.array([1000, 2000, 4000, 8000, 16000, 32000, 64000, 128000, 256000, 512000])
-    assert loglog_slope(T, 3.0 * np.sqrt(T)) == pytest.approx(0.5, abs=0.01)
-    assert loglog_slope(T, 0.2 * T) == pytest.approx(1.0, abs=0.01)
+    assert loglog_slope(T, 3.0 * np.sqrt(T)) == (pytest.approx(0.5, abs=0.01), 0)
+    assert loglog_slope(T, 0.2 * T) == (pytest.approx(1.0, abs=0.01), 0)
 
 
 def test_loglog_slope_skips_nonpositive():
     xs = [10, 20, 40, 80]
     ys = [0.0, 2.0, 3.0, 4.5]
-    with pytest.warns(UserWarning):
-        slope = loglog_slope(xs, ys, tail_fraction=1.0)
+    slope, skipped = loglog_slope(xs, ys, tail_fraction=1.0)
+    assert skipped == 1
     assert math.isfinite(slope)
 
 
 def test_loglog_slope_rejects_tiny_input():
     with pytest.raises(ValueError):
         loglog_slope([10], [1.0])
-    with pytest.warns(UserWarning), pytest.raises(ValueError):
-        loglog_slope([10, 20], [0.0, 0.0], tail_fraction=1.0)
+    # no positive point left to fit: no slope, rather than a made-up one
+    assert loglog_slope([10, 20], [0.0, 0.0], tail_fraction=1.0) == (None, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -657,19 +685,23 @@ def test_cli_detect_rejects_malformed_csv(tmp_path, edit, message):
         cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"])
 
 
-def test_cli_simulate_and_report(tmp_path, capsys):
+def test_cli_sweep_without_horizons_and_report(tmp_path, capsys):
+    # a config without horizons runs at its instance horizon
     cfg = small_config()
     del cfg["horizons"]
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / "run")
-    assert cli.main(["simulate", "--config", str(cfg_path), "--out", out]) == 0
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", out]) == 0
     assert os.path.exists(os.path.join(out, "regret_curves.csv"))
     assert os.path.exists(os.path.join(out, "run_meta.json"))
     assert cli.main(["report", "--in", out]) == 0
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
     assert summary["cells"]
+    assert {c["T"] for c in summary["cells"]} == {600}
+    with pytest.raises(SystemExit):
+        cli.main(["simulate", "--config", str(cfg_path), "--out", out])
 
 
 @pytest.mark.parametrize("make_raw", [False, True], ids=["missing-raw", "empty-raw"])
@@ -695,23 +727,25 @@ def test_cli_sweep(tmp_path):
     assert {c["T"] for c in summary["cells"]} == {400, 600}
 
 
-@pytest.mark.parametrize("command", ["sweep", "simulate"])
+@pytest.mark.parametrize("command", ["sweep"])
 @pytest.mark.parametrize(
     "config, message",
     [
         ({"replications": 0}, "replications"),
         ([1, 2], "config must be a JSON object"),
         ("horizons", "config must be a JSON object"),
+        (MISSING, "No such file"),
     ],
-    ids=["zero-replications", "list", "string"],
+    ids=["zero-replications", "list", "string", "missing-file"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
-    # like report, sweep and simulate turn a ValueError into a one-line exit
-    # message naming the config file, not a traceback
+    # like report, sweep turns a ValueError, or a config file it cannot read,
+    # into a one-line exit message naming the config file, not a traceback
     if isinstance(config, dict):
         config = {**small_config(), **config}
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps(config))
+    if config is not MISSING:
+        cfg_path.write_text(json.dumps(config))
     out = tmp_path / "run"
     with pytest.raises(SystemExit, match=re.escape(str(cfg_path)) + ".*" + message) as exc:
         cli.main([command, "--config", str(cfg_path), "--out", str(out)])

@@ -24,7 +24,6 @@ from periodic_bandits.spectral import (
     failure_probability_bound,
     frequency_grid,
     identify_frequencies,
-    lcm_of_denominators,
     noise_bound,
     threshold,
     threshold_constants,
@@ -509,9 +508,22 @@ def test_default_t_max():
 
 
 def test_lcm_of_denominators():
-    assert lcm_of_denominators([Fraction(1, 2), Fraction(1, 4)]) == 4
-    assert lcm_of_denominators([]) == 1
-    assert lcm_of_denominators([Fraction(2, 5), Fraction(1, 2)]) == 10
+    # a noise-free periodogram peaked at exactly the given rationals: the
+    # period estimate is the LCM of their reduced denominators, 1 if none
+    n, g, t_max = 400, 20, 9
+    grid = frequency_grid(n, _candidates(t_max)[1])
+    consts = threshold_constants(n, g, 0.0)
+
+    def period(peaks):
+        mags = np.zeros(grid.size)
+        mags[[int(np.argmin(np.abs(grid - float(f)))) for f in peaks]] = 1.0
+        est = identify_frequencies(spectral.Periodogram(n=n, grid=grid, magnitudes=mags), consts, t_max=t_max)
+        assert est.identified == sorted(peaks)
+        return est.period_estimate
+
+    assert period([Fraction(1, 2), Fraction(1, 4)]) == 4
+    assert period([]) == 1
+    assert period([Fraction(2, 5), Fraction(1, 2)]) == 10
 
 
 # ---------------------------------------------------------------------------
