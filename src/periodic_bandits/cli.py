@@ -7,8 +7,9 @@ Subcommands:
              horizon if it lists none) and write outputs
   report     rebuild summary.json / regret_curves.csv from raw outputs
 
-A config with a misspelt or unknown key, or a config file that cannot be
-read, exits with a one-line message naming the file.
+A config with a misspelt or unknown key, a config file that cannot be
+read, or a bad ``detect`` argument exits with a one-line message naming the
+file.
 """
 from __future__ import annotations
 
@@ -95,16 +96,22 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
+    """Estimate the series' period; a bad argument exits with one line."""
     samples, epochs = _read_series(args.csv)
-    n, g, H = spectral.detector_parameters(len(samples), args.g, args.H)
-    periods, estimates = spectral.estimate_periods([(samples, epochs)], n, g, H, args.sigma, t_max=args.t_max)
-    est = estimates[0]
-    out = {
-        "identified": [str(f) for f in est.identified],
-        "period": est.period_estimate,
-        "threshold": est.threshold,
-        "failure_bound": spectral.failure_probability_bound(n, 1, H),
-    }
+    try:
+        if args.t_max is not None and args.t_max < 2:
+            # no period is representable: refuse rather than report period 1
+            raise ValueError(f"--t-max must be at least 2, got {args.t_max}")
+        n, g, H = spectral.detector_parameters(len(samples), args.g, args.H)
+        (est,) = spectral.estimate_periods([(samples, epochs)], n, g, H, args.sigma, t_max=args.t_max)[1]
+        out = {
+            "identified": [str(f) for f in est.identified],
+            "period": est.period_estimate,
+            "threshold": est.threshold,
+            "failure_bound": spectral.failure_probability_bound(n, 1, H),
+        }
+    except ValueError as exc:
+        raise SystemExit(f"{args.csv}: {exc}") from None
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0

@@ -374,7 +374,7 @@ def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
     for arm in _checked_keys("instance", spec, ("arms", "noise", "horizon"))["arms"]:
-        period = _checked_int("period", arm["period"])
+        period = _checked_int("period", _checked_keys("arm", arm, ("period", "values", "fourier"))["period"])
         if "values" in arm:
             prof = MeanProfile(period=period, values=tuple(float(v) for v in arm["values"]))
         elif "fourier" in arm:

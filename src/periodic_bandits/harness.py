@@ -177,9 +177,8 @@ def _run_job(job: tuple) -> list[dict]:
     A ``two_stage`` job whose ``oracle`` is coupled (second to last job field
     true) also returns the oracle's row. If stage one identified every period,
     that row is a copy of the two_stage row: both policies then run stage two
-    on the true periods with the same blocks, n, g, H and delta, and noise is
-    keyed by (seed, epoch), so the episodes are identical. Otherwise the oracle
-    runs.
+    on the true periods with the same blocks, n and g, and noise is keyed by
+    (seed, epoch), so the episodes are identical. Otherwise the oracle runs.
     """
     instance, _, policy_id, params, rep, seed, curve_points, couples_oracle, cuts = job
     rows = _episode_rows(instance, make_policy(policy_id, params), rep, seed, curve_points, cuts)
@@ -372,7 +371,11 @@ def _policy_params(config: dict) -> dict[str, dict]:
             params[pol["id"]] = dict(pol.get("params") or {})
             make_policy(pol["id"], params[pol["id"]])
         except (TypeError, ValueError) as exc:
-            raise ValueError(f"policies entry {pol['id']!r} cannot be built: {exc}") from exc
+            # a policy that takes no params says only "takes no arguments",
+            # so the message shows what the entry gave it
+            raise ValueError(
+                f"policies entry {pol['id']!r} cannot be built from params {pol.get('params')!r}: {exc}"
+            ) from exc
     return params
 
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Sequence
 
 from .spectral import detector_parameters, estimate_periods
 
@@ -43,11 +43,15 @@ class Policy:
 
     A ``horizon_free`` policy never reads ``view.horizon``, so its episode at
     a horizon T is the first T epochs of its episode at any longer horizon.
+    A policy that estimates periods or records ``(epoch, kind, detail)``
+    events resets ``estimated_periods`` and ``events`` in ``begin``.
     """
 
     policy_id = "base"
     uses_true_periods = False
     horizon_free = False
+    estimated_periods: tuple[int, ...] | None = None
+    events: tuple | list = ()
 
     def begin(self, view: InstanceView) -> None:
         raise NotImplementedError
@@ -57,14 +61,6 @@ class Policy:
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         raise NotImplementedError
-
-    @property
-    def estimated_periods(self) -> tuple[int, ...] | None:
-        return None
-
-    @property
-    def events(self) -> list:
-        return []
 
 
 # ---------------------------------------------------------------------------
@@ -83,16 +79,16 @@ class NestedCBState:
 
     A width is the count-weighted combination of the reuse block's and round
     s's Hoeffding radii, a zero count contributing nothing; an unsampled cell
-    has width inf and mean nan. An epoch changes one count, so updates are
-    local: ``add_round_sample`` refreshes the one cell it touches, and
-    ``add_bar_sample`` refreshes that cell in the bar-only row and in every
-    existing round. The cached values are computed exactly as a from-scratch
+    has width inf and mean nan. The reuse block, given to the constructor as
+    (epoch, arm, reward) triples and summed per cell in that order, is fixed
+    for the episode, so the bar-only row is computed once. An epoch changes
+    one round count, so ``add_round_sample`` refreshes the one cell it
+    touches. The cached values are computed exactly as a from-scratch
     evaluation would compute them.
 
     What a decision needs that is fixed for the episode is computed once: the
     round thresholds sigma/2^s, the exploit width sigma/sqrt(T), the full arm
-    list, and each cell's reuse-block part c_bar term(c_bar) of its width
-    (stage two adds no reuse-block sample, so this part is fixed there).
+    list, and each cell's reuse-block part c_bar term(c_bar) of its width.
 
     Closed cells are frozen. The tournament charges an epoch to round s only
     at the widest active cell, and only while that cell's width exceeds
@@ -103,12 +99,19 @@ class NestedCBState:
     with the same means and the same survivors. The state keeps, per phase
     key ``t % lcm(periods)``, the first round not yet passed there and the
     arms that survived the rounds before it; ``nested_cb_decide`` starts from
-    that entry. A bar sample, or a round sample into a closed cell (which the
-    policy never makes, but a direct caller may), clears every entry. No entry
+    that entry. A round sample into a closed cell (which the policy never
+    makes, but a direct caller may) clears every entry. No entry
     is kept when lcm(periods) reaches the horizon, since no key could repeat.
     """
 
-    def __init__(self, periods: Sequence[int], sigma: float, horizon: int, delta: float):
+    def __init__(
+        self,
+        periods: Sequence[int],
+        sigma: float,
+        horizon: int,
+        delta: float,
+        bar_samples: Iterable[tuple[int, int, float]],
+    ):
         self.periods = tuple(int(p) for p in periods)
         if any(p < 1 for p in self.periods):
             raise ValueError("periods must be positive")
@@ -119,17 +122,26 @@ class NestedCBState:
         self.S = max(int(math.floor(math.log2(horizon))), 1)
         self._bar_counts = [[0] * p for p in self.periods]
         self._bar_sums = [[0.0] * p for p in self.periods]
+        for epoch, arm, reward in bar_samples:
+            p = epoch % self.periods[arm]
+            self._bar_counts[arm][p] += 1
+            self._bar_sums[arm][p] += reward
+        self._term_cache: dict[int, float] = {}
         # c_bar term(c_bar) per cell, 0.0 while empty: the reuse block's part
         # of every width of the cell
-        self._bar_parts = [[0.0] * p for p in self.periods]
+        self._bar_parts = [[c * self._term(c) if c else 0.0 for c in counts] for counts in self._bar_counts]
         # (widths, means) indexed [arm][phase], one row per round with
         # samples and the bar-only row for the others; a decision never reads
         # the mean of an empty cell
-        self._bar_row = ([[math.inf] * p for p in self.periods], [[math.nan] * p for p in self.periods])
+        self._bar_row = (
+            [[part / c if c else math.inf for c, part in zip(counts, parts)]
+             for counts, parts in zip(self._bar_counts, self._bar_parts)],
+            [[total / c if c else math.nan for c, total in zip(counts, sums)]
+             for counts, sums in zip(self._bar_counts, self._bar_sums)],
+        )
         self._round_counts: dict[int, list[list[int]]] = {}
         self._round_sums: dict[int, list[list[float]]] = {}
         self._rows: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
-        self._term_cache: dict[int, float] = {}
         # fixed for the episode, each in the expression a decision would use;
         # thresholds are indexed by round, 1..S
         self._thresholds = [self.sigma / (2.0 ** s) for s in range(self.S + 1)]
@@ -137,27 +149,6 @@ class NestedCBState:
         self._arms = list(range(len(self.periods)))
         self._lcm = math.lcm(*self.periods)
         self._settled: dict[int, tuple[int, list[int]]] | None = {} if self._lcm < self.horizon else None
-
-    def _refresh(
-        self, row: tuple[list[list[float]], list[list[float]]], arm: int, p: int, c_s: int, sum_s: float
-    ) -> None:
-        # width (c_bar term(c_bar) + c_s term(c_s)) / total, a zero count
-        # contributing 0.0; mean (bar sum + round sum) / total
-        total = self._bar_counts[arm][p] + c_s
-        row[0][arm][p] = (self._bar_parts[arm][p] + (c_s * self._term(c_s) if c_s else 0.0)) / total
-        row[1][arm][p] = (self._bar_sums[arm][p] + sum_s) / total
-
-    def add_bar_sample(self, epoch: int, arm: int, reward: float) -> None:
-        p = epoch % self.periods[arm]
-        c_bar = self._bar_counts[arm][p] + 1
-        self._bar_counts[arm][p] = c_bar
-        self._bar_sums[arm][p] += reward
-        self._bar_parts[arm][p] = c_bar * self._term(c_bar)
-        self._refresh(self._bar_row, arm, p, 0, 0.0)
-        for s, row in self._rows.items():
-            self._refresh(row, arm, p, self._round_counts[s][arm][p], self._round_sums[s][arm][p])
-        if self._settled:
-            self._settled.clear()
 
     def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
         row = self._rows.get(s)
@@ -173,7 +164,8 @@ class NestedCBState:
         if self._settled and not widths[p] > self._thresholds[s]:
             # the cell was closed: a round passed on it may not pass again
             self._settled.clear()
-        # the one cell this sample lands in, refreshed as _refresh would
+        # width (c_bar term(c_bar) + c_s term(c_s)) / total, mean
+        # (bar sum + round sum) / total
         counts, sums = self._round_counts[s][arm], self._round_sums[s][arm]
         c_s = counts[p] = counts[p] + 1
         sum_s = sums[p] = sums[p] + reward
@@ -275,31 +267,23 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
             settled[key] = (s, active)
 
 
-def _checked_H(H: float | None) -> float | None:
-    """A policy's stage-one H, if set, checked to be finite and positive."""
-    if H is not None and not (math.isfinite(H) and H > 0):
-        raise ValueError(f"H must be finite and positive, got {H}")
-    return H
-
-
 class _StageOne:
     """Stage one of an episode: n consecutive pulls per arm, then one period per arm.
 
-    Built by ``begin`` for one episode. It completes the constructor's n, g, H
-    for the horizon (an unset n is the recommended one, an unset g or H
-    follows the n actually used), fixes the last epoch ``end = n K``, collects
+    Built by ``begin`` for one episode. It completes the constructor's n and g
+    for the horizon (an unset n is the recommended one; an unset g, and H,
+    follow the n actually used), fixes the last epoch ``end = n K``, collects
     each arm's block and runs the spectral estimator on the blocks.
     """
 
-    def __init__(self, view: InstanceView, n: int | None, g: int | None, H: float | None, t_max: int | None):
+    def __init__(self, view: InstanceView, n: int | None, g: int | None):
         K, T = view.n_arms, view.horizon
         if n is None:
             n = recommended_parameters(T, K)[0]
-        self.n, self.g, self.H = detector_parameters(n, g, H)
+        self.n, self.g, self.H = detector_parameters(n, g)
         self.end = self.n * K
         if self.end >= T:
             raise ValueError("stage one would consume the whole horizon")
-        self.t_max = t_max
         self.sigma = view.sigma
         self.blocks: list[list[float]] = [[] for _ in range(K)]
 
@@ -310,7 +294,7 @@ class _StageOne:
     def estimate(self) -> tuple[int, ...]:
         n = self.n
         blocks = [(block, range(n * k + 1, n * (k + 1) + 1)) for k, block in enumerate(self.blocks)]
-        return estimate_periods(blocks, n, self.g, self.H, self.sigma, t_max=self.t_max)[0]
+        return estimate_periods(blocks, n, self.g, self.H, self.sigma)[0]
 
 
 class TwoStagePolicy(Policy):
@@ -327,25 +311,16 @@ class TwoStagePolicy(Policy):
 
     policy_id = "two_stage"
 
-    def __init__(
-        self,
-        n: int | None = None,
-        g: int | None = None,
-        H: float | None = None,
-        t_max: int | None = None,
-        delta: float | None = None,
-    ):
-        if delta is not None and not 0.0 < delta <= 1.0:
-            raise ValueError(f"delta must be in (0, 1], got {delta}")
-        self.n, self.g, self.H, self.t_max, self.delta = n, g, _checked_H(H), t_max, delta
+    def __init__(self, n: int | None = None, g: int | None = None):
+        self.n, self.g = n, g
 
     def begin(self, view: InstanceView) -> None:
-        self._stage_one = _StageOne(view, self.n, self.g, self.H, self.t_max)
+        self._stage_one = _StageOne(view, self.n, self.g)
         self._view = view
         self._state: NestedCBState | None = None
         self._pending_round: int | None = None
-        self._events: list = []
-        self._estimated: tuple[int, ...] | None = None
+        self.events: list = []
+        self.estimated_periods: tuple[int, ...] | None = None
 
     def _periods(self) -> Sequence[int]:
         """The periods stage two learns under: stage one's estimates."""
@@ -353,15 +328,18 @@ class TwoStagePolicy(Policy):
 
     def _start_stage_two(self) -> None:
         view, stage_one = self._view, self._stage_one
-        self._estimated = tuple(self._periods())
-        delta = self.delta if self.delta is not None else 8.0 / view.horizon
-        state = NestedCBState(self._estimated, view.sigma, view.horizon, delta)
-        for k, block in enumerate(stage_one.blocks):
-            for t, y in enumerate(block, start=stage_one.n * k + 1):
-                state.add_bar_sample(t, k, y)
-        self._state = state
-        # a (0, 0) cell needs an empty reuse-block cell, and stage two adds no
-        # reuse-block sample: without one, no pull can be a zero-count pull
+        self.estimated_periods = tuple(self._periods())
+        # the blocks in epoch order: arm k's n pulls start at epoch n k + 1
+        bar_samples = (
+            (t, k, y)
+            for k, block in enumerate(stage_one.blocks)
+            for t, y in enumerate(block, start=stage_one.n * k + 1)
+        )
+        self._state = state = NestedCBState(
+            self.estimated_periods, view.sigma, view.horizon, 8.0 / view.horizon, bar_samples
+        )
+        # a (0, 0) cell needs an empty reuse-block cell, and the reuse block
+        # is fixed: without one, no pull can be a zero-count pull
         self._may_force = any(0 in counts for counts in state._bar_counts)
 
     def decide(self, t: int) -> int:
@@ -371,7 +349,7 @@ class TwoStagePolicy(Policy):
             self._start_stage_two()
         arm, pending = nested_cb_decide(self._state, t)
         if pending is not None and self._may_force and self._state.counts_at(pending, arm, t) == (0, 0):
-            self._events.append((t, "zero_count_forced_pull", arm))
+            self.events.append((t, "zero_count_forced_pull", arm))
         self._pending_round = pending
         return arm
 
@@ -381,14 +359,6 @@ class TwoStagePolicy(Policy):
             return
         if self._pending_round is not None:
             self._state.add_round_sample(self._pending_round, t, arm, reward)
-
-    @property
-    def estimated_periods(self) -> tuple[int, ...] | None:
-        return self._estimated
-
-    @property
-    def events(self) -> list:
-        return self._events
 
 
 class OraclePolicy(TwoStagePolicy):
@@ -450,7 +420,7 @@ class SequentialEliminationPolicy(Policy):
         self._cursor = 0      # position within the active list
         self._done_for_arm = 0
         self._sums = {k: 0.0 for k in self.active}
-        self.rounds_log: list[dict] = []
+        self.events: list = []
 
     def decide(self, t: int) -> int:
         return self.active[self._cursor]
@@ -468,10 +438,10 @@ class SequentialEliminationPolicy(Policy):
         means = {k: self._sums[k] / self._n_s for k in self.active}
         cutoff = max(means.values()) - self._view.sigma / (2.0 ** self.round)
         survivors = [k for k in self.active if means[k] >= cutoff]
-        self.rounds_log.append(
-            {"round": self.round, "n_s": self._n_s, "active": list(self.active),
-             "means": means, "survivors": list(survivors)}
-        )
+        self.events.append((t, "elimination_round", {
+            "round": self.round, "n_s": self._n_s, "active": list(self.active),
+            "means": means, "survivors": list(survivors),
+        }))
         self.active = survivors
         self.round += 1
         self._n_s = elimination_schedule(self.round, self._view.n_arms, self._view.horizon, self.T1)
@@ -483,32 +453,25 @@ class SequentialEliminationPolicy(Policy):
 # UCB baselines
 # ---------------------------------------------------------------------------
 
-def _ucb_scale(scale: float) -> float:
-    if not (math.isfinite(scale) and scale >= 0):
-        raise ValueError(f"ucb_scale must be finite and nonnegative, got {scale}")
-    return scale
-
-
 class _CellUCB:
     """Independent UCB1 cells: one (count, sum, mean) table per cell of a partition."""
 
-    def __init__(self, n_cells: int, n_arms: int, scale: float):
+    def __init__(self, n_cells: int, n_arms: int):
         self.counts = [[0] * n_arms for _ in range(n_cells)]
         self.sums = [[0.0] * n_arms for _ in range(n_cells)]
         # sums[cell][k] / counts[cell][k], refreshed on each sample of k
         self.means = [[0.0] * n_arms for _ in range(n_cells)]
         self.visits = [0] * n_cells
-        self.scale = scale
 
     def pick(self, cell: int) -> int:
         counts = self.counts[cell]
         if 0 in counts:
             return counts.index(0)
         two_log_n = 2.0 * math.log(self.visits[cell])
-        means, scale = self.means[cell], self.scale
+        means = self.means[cell]
         best, best_idx = -math.inf, 0
         for k, c in enumerate(counts):
-            idx = means[k] + scale * math.sqrt(two_log_n / c)
+            idx = means[k] + math.sqrt(two_log_n / c)
             if idx > best:
                 best, best_idx = idx, k
         return best_idx
@@ -527,11 +490,8 @@ class StationaryUCB(Policy):
     policy_id = "stationary_ucb"
     horizon_free = True
 
-    def __init__(self, ucb_scale: float = 1.0):
-        self.scale = _ucb_scale(ucb_scale)
-
     def begin(self, view: InstanceView) -> None:
-        self._cells = _CellUCB(1, view.n_arms, self.scale)
+        self._cells = _CellUCB(1, view.n_arms)
 
     def decide(self, t: int) -> int:
         return self._cells.pick(0)
@@ -547,12 +507,9 @@ class PerPhaseUCB(Policy):
     uses_true_periods = True
     horizon_free = True
 
-    def __init__(self, ucb_scale: float = 1.0):
-        self.scale = _ucb_scale(ucb_scale)
-
     def begin(self, view: InstanceView) -> None:
         self.T1 = _shared_period(view, "per-phase UCB")
-        self._cells = _CellUCB(self.T1, view.n_arms, self.scale)
+        self._cells = _CellUCB(self.T1, view.n_arms)
 
     def decide(self, t: int) -> int:
         return self._cells.pick(t % self.T1)
@@ -570,30 +527,22 @@ class LcmUCB(Policy):
 
     policy_id = "lcm_ucb"
 
-    def __init__(
-        self,
-        n: int | None = None,
-        g: int | None = None,
-        H: float | None = None,
-        t_max: int | None = None,
-        ucb_scale: float = 1.0,
-    ):
-        self.n, self.g, self.H, self.t_max = n, g, _checked_H(H), t_max
-        self.scale = _ucb_scale(ucb_scale)
+    def __init__(self, n: int | None = None, g: int | None = None):
+        self.n, self.g = n, g
 
     def begin(self, view: InstanceView) -> None:
-        self._stage_one = _StageOne(view, self.n, self.g, self.H, self.t_max)
+        self._stage_one = _StageOne(view, self.n, self.g)
         self._view = view
         self._cells: _CellUCB | None = None
-        self._estimated: tuple[int, ...] | None = None
+        self.estimated_periods: tuple[int, ...] | None = None
 
     def decide(self, t: int) -> int:
         if t <= self._stage_one.end:
             return self._stage_one.arm(t)
         if self._cells is None:
-            self._estimated = self._stage_one.estimate()
-            self.lcm_period = min(math.lcm(*self._estimated), self._view.horizon)
-            self._cells = _CellUCB(self.lcm_period, self._view.n_arms, self.scale)
+            self.estimated_periods = self._stage_one.estimate()
+            self.lcm_period = min(math.lcm(*self.estimated_periods), self._view.horizon)
+            self._cells = _CellUCB(self.lcm_period, self._view.n_arms)
         return self._cells.pick(t % self.lcm_period)
 
     def observe(self, t: int, arm: int, reward: float) -> None:
@@ -601,10 +550,6 @@ class LcmUCB(Policy):
             self._stage_one.blocks[arm].append(reward)
             return
         self._cells.update(t % self.lcm_period, arm, reward)
-
-    @property
-    def estimated_periods(self) -> tuple[int, ...] | None:
-        return self._estimated
 
 
 _POLICIES = {

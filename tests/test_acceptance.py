@@ -272,9 +272,8 @@ def test_criterion5_sequential_elimination():
     assert elimination_schedule(1, 2, 10000, 4) == 160  # closed-form spot value
     round1_hits = 0
     for seed in range(100):
-        pol = make_policy("seq_elim")
-        run_episode(inst, pol, seed)
-        log = pol.rounds_log
+        res = run_episode(inst, make_policy("seq_elim"), seed)
+        log = [detail for _, kind, detail in res.events if kind == "elimination_round"]
         assert log, "horizon too short for a single round"
         for entry in log:
             assert set(entry["survivors"]) <= set(entry["active"])

@@ -79,7 +79,7 @@ def test_stage_one_regret_matches_recomputation():
     )
     inst = BanditInstance(arms=arms, noise=NoiseModel("gaussian", 0.2), horizon=500)
     n = 50
-    res = run_episode(inst, make_policy("two_stage", {"n": n, "g": 8, "t_max": 10}), 4)
+    res = run_episode(inst, make_policy("two_stage", {"n": n, "g": 8}), 4)
     expected = 0.0
     for t in range(1, 2 * n + 1):
         arm = (t - 1) // n
@@ -240,9 +240,13 @@ def test_tail_fraction_checked_before_any_episode(key, value):
         (lambda cfg: cfg["instance"].update(noise="gaussian"), "noise must be a dict"),
         (lambda cfg: cfg["instance"]["noise"].update(sigma="0.1"), "sigma must be a number, got '0.1'"),
         (lambda cfg: cfg["instance"]["noise"].update(sigma=True), "sigma must be a number, got True"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": [0.9, 0.1], "phase": 1}),
+         "arm has unknown key 'phase'"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 1, "valeus": [0.5], "values": [0.4]}),
+         "arm has unknown key 'valeus'"),
     ],
     ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
-         "noise-not-dict", "sigma-string", "sigma-bool"],
+         "noise-not-dict", "sigma-string", "sigma-bool", "arm-phase", "arm-valeus"],
 )
 def test_unknown_config_key_fails_before_any_episode(edit, named):
     # a misspelt key at any level of the config, or a sigma that float()
@@ -344,7 +348,7 @@ def direct_row(policy_id, params, rep, seed, curve_points):
         pytest.param([{"id": "oracle", "params": COUPLING_PARAMS}, {"id": "two_stage", "params": COUPLING_PARAMS}],
                      id="coupled"),
         pytest.param([{"id": "two_stage", "params": COUPLING_PARAMS},
-                      {"id": "oracle", "params": {**COUPLING_PARAMS, "delta": 0.5}}], id="delta-differs"),
+                      {"id": "oracle", "params": {**COUPLING_PARAMS, "g": 40}}], id="g-differs"),
         pytest.param([{"id": "oracle", "params": COUPLING_PARAMS}], id="oracle-only"),
     ],
 )
@@ -641,15 +645,22 @@ def test_cli_detect(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("option", "value"), [("--sigma", "nan"), ("--sigma", "inf"), ("--H", "nan"), ("--H", "inf")]
+    ("option", "value", "message"),
+    [pytest.param(o, v, f"{o[2:]} must be finite", id=f"{o}-{v}")
+     for o, v in (("--sigma", "nan"), ("--sigma", "inf"), ("--H", "nan"), ("--H", "inf"), ("--sigma", "-1"))]
+    + [pytest.param("--g", "1", "g=1 violates g >= max", id="--g-1")]
+    + [pytest.param("--t-max", v, f"--t-max must be at least 2, got {v}$", id=f"--t-max-{v}") for v in ("1", "0")],
 )
-def test_cli_detect_rejects_non_finite_sigma_or_H(tmp_path, option, value):
-    # a NaN threshold would report period 1 as if no peak stood out
+def test_cli_detect_rejects_non_finite_sigma_or_H(tmp_path, capsys, option, value, message):
+    # a NaN threshold, like a t_max below 2, would report period 1 as if no
+    # peak stood out; a bad argument exits with one line naming the file
     path = tmp_path / "series.csv"
     path.write_text("\n".join(_demo_rows()))
     args = ["detect", str(path), "--sigma", "0.2", "--t-max", "10"]
-    with pytest.raises(ValueError, match=f"{option[2:]} must be finite"):
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: .*{message}") as exc:
         cli.main(args + [option, value])
+    assert "\n" not in str(exc.value)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_detect_epoch_column(tmp_path, capsys):

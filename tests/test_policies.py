@@ -7,7 +7,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
-from periodic_bandits import policies
+from periodic_bandits import harness, policies
 from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel
 from periodic_bandits.harness import default_sweep_instance, run_episode
 from periodic_bandits.policies import (
@@ -156,10 +156,9 @@ def test_elimination_schedule_values():
 
 def make_state_with_bar(samples_per_phase=12, value=0.5):
     # two arms of period 4 -> d_hat = 8
-    st = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4)
-    for i in range(samples_per_phase):
-        st.add_bar_sample(1 + 4 * i, 0, value)  # all at phase 1 of arm 0
-    return st
+    # all at phase 1 of arm 0
+    bars = [(1 + 4 * i, 0, value) for i in range(samples_per_phase)]
+    return NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4, bar_samples=bars)
 
 
 def test_phase_width_reference_value():
@@ -169,11 +168,9 @@ def test_phase_width_reference_value():
 
 
 def test_phase_width_scales_with_sigma():
-    a = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4)
-    b = NestedCBState([4, 4], sigma=2.0, horizon=10000, delta=8e-4)
-    for stt in (a, b):
-        for i in range(12):
-            stt.add_bar_sample(1 + 4 * i, 0, 0.5)
+    bars = [(1 + 4 * i, 0, 0.5) for i in range(12)]
+    a = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4, bar_samples=bars)
+    b = NestedCBState([4, 4], sigma=2.0, horizon=10000, delta=8e-4, bar_samples=bars)
     assert cell_width(b, 1, 0, 1) == pytest.approx(2 * cell_width(a, 1, 0, 1))
 
 
@@ -187,23 +184,21 @@ def test_phase_width_zero_count_summand():
 
 
 def test_phase_width_infinite_when_unsampled():
-    st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01)
+    st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01, bar_samples=[])
     assert cell_width(st, 1, 0, 3) == math.inf
     assert math.isnan(cell_mean(st, 1, 0, 3))
 
 
 def test_phase_mean_single_sample():
-    st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01)
-    st.add_bar_sample(5, 0, 0.7)
+    st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01, bar_samples=[(5, 0, 0.7)])
     assert cell_mean(st, 1, 0, 9) == pytest.approx(0.7)
 
 
 def test_phase_mean_weighted_combination():
-    st = NestedCBState([2], sigma=1.0, horizon=100, delta=0.01)
     bar_vals = [0.2, 0.4, 0.9]
     rnd_vals = [0.8, 0.6]
-    for i, v in enumerate(bar_vals):
-        st.add_bar_sample(1 + 2 * i, 0, v)
+    bars = [(1 + 2 * i, 0, v) for i, v in enumerate(bar_vals)]
+    st = NestedCBState([2], sigma=1.0, horizon=100, delta=0.01, bar_samples=bars)
     for i, v in enumerate(rnd_vals):
         st.add_round_sample(2, 7 + 2 * i, 0, v)
     got = cell_mean(st, 2, 0, 9)
@@ -215,9 +210,8 @@ def test_phase_mean_weighted_combination():
 def test_phase_width_monotone_in_round_count():
     # adding round samples (from 2 up) never widens the interval
     for c_bar in (2, 5, 12):
-        st = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4)
-        for i in range(c_bar):
-            st.add_bar_sample(1 + 4 * i, 0, 0.5)
+        bars = [(1 + 4 * i, 0, 0.5) for i in range(c_bar)]
+        st = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4, bar_samples=bars)
         st.add_round_sample(1, 5, 0, 0.5)
         st.add_round_sample(1, 9, 0, 0.5)
         prev = cell_width(st, 1, 0, 1)
@@ -232,7 +226,7 @@ def reference_cell(st, samples, s, arm, phase):
     """(width, mean) of one (round, arm, phase) cell recomputed from scratch.
 
     ``samples`` lists every (round or None for the reuse block, epoch, arm,
-    reward) in the order it was added. Sums accumulate in that order from 0.0,
+    reward) in the order it was given to the state. Sums accumulate in that order from 0.0,
     and the width is 0.0 + c_bar term(c_bar) + c_s term(c_s) over the total,
     a zero count contributing nothing; no samples give (inf, nan).
     """
@@ -283,17 +277,14 @@ def reference_cell(st, samples, s, arm, phase):
     horizon=1000,
 )
 def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
-    # bar and round samples in any interleaving, including bar samples after
-    # a round exists: every cached width and mean equals the from-scratch value
-    st = NestedCBState(periods, sigma=sigma, horizon=horizon, delta=8.0 / horizon)
-    samples = []
-    for rnd, epoch, k, y in ops:
-        arm = k % len(periods)
-        if rnd is None:
-            st.add_bar_sample(epoch, arm, y)
-        else:
-            st.add_round_sample(rnd, epoch, arm, y)
-        samples.append((rnd, epoch, arm, y))
+    # the reuse block given to the constructor, then round samples into any
+    # rounds: every cached width and mean equals the from-scratch value
+    samples = [(rnd, epoch, k % len(periods), y) for rnd, epoch, k, y in ops]
+    samples.sort(key=lambda sample: sample[0] is not None)  # bars first, each kind in order
+    bars = [(epoch, arm, y) for rnd, epoch, arm, y in samples if rnd is None]
+    st = NestedCBState(periods, sigma=sigma, horizon=horizon, delta=8.0 / horizon, bar_samples=bars)
+    for rnd, epoch, arm, y in samples[len(bars):]:
+        st.add_round_sample(rnd, epoch, arm, y)
     for s in (1, 2, 3, 4):  # round 4 never exists: it reads the bar-only row
         widths, means = row(st, s)
         for arm, period in enumerate(periods):
@@ -311,7 +302,7 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
 @pytest.mark.parametrize("s", [0, -1, 14])
 def test_round_sample_outside_the_rounds_rejected(s):
     # the tournament reads rounds 1..S only (S = 13 at T = 10000)
-    st = NestedCBState([2], sigma=1.0, horizon=10000, delta=0.01)
+    st = NestedCBState([2], sigma=1.0, horizon=10000, delta=0.01, bar_samples=[])
     with pytest.raises(ValueError, match="round"):
         st.add_round_sample(s, 5, 0, 0.5)
 
@@ -319,11 +310,9 @@ def test_round_sample_outside_the_rounds_rejected(s):
 def test_nested_decide_exploit_branch():
     from periodic_bandits.policies import nested_cb_decide
 
-    st = NestedCBState([1, 1], sigma=0.5, horizon=400, delta=8 / 400)
     # flood both arms with samples so widths drop below sigma / sqrt(T)
-    for arm, value in ((0, 0.3), (1, 0.8)):
-        for i in range(60000):
-            st.add_bar_sample(1 + i, arm, value)
+    bars = ((1 + i, arm, value) for arm, value in ((0, 0.3), (1, 0.8)) for i in range(60000))
+    st = NestedCBState([1, 1], sigma=0.5, horizon=400, delta=8 / 400, bar_samples=bars)
     assert cell_width(st, 1, 0, 1) <= 0.5 / math.sqrt(400)
     arm, pending = nested_cb_decide(st, 399)
     assert arm == 1          # strictly larger estimated mean
@@ -333,10 +322,8 @@ def test_nested_decide_exploit_branch():
 def test_nested_decide_wide_branch_prefers_widest():
     from periodic_bandits.policies import nested_cb_decide
 
-    st = NestedCBState([1, 1], sigma=0.5, horizon=400, delta=8 / 400)
-    for i in range(40):
-        st.add_bar_sample(1 + i, 0, 0.3)
-    st.add_bar_sample(41, 1, 0.9)
+    bars = [(1 + i, 0, 0.3) for i in range(40)] + [(41, 1, 0.9)]
+    st = NestedCBState([1, 1], sigma=0.5, horizon=400, delta=8 / 400, bar_samples=bars)
     arm, pending = nested_cb_decide(st, 42)
     assert arm == 1 and pending == 1  # one sample: widest interval by far
 
@@ -394,10 +381,8 @@ def test_nested_decide_terminates_within_round_cap():
     from periodic_bandits.policies import nested_cb_decide
 
     # equal arms never separate: the tournament must still settle by round S
-    st = NestedCBState([1, 1], sigma=0.5, horizon=4000, delta=8 / 4000)
-    for arm in (0, 1):
-        for i in range(200000):
-            st.add_bar_sample(1 + i, arm, 0.5)
+    bars = ((1 + i, arm, 0.5) for arm in (0, 1) for i in range(200000))
+    st = NestedCBState([1, 1], sigma=0.5, horizon=4000, delta=8 / 4000, bar_samples=bars)
     arm, pending = nested_cb_decide(st, 3999)
     assert arm in (0, 1)
 
@@ -512,26 +497,21 @@ def settled_state():
     Arm 1 trails arm 0 by 2 > sigma, so round 1 drops it and round 2 explores
     arm 0; the state records round 2 with survivors [0] at phase key 0.
     """
-    st = NestedCBState([1, 1], sigma=1.0, horizon=10000, delta=0.01)
-    for arm, value in ((0, 2.0), (1, 0.0)):
-        for i in range(250):
-            st.add_bar_sample(1 + i, arm, value)
+    bars = [(1 + i, arm, value) for arm, value in ((0, 2.0), (1, 0.0)) for i in range(250)]
+    st = NestedCBState([1, 1], sigma=1.0, horizon=10000, delta=0.01, bar_samples=bars)
     assert 0.25 < cell_width(st, 1, 0, 1) <= 0.5
     assert policies.nested_cb_decide(st, 300) == (0, 2)
     assert st._settled == {0: (2, [0])}
     return st
 
 
-@pytest.mark.parametrize("change", ["bar_sample", "round_sample_into_closed_cell"])
+@pytest.mark.parametrize("change", ["round_sample_into_closed_cell"])
 def test_settled_rounds_cleared_when_a_closed_cell_changes(change):
     # a sample that moves a closed cell reopens the rounds passed on it: here
     # arm 0 falls behind arm 1, so round 1 now drops arm 0 instead of arm 1
     st = settled_state()
-    if change == "bar_sample":
-        st.add_bar_sample(251, 1, 1000.0)
-    else:
-        st.add_round_sample(1, 301, 0, -1000.0)
-        assert cell_width(st, 1, 0, 1) <= 0.5  # the cell stays closed
+    st.add_round_sample(1, 301, 0, -1000.0)
+    assert cell_width(st, 1, 0, 1) <= 0.5  # the cell stays closed
     assert st._settled == {}
     assert policies.nested_cb_decide(st, 302) == reference_tournament(st, 302)[:2] == (1, 2)
 
@@ -552,10 +532,8 @@ def test_single_survivor_passes_the_round_its_cell_closed_in():
 
 def test_no_settled_entries_when_no_phase_key_repeats():
     # lcm(3, 4) = 12 reaches the horizon: no key comes back, so none is kept
-    st = NestedCBState([3, 4], sigma=1.0, horizon=12, delta=0.5)
-    for t in range(1, 5):
-        st.add_bar_sample(t, 0, 0.0)
-        st.add_bar_sample(t, 1, 5.0)
+    bars = [(t, arm, value) for t in range(1, 5) for arm, value in ((0, 0.0), (1, 5.0))]
+    st = NestedCBState([3, 4], sigma=1.0, horizon=12, delta=0.5, bar_samples=bars)
     assert st._settled is None
     for t in range(5, 13):
         assert policies.nested_cb_decide(st, t) == reference_tournament(st, t)[:2]
@@ -760,6 +738,12 @@ def test_forced_pull_events_match_a_check_at_every_epoch(policy_id, inst, params
 # sequential elimination
 # ---------------------------------------------------------------------------
 
+def elimination_rounds(inst, seed):
+    """The round records of one seq_elim episode, read from its events."""
+    res = run_episode(inst, make_policy("seq_elim"), seed)
+    return [detail for _, kind, detail in res.events if kind == "elimination_round"]
+
+
 def test_seq_elim_requires_common_period():
     inst = instance([[0.9, 0.1], [0.5, 0.2, 0.8]], sigma=0.1, horizon=2000)
     with pytest.raises(ValueError):
@@ -769,9 +753,7 @@ def test_seq_elim_requires_common_period():
 def test_seq_elim_identical_arms_never_eliminate():
     inst = instance([[0.6, 0.4], [0.6, 0.4]], sigma=0.1, horizon=4000)
     for seed in range(20):
-        pol = make_policy("seq_elim")
-        run_episode(inst, pol, seed)
-        assert all(len(entry["survivors"]) == 2 for entry in pol.rounds_log)
+        assert all(len(entry["survivors"]) == 2 for entry in elimination_rounds(inst, seed))
 
 
 def test_seq_elim_large_gap_first_round():
@@ -779,9 +761,8 @@ def test_seq_elim_large_gap_first_round():
     inst = instance([[0.9, 0.5], [0.5, 0.1]], sigma=0.1, horizon=3000)
     hits = 0
     for seed in range(100):
-        pol = make_policy("seq_elim")
-        run_episode(inst, pol, seed)
-        if pol.rounds_log and pol.rounds_log[0]["survivors"] == [0]:
+        log = elimination_rounds(inst, seed)
+        if log and log[0]["survivors"] == [0]:
             hits += 1
     assert hits >= 95
 
@@ -789,9 +770,7 @@ def test_seq_elim_large_gap_first_round():
 def test_seq_elim_round_max_survives():
     inst = instance([[0.7, 0.3], [0.6, 0.4]], sigma=0.3, horizon=6000)
     for seed in range(10):
-        pol = make_policy("seq_elim")
-        run_episode(inst, pol, seed)
-        for entry in pol.rounds_log:
+        for entry in elimination_rounds(inst, seed):
             best = max(entry["means"], key=entry["means"].get)
             assert best in entry["survivors"]
 
@@ -800,9 +779,7 @@ def test_seq_elim_elimination_soundness():
     # an arm leaves in round s only if its mean trailed the max by > sigma/2^s
     inst = instance([[0.9, 0.5], [0.6, 0.2], [0.5, 0.11]], sigma=0.2, horizon=6000)
     for seed in range(10):
-        pol = make_policy("seq_elim")
-        run_episode(inst, pol, seed)
-        for entry in pol.rounds_log:
+        for entry in elimination_rounds(inst, seed):
             cutoff = max(entry["means"].values()) - 0.2 / 2 ** entry["round"]
             for k in entry["active"]:
                 if k not in entry["survivors"]:
@@ -812,19 +789,18 @@ def test_seq_elim_elimination_soundness():
 def test_seq_elim_state_snapshot():
     inst = instance([[0.9, 0.5], [0.5, 0.1]], sigma=0.1, horizon=3000)
     pol = make_policy("seq_elim")
-    run_episode(inst, pol, 0)
+    res = run_episode(inst, pol, 0)
     assert pol.T1 == 2
-    assert pol.rounds_log
-    assert all(entry["n_s"] % 2 == 0 for entry in pol.rounds_log)
+    log = [detail for _, kind, detail in res.events if kind == "elimination_round"]
+    assert log
+    assert all(entry["n_s"] % 2 == 0 for entry in log)
     assert set(pol.active) <= {0, 1}
 
 
 def test_seq_elim_active_sets_monotone():
     inst = instance([[0.9, 0.5], [0.5, 0.1], [0.45, 0.1], [0.52, 0.14]], sigma=0.1, horizon=5000)
     for seed in range(10):
-        pol = make_policy("seq_elim")
-        run_episode(inst, pol, seed)
-        for entry in pol.rounds_log:
+        for entry in elimination_rounds(inst, seed):
             assert set(entry["survivors"]) <= set(entry["active"])
             assert entry["survivors"]
 
@@ -863,14 +839,13 @@ def test_per_phase_counts_partition():
 @settings(max_examples=100, deadline=None)
 @given(
     n_arms=hst.integers(1, 4),
-    scale=hst.sampled_from([0.0, 0.5, 1.0, 2.0]),
     stream=hst.lists(hst.tuples(hst.integers(0, 3), hst.sampled_from([0.0, 0.25, 0.5, 1.0])), max_size=80),
 )
-@example(n_arms=3, scale=1.0, stream=[(0, 0.5), (1, 0.5), (2, 0.0), (1, 0.5), (0, 0.5), (2, 1.0)])
-def test_cell_ucb_pick_is_the_scratch_argmax(n_arms, scale, stream):
+@example(n_arms=3, stream=[(0, 0.5), (1, 0.5), (2, 0.0), (1, 0.5), (0, 0.5), (2, 1.0)])
+def test_cell_ucb_pick_is_the_scratch_argmax(n_arms, stream):
     # few distinct rewards make equal indices common: a tie goes to the
     # smallest arm, and an unpulled arm is taken before any index is compared
-    cells = policies._CellUCB(1, n_arms, scale)
+    cells = policies._CellUCB(1, n_arms)
     pulls = [[] for _ in range(n_arms)]
     for k, y in stream:
         counts = [len(p) for p in pulls]
@@ -883,7 +858,7 @@ def test_cell_ucb_pick_is_the_scratch_argmax(n_arms, scale, stream):
                 total = 0.0
                 for r in rewards:
                     total += r
-                index.append(total / c + scale * math.sqrt(2.0 * math.log(n) / c))
+                index.append(total / c + math.sqrt(2.0 * math.log(n) / c))
             want = index.index(max(index))
         assert cells.pick(0) == want
         arm = k % n_arms
@@ -926,26 +901,32 @@ def test_lcm_ucb_runs_and_estimates():
     assert not isinstance(pol, policies.TwoStagePolicy)
 
 
+REMOVED_PARAMS = {
+    "two_stage": {"H": 1.5, "t_max": 4, "delta": 0.5},
+    "oracle": {"H": 1.5, "t_max": 4, "delta": 0.5},
+    "lcm_ucb": {"H": 1.5, "t_max": 4, "ucb_scale": 1.0},
+    "stationary_ucb": {"ucb_scale": 1.0},
+    "per_phase_ucb": {"ucb_scale": 1.0},
+}
+
+
 @pytest.mark.parametrize(
-    ("policy_id", "key", "value"),
-    [pytest.param(pid, "delta", v, id=f"{pid}-delta={v}")
-     for pid in ("two_stage", "oracle") for v in (math.nan, math.inf, 0.0, -1.0, 2.0, 1e6)]
-    + [pytest.param(pid, "ucb_scale", v, id=f"{pid}-ucb_scale={v}")
-       for pid in ("stationary_ucb", "per_phase_ucb", "lcm_ucb") for v in (math.nan, math.inf, -1.0)]
-    + [pytest.param(pid, "H", v, id=f"{pid}-H={v}")
-       for pid in ("two_stage", "oracle", "lcm_ucb") for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)],
+    ("policy_id", "key"),
+    [pytest.param(pid, key, id=f"{pid}-{key}") for pid, keys in REMOVED_PARAMS.items() for key in keys],
 )
-def test_bad_confidence_parameter_rejected(policy_id, key, value):
-    # a NaN, infinite or out-of-range level, scale or stage-one H fails at
-    # construction, before any epoch is played
-    with pytest.raises(ValueError, match=key):
-        make_policy(policy_id, {key: value})
-
-
-def test_delta_of_one_accepted():
-    # delta is a probability: 1 is the largest level a policy takes
-    res = run_episode(default_sweep_instance(2500), make_policy("two_stage", {"delta": 1.0}), seed=0)
-    assert len(res.actions) == 2500
+def test_removed_policy_param_fails_before_any_episode(policy_id, key):
+    # the stage-one H and t_max, the confidence level delta and the UCB scale
+    # are fixed by the paper, not policy params: a config that still sets one
+    # (here to a value the policies once took) fails naming it
+    cfg = {
+        "instance": {"preset": "sweep_default"},
+        "policies": [{"id": policy_id, "params": {key: REMOVED_PARAMS[policy_id][key]}}],
+        "horizons": [2500],
+        "replications": 1,
+    }
+    with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
+        with pytest.raises(ValueError, match=f"policies entry '{policy_id}'.*{key}"):
+            harness.monte_carlo(cfg)
 
 
 def test_make_policy_unknown_id():
