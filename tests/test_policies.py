@@ -911,16 +911,24 @@ REMOVED_PARAMS = {
 
 
 @pytest.mark.parametrize(
-    ("policy_id", "key"),
-    [pytest.param(pid, key, id=f"{pid}-{key}") for pid, keys in REMOVED_PARAMS.items() for key in keys],
+    ("policy_id", "key", "value"),
+    [pytest.param(pid, "delta", v, id=f"{pid}-delta={v}")
+     for pid in ("two_stage", "oracle") for v in (math.nan, math.inf, 0.0, -1.0, 2.0, 1e6)]
+    + [pytest.param(pid, "ucb_scale", v, id=f"{pid}-ucb_scale={v}")
+       for pid in ("stationary_ucb", "per_phase_ucb", "lcm_ucb") for v in (math.nan, math.inf, -1.0)]
+    + [pytest.param(pid, "H", v, id=f"{pid}-H={v}")
+       for pid in ("two_stage", "oracle", "lcm_ucb") for v in (math.nan, math.inf, -math.inf, 0.0, -1.0)]
+    + [pytest.param(pid, key, v, id=f"{pid}-{key}={v}") for pid, keys in REMOVED_PARAMS.items()
+       for key, v in keys.items()],
 )
-def test_removed_policy_param_fails_before_any_episode(policy_id, key):
+def test_bad_confidence_parameter_rejected(policy_id, key, value):
     # the stage-one H and t_max, the confidence level delta and the UCB scale
-    # are fixed by the paper, not policy params: a config that still sets one
-    # (here to a value the policies once took) fails naming it
+    # are fixed by the paper, not policy params: a config that still sets one,
+    # to a NaN, infinite or out-of-range value or to one the policies once
+    # took, fails naming it before any episode is played
     cfg = {
         "instance": {"preset": "sweep_default"},
-        "policies": [{"id": policy_id, "params": {key: REMOVED_PARAMS[policy_id][key]}}],
+        "policies": [{"id": policy_id, "params": {key: value}}],
         "horizons": [2500],
         "replications": 1,
     }
