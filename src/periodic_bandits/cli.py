@@ -7,9 +7,9 @@ Subcommands:
              horizon if it lists none) and write outputs
   report     rebuild summary.json / regret_curves.csv from raw outputs
 
-A config with a misspelt or unknown key, a config file that cannot be
-read, or a bad ``detect`` argument exits with a one-line message naming the
-file.
+Every subcommand exits with a one-line message, not a traceback, on a bad
+argument, a config with a misspelt or unknown key, or a config file that
+cannot be read; the message names the CSV or config file, if there is one.
 """
 from __future__ import annotations
 
@@ -96,22 +96,18 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:
-    """Estimate the series' period; a bad argument exits with one line."""
     samples, epochs = _read_series(args.csv)
-    try:
-        if args.t_max is not None and args.t_max < 2:
-            # no period is representable: refuse rather than report period 1
-            raise ValueError(f"--t-max must be at least 2, got {args.t_max}")
-        n, g, H = spectral.detector_parameters(len(samples), args.g, args.H)
-        (est,) = spectral.estimate_periods([(samples, epochs)], n, g, H, args.sigma, t_max=args.t_max)[1]
-        out = {
-            "identified": [str(f) for f in est.identified],
-            "period": est.period_estimate,
-            "threshold": est.threshold,
-            "failure_bound": spectral.failure_probability_bound(n, 1, H),
-        }
-    except ValueError as exc:
-        raise SystemExit(f"{args.csv}: {exc}") from None
+    if args.t_max is not None and args.t_max < 2:
+        # no period is representable: refuse rather than report period 1
+        raise ValueError(f"--t-max must be at least 2, got {args.t_max}")
+    n, g, H = spectral.detector_parameters(len(samples), args.g, args.H)
+    (est,) = spectral.estimate_periods([(samples, epochs)], n, g, H, args.sigma, t_max=args.t_max)[1]
+    out = {
+        "identified": [str(f) for f in est.identified],
+        "period": est.period_estimate,
+        "threshold": est.threshold,
+        "failure_bound": spectral.failure_probability_bound(n, 1, H),
+    }
     json.dump(out, sys.stdout, indent=2)
     print()
     return 0
@@ -132,20 +128,13 @@ def _load_config(path: str) -> dict:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
-    """Run the config file; a bad or unreadable config exits with one line."""
-    try:
-        monte_carlo(_load_config(args.config), out_dir=args.out)
-    except ValueError as exc:
-        raise SystemExit(f"{args.config}: {exc}") from None
+    monte_carlo(_load_config(args.config), out_dir=args.out)
     print(f"wrote outputs to {args.out}")
     return 0
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    try:
-        report_from_dir(args.indir)
-    except ValueError as exc:
-        raise SystemExit(str(exc)) from None
+    report_from_dir(args.indir)
     print(f"rebuilt summary in {args.indir}")
     return 0
 
@@ -182,8 +171,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; a ``ValueError`` exits with one line, prefixed by
+    the CSV or config path the subcommand read, if any."""
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except ValueError as exc:
+        path = getattr(args, "csv", None) or getattr(args, "config", None)
+        raise SystemExit(f"{path}: {exc}" if path else str(exc)) from None
 
 
 if __name__ == "__main__":

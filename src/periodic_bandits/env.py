@@ -96,14 +96,6 @@ class MeanProfile:
         basis = np.exp(-2j * np.pi * np.outer(j, t) / T)
         return basis @ np.asarray(self.values) / T
 
-    def amplitude_range(self, tol: float = COEF_TOL) -> tuple[float, float]:
-        """(weakest, strongest) nonzero coefficient magnitudes, 0s if flat."""
-        mags = np.abs(self.fourier_coefficients())
-        nonzero = mags[mags > tol]
-        if nonzero.size == 0:
-            return 0.0, 0.0
-        return float(nonzero.min()), float(nonzero.max())
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -284,11 +276,7 @@ def make_lower_bound_instance(
         bump = perturbation / math.sqrt(2 * K)
         if not 0 <= 0.5 + bump <= 1 or not 0 < gap < 0.5:
             raise ValueError("perturbation or gap pushes means outside [0, 1]")
-        arms = [
-            MeanProfile.from_values([0.5 + sign * gap] + [0.5] * (periods[0] - 1))
-            if periods[0] >= 2
-            else MeanProfile.from_values([0.5 + sign * gap])
-        ]
+        arms = [MeanProfile.from_values([0.5 + sign * gap] + [0.5] * (periods[0] - 1))]
         for Tk in periods[1:]:
             if Tk >= 2 and bump != 0.0:
                 arms.append(MeanProfile.from_values([0.5 + bump] + [0.5] * (Tk - 1)))
@@ -334,7 +322,10 @@ def validity_report(
             sig_c, b_c = amplitude_condition_coefficients(n, g, H)
             checks = []
             for prof in instance.arms:
-                weakest, strongest = prof.amplitude_range()
+                # the weakest and strongest nonzero coefficient magnitudes, 0s if flat
+                mags = np.abs(prof.fourier_coefficients())
+                nonzero = mags[mags > COEF_TOL]
+                weakest, strongest = (float(nonzero.min()), float(nonzero.max())) if nonzero.size else (0.0, 0.0)
                 required = sig_c * sigma + b_c * strongest
                 checks.append(
                     {

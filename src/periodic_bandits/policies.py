@@ -18,6 +18,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .env import _checked_int
 from .spectral import detector_parameters, estimate_periods
 
 
@@ -267,37 +268,44 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
             settled[key] = (s, active)
 
 
-class _StageOne:
-    """Stage one of an episode: n consecutive pulls per arm, then one period per arm.
+class _ExploreFirst(Policy):
+    """Stage one of the two-stage policy, shared with ``lcm_ucb``: n
+    consecutive pulls per arm, then one period per arm.
 
-    Built by ``begin`` for one episode. It completes the constructor's n and g
-    for the horizon (an unset n is the recommended one; an unset g, and H,
-    follow the n actually used), fixes the last epoch ``end = n K``, collects
-    each arm's block and runs the spectral estimator on the blocks.
+    The constructor checks n and g. ``begin`` completes them for the horizon
+    (an unset n is the recommended one; an unset g, and H, follow the n
+    actually used) and fixes stage one's last epoch ``_end = n K``. Up to
+    ``_end``, a subclass's ``decide`` pulls arm (t - 1) // n and its
+    ``observe`` appends the reward to that arm's block, inline, since both
+    run every epoch; ``_periods`` runs the spectral estimator on the blocks.
+    What comes after stage one keeps its state in ``_state``.
     """
 
-    def __init__(self, view: InstanceView, n: int | None, g: int | None):
+    def __init__(self, n: int | None = None, g: int | None = None):
+        self.n = None if n is None else _checked_int("n", n, least=2)
+        self.g = None if g is None else _checked_int("g", g, least=2)
+
+    def begin(self, view: InstanceView) -> None:
         K, T = view.n_arms, view.horizon
-        if n is None:
-            n = recommended_parameters(T, K)[0]
-        self.n, self.g, self.H = detector_parameters(n, g)
-        self.end = self.n * K
-        if self.end >= T:
+        n = recommended_parameters(T, K)[0] if self.n is None else self.n
+        self._n, self._g, self._H = detector_parameters(n, self.g)
+        self._end = self._n * K
+        if self._end >= T:
             raise ValueError("stage one would consume the whole horizon")
-        self.sigma = view.sigma
-        self.blocks: list[list[float]] = [[] for _ in range(K)]
+        self._view = view
+        self._blocks: list[list[float]] = [[] for _ in range(K)]
+        self._state = None
+        self.events: list = []
+        self.estimated_periods: tuple[int, ...] | None = None
 
-    def arm(self, t: int) -> int:
-        """The arm pulled at epoch t <= end: arms in order, n pulls each."""
-        return (t - 1) // self.n
-
-    def estimate(self) -> tuple[int, ...]:
-        n = self.n
-        blocks = [(block, range(n * k + 1, n * (k + 1) + 1)) for k, block in enumerate(self.blocks)]
-        return estimate_periods(blocks, n, self.g, self.H, self.sigma)[0]
+    def _periods(self) -> Sequence[int]:
+        """The periods used after stage one: its estimates, one per arm."""
+        n = self._n
+        blocks = [(block, range(n * k + 1, n * (k + 1) + 1)) for k, block in enumerate(self._blocks)]
+        return estimate_periods(blocks, n, self._g, self._H, self._view.sigma)[0]
 
 
-class TwoStagePolicy(Policy):
+class TwoStagePolicy(_ExploreFirst):
     """Explore-then-screen policy with spectral period estimation.
 
     Stage one pulls each arm n times consecutively; stage two runs, at every
@@ -311,29 +319,14 @@ class TwoStagePolicy(Policy):
 
     policy_id = "two_stage"
 
-    def __init__(self, n: int | None = None, g: int | None = None):
-        self.n, self.g = n, g
-
-    def begin(self, view: InstanceView) -> None:
-        self._stage_one = _StageOne(view, self.n, self.g)
-        self._view = view
-        self._state: NestedCBState | None = None
-        self._pending_round: int | None = None
-        self.events: list = []
-        self.estimated_periods: tuple[int, ...] | None = None
-
-    def _periods(self) -> Sequence[int]:
-        """The periods stage two learns under: stage one's estimates."""
-        return self._stage_one.estimate()
-
     def _start_stage_two(self) -> None:
-        view, stage_one = self._view, self._stage_one
+        view, n = self._view, self._n
         self.estimated_periods = tuple(self._periods())
         # the blocks in epoch order: arm k's n pulls start at epoch n k + 1
         bar_samples = (
             (t, k, y)
-            for k, block in enumerate(stage_one.blocks)
-            for t, y in enumerate(block, start=stage_one.n * k + 1)
+            for k, block in enumerate(self._blocks)
+            for t, y in enumerate(block, start=n * k + 1)
         )
         self._state = state = NestedCBState(
             self.estimated_periods, view.sigma, view.horizon, 8.0 / view.horizon, bar_samples
@@ -343,8 +336,8 @@ class TwoStagePolicy(Policy):
         self._may_force = any(0 in counts for counts in state._bar_counts)
 
     def decide(self, t: int) -> int:
-        if t <= self._stage_one.end:
-            return self._stage_one.arm(t)
+        if t <= self._end:
+            return (t - 1) // self._n
         if self._state is None:
             self._start_stage_two()
         arm, pending = nested_cb_decide(self._state, t)
@@ -354,8 +347,8 @@ class TwoStagePolicy(Policy):
         return arm
 
     def observe(self, t: int, arm: int, reward: float) -> None:
-        if t <= self._stage_one.end:
-            self._stage_one.blocks[arm].append(reward)
+        if t <= self._end:
+            self._blocks[arm].append(reward)
             return
         if self._pending_round is not None:
             self._state.add_round_sample(self._pending_round, t, arm, reward)
@@ -518,7 +511,7 @@ class PerPhaseUCB(Policy):
         self._cells.update(t % self.T1, arm, reward)
 
 
-class LcmUCB(Policy):
+class LcmUCB(_ExploreFirst):
     """Baseline that shares the two-stage policy's stage one, then decomposes
     epochs by residue modulo the LCM of the estimated periods (at most the
     horizon) and runs a fresh UCB1 in every residue class; stage-one samples
@@ -527,29 +520,20 @@ class LcmUCB(Policy):
 
     policy_id = "lcm_ucb"
 
-    def __init__(self, n: int | None = None, g: int | None = None):
-        self.n, self.g = n, g
-
-    def begin(self, view: InstanceView) -> None:
-        self._stage_one = _StageOne(view, self.n, self.g)
-        self._view = view
-        self._cells: _CellUCB | None = None
-        self.estimated_periods: tuple[int, ...] | None = None
-
     def decide(self, t: int) -> int:
-        if t <= self._stage_one.end:
-            return self._stage_one.arm(t)
-        if self._cells is None:
-            self.estimated_periods = self._stage_one.estimate()
+        if t <= self._end:
+            return (t - 1) // self._n
+        if self._state is None:
+            self.estimated_periods = self._periods()
             self.lcm_period = min(math.lcm(*self.estimated_periods), self._view.horizon)
-            self._cells = _CellUCB(self.lcm_period, self._view.n_arms)
-        return self._cells.pick(t % self.lcm_period)
+            self._state = _CellUCB(self.lcm_period, self._view.n_arms)
+        return self._state.pick(t % self.lcm_period)
 
     def observe(self, t: int, arm: int, reward: float) -> None:
-        if t <= self._stage_one.end:
-            self._stage_one.blocks[arm].append(reward)
+        if t <= self._end:
+            self._blocks[arm].append(reward)
             return
-        self._cells.update(t % self.lcm_period, arm, reward)
+        self._state.update(t % self.lcm_period, arm, reward)
 
 
 _POLICIES = {

@@ -211,6 +211,10 @@ MISSING = object()  # a config value that stands for deleting its key
         ("bad-delta", {"id": "two_stage", "params": {"delta": 2.0}}),
         ("oracle-misspelt-param", {"id": "oracle", "params": {"dleta": 0.1}}),
         ("H-nan", {"id": "two_stage", "params": {"H": float("nan")}}),
+        ("n-float", {"id": "lcm_ucb", "params": {"n": 2.5}}),
+        ("n-string", {"id": "lcm_ucb", "params": {"n": "50"}}),
+        ("n-bool", {"id": "two_stage", "params": {"n": True}}),
+        ("g-one", {"id": "oracle", "params": {"g": 1}}),
     )],
 )
 def test_tail_fraction_checked_before_any_episode(key, value):
@@ -630,6 +634,26 @@ def test_cli_constants(capsys):
     assert row["u2"] == pytest.approx(0.02054, rel=5e-4)
     assert row["sigma_coeff"] == pytest.approx(3.337, rel=5e-4)
     assert row["B_coeff"] == pytest.approx(0.2450, rel=5e-4)
+
+
+@pytest.mark.parametrize(
+    ("args", "message"),
+    [
+        (["--g", "3"], "g=3 violates g >= max"),
+        (["--n", "1"], "n must be at least 2"),
+        (["--H", "nan"], "H must be finite"),
+        (["--K", "0"], "K >= 1"),
+        (["--sigma", "-1"], "sigma must be finite"),
+    ],
+    ids=["g-3", "n-1", "H-nan", "K-0", "sigma-minus-1"],
+)
+def test_cli_constants_bad_argument_exits_with_one_line(capsys, args, message):
+    # argparse keeps the last of a repeated option, so each case overrides
+    # one argument of a good call
+    with pytest.raises(SystemExit, match=message) as exc:
+        cli.main(["constants", "--n", "50", "--g", "8"] + args)
+    assert "\n" not in str(exc.value.code)
+    assert capsys.readouterr().out == ""
 
 
 def test_cli_detect(tmp_path, capsys):

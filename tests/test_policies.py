@@ -392,7 +392,7 @@ def test_count_matches_literal_definition():
     pol = make_policy("two_stage", COUPLING_PARAMS)
     res, _, psi_bar, psi_rounds = run_recording_rounds(COUPLING_INSTANCE, pol, seed=0)
     assert psi_rounds  # stage two charged epochs to some round
-    assert_counts_match_index_sets(pol._state, res, pol._stage_one.end, psi_bar, psi_rounds)
+    assert_counts_match_index_sets(pol._state, res, pol._end, psi_bar, psi_rounds)
 
 
 def test_stage_one_phase_coverage():
@@ -419,7 +419,7 @@ def test_psi_sets_disjoint_partition():
             seen.add(epoch)
     assert set(psi_bar) == set(range(1, nK + 1))
     assert all(nK < e <= COUPLING_INSTANCE.horizon for r in psi_rounds.values() for e in r)
-    assert_counts_match_index_sets(pol._state, res, pol._stage_one.end, psi_bar, psi_rounds)
+    assert_counts_match_index_sets(pol._state, res, pol._end, psi_bar, psi_rounds)
 
 
 @settings(max_examples=25, deadline=None)
@@ -442,12 +442,12 @@ def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy
     inst = instance(profiles, sigma, horizon)
     pol = make_policy(policy_id)
     res, rounds, psi_bar, psi_rounds = run_recording_rounds(inst, pol, seed)
-    nK = pol._stage_one.end
+    nK = pol._end
     assert psi_bar == list(range(1, nK + 1))
     assert sorted(rounds) == list(range(nK + 1, horizon + 1))
     explored = [t for r in psi_rounds.values() for t in r]
     assert len(set(explored)) == len(explored)
-    assert_counts_match_index_sets(pol._state, res, pol._stage_one.end, psi_bar, psi_rounds)
+    assert_counts_match_index_sets(pol._state, res, pol._end, psi_bar, psi_rounds)
 
 
 random_profiles = hst.lists(
@@ -487,7 +487,7 @@ def test_settled_rounds_give_the_full_tournament(profiles, sigma, horizon, polic
     inst = instance(profiles, sigma, horizon)
     pol = make_policy(policy_id)
     run_recording_rounds(inst, pol, seed, decide)
-    assert checked == list(range(pol._stage_one.end + 1, horizon + 1))
+    assert checked == list(range(pol._end + 1, horizon + 1))
 
 
 def settled_state():
@@ -657,9 +657,9 @@ def test_policy_reuse_across_horizons(policy_id):
     long, short = default_sweep_instance(40000), default_sweep_instance(2500)
     reused = make_policy(policy_id)
     reused.begin(InstanceView(n_arms=3, horizon=40000, sigma=0.04, true_periods=long.periods))
-    assert reused._stage_one.end == 3 * 115
+    assert reused._end == 3 * 115
     again = run_episode(short, reused, seed=5)
-    assert reused._stage_one.end == 3 * 28
+    assert reused._end == 3 * 28
     fresh = run_episode(short, make_policy(policy_id), seed=5)
     assert np.array_equal(again.actions, fresh.actions)
     assert again.estimated_periods == fresh.estimated_periods
@@ -670,16 +670,15 @@ def test_fixed_n_derives_g_and_H_from_it(policy_id):
     # with only n fixed, g and H follow that n, not the horizon's recommended n
     pol = make_policy(policy_id, {"n": 200})
     res = run_episode(default_sweep_instance(10000), pol, seed=0)
-    assert pol._stage_one.end == 3 * 200
-    assert (pol._stage_one.g, pol._stage_one.H) == (15, default_H(200))
+    assert pol._end == 3 * 200
+    assert (pol._g, pol._H) == (15, default_H(200))
     assert len(res.actions) == 10000
 
 
 @pytest.mark.parametrize("n", [0, -3])
 def test_nonpositive_n_rejected(n):
-    pol = make_policy("two_stage", {"n": n})
-    with pytest.raises(ValueError, match="must be positive"):
-        pol.begin(InstanceView(n_arms=3, horizon=2500, sigma=0.04))
+    with pytest.raises(ValueError, match=f"^n must be an integer of at least 2, got {n}$"):
+        make_policy("two_stage", {"n": n})
 
 
 def test_oracle_requires_periods():
@@ -688,7 +687,7 @@ def test_oracle_requires_periods():
 
     pol.begin(InstanceView(n_arms=2, horizon=1000, sigma=0.1, true_periods=None))
     with pytest.raises(ValueError):
-        pol.decide(pol._stage_one.end + 1)
+        pol.decide(pol._end + 1)
 
 
 def test_zero_count_phase_forces_pull_and_logs_event():
