@@ -192,19 +192,19 @@ def pseudo_regret(instance: BanditInstance, actions: Sequence[int]) -> tuple[np.
     """Per-epoch gaps and their prefix sums for an action sequence of length T.
 
     gap_t = max_k mu_{k,t} - mu_{actions[t],t}; gaps are nonnegative and the
-    cumulative series is nondecreasing.
+    cumulative series is nondecreasing. The gaps repeat every lcm(periods)
+    epochs, so one cycle of them, capped at T, is read at t mod that length.
     """
+    T = instance.horizon
     acts = np.asarray(actions, dtype=int)
-    if acts.shape != (instance.horizon,):
-        raise ValueError(
-            f"actions must have length {instance.horizon}, got {acts.shape}"
-        )
+    if acts.shape != (T,):
+        raise ValueError(f"actions must have length {T}, got {acts.shape}")
     if acts.size and (acts.min() < 0 or acts.max() >= instance.n_arms):
         raise IndexError("action index out of range")
-    means = instance.means_matrix()
-    best = means.max(axis=0)
-    chosen = means[acts, np.arange(instance.horizon)]
-    gaps = best - chosen
+    L = min(math.lcm(*instance.periods), T)
+    cycle = np.arange(L)
+    means = np.array([np.asarray(p.values)[cycle % p.period] for p in instance.arms], dtype=float)
+    gaps = (means.max(axis=0) - means)[acts, np.arange(T) % L]
     return gaps, np.cumsum(gaps)
 
 
@@ -357,7 +357,8 @@ def _checked_keys(what: str, spec, keys: tuple[str, ...]) -> dict:
         raise ValueError(f"{what} must be a dict, got {spec!r}")
     unknown = [k for k in spec if k not in keys]
     if unknown:
-        raise ValueError(f"{what} has unknown key {unknown[0]!r}; expected one of {', '.join(keys)}")
+        expected = f"one of {', '.join(keys)}" if keys else "none"
+        raise ValueError(f"{what} has unknown key {unknown[0]!r}; expected {expected}")
     return spec
 
 

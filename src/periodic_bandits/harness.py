@@ -61,17 +61,19 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
         true_periods=instance.periods if policy.uses_true_periods else None,
     )
     policy.begin(view)
-    actions = np.empty(T, dtype=int)
-    # Python floats in the loop: numpy scalar arithmetic costs more per epoch
-    profiles = [p.values for p in instance.arms]
+    # Python ints and floats in the loop, and one array at the end: numpy
+    # scalar arithmetic and item assignment cost more per epoch. Each cycle
+    # is rotated by one, so epoch t's mean sits at index t % period
+    picked: list[int] = []
+    append = picked.append
+    profiles = [p.values[-1:] + p.values[:-1] for p in instance.arms]
     periods = instance.periods
-    eps = stream.values.tolist()
     decide, observe = policy.decide, policy.observe
-    for t in range(1, T + 1):
+    for t, e in enumerate(stream.values.tolist(), start=1):
         a = decide(t)
-        y = profiles[a][(t - 1) % periods[a]] + eps[t - 1]
-        observe(t, a, y)
-        actions[t - 1] = a
+        observe(t, a, profiles[a][t % periods[a]] + e)
+        append(a)
+    actions = np.array(picked, dtype=int)
     _, cum = pseudo_regret(instance, actions)
     return RunResult(
         actions=actions,
@@ -371,8 +373,7 @@ def _policy_params(config: dict) -> dict[str, dict]:
             params[pol["id"]] = dict(pol.get("params") or {})
             make_policy(pol["id"], params[pol["id"]])
         except (TypeError, ValueError) as exc:
-            # a policy that takes no params says only "takes no arguments",
-            # so the message shows what the entry gave it
+            # TypeError: params that are not a mapping
             raise ValueError(
                 f"policies entry {pol['id']!r} cannot be built from params {pol.get('params')!r}: {exc}"
             ) from exc

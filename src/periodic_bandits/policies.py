@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from math import log, sqrt
 from typing import Iterable, Sequence
 
-from .env import _checked_int
+from .env import _checked_int, _checked_keys
 from .spectral import detector_parameters, estimate_periods
 
 
@@ -49,6 +50,7 @@ class Policy:
     """
 
     policy_id = "base"
+    params: tuple[str, ...] = ()
     uses_true_periods = False
     horizon_free = False
     estimated_periods: tuple[int, ...] | None = None
@@ -98,11 +100,11 @@ class NestedCBState:
     tournament passed at some phase (every active width at most sigma/2^s, no
     exploit) therefore passes again at every later epoch with the same phases,
     with the same means and the same survivors. The state keeps, per phase
-    key ``t % lcm(periods)``, the first round not yet passed there and the
-    arms that survived the rounds before it; ``nested_cb_decide`` starts from
-    that entry. A round sample into a closed cell (which the policy never
-    makes, but a direct caller may) clears every entry. No entry
-    is kept when lcm(periods) reaches the horizon, since no key could repeat.
+    key ``t % lcm(periods)``, the first round not yet passed there, the
+    arms that survived the rounds before it and the phases at that key;
+    ``nested_cb_decide`` starts from that entry. A round sample into a
+    closed cell, which only a direct caller can make, clears every entry.
+    No entry is kept when lcm(periods) reaches the horizon: no key repeats.
     """
 
     def __init__(
@@ -121,68 +123,60 @@ class NestedCBState:
         self.delta = float(delta)
         self.d_hat = sum(self.periods)
         self.S = max(int(math.floor(math.log2(horizon))), 1)
-        self._bar_counts = [[0] * p for p in self.periods]
-        self._bar_sums = [[0.0] * p for p in self.periods]
+        counts = [[0] * p for p in self.periods]
+        sums = [[0.0] * p for p in self.periods]
         for epoch, arm, reward in bar_samples:
             p = epoch % self.periods[arm]
-            self._bar_counts[arm][p] += 1
-            self._bar_sums[arm][p] += reward
+            counts[arm][p] += 1
+            sums[arm][p] += reward
         self._term_cache: dict[int, float] = {}
-        # c_bar term(c_bar) per cell, 0.0 while empty: the reuse block's part
-        # of every width of the cell
-        self._bar_parts = [[c * self._term(c) if c else 0.0 for c in counts] for counts in self._bar_counts]
-        # (widths, means) indexed [arm][phase], one row per round with
-        # samples and the bar-only row for the others; a decision never reads
-        # the mean of an empty cell
-        self._bar_row = (
-            [[part / c if c else math.inf for c, part in zip(counts, parts)]
-             for counts, parts in zip(self._bar_counts, self._bar_parts)],
-            [[total / c if c else math.nan for c, total in zip(counts, sums)]
-             for counts, sums in zip(self._bar_counts, self._bar_sums)],
-        )
-        self._round_counts: dict[int, list[list[int]]] = {}
-        self._round_sums: dict[int, list[list[float]]] = {}
-        self._rows: dict[int, tuple[list[list[float]], list[list[float]]]] = {}
+        # (count, c_bar term(c_bar), sum) per [arm][phase], the middle one
+        # 0.0 while empty: the reuse block's part of every width of the cell
+        self._bar = [[(c, c * self._term(c) if c else 0.0, total) for c, total in zip(cs, ts)]
+                     for cs, ts in zip(counts, sums)]
+        # per arm, (widths, means, round counts, round sums) indexed by phase:
+        # one row per round with samples and the bar-only row for the others;
+        # a decision never reads the mean of an empty cell
+        self._bar_row = [
+            ([part / c if c else math.inf for c, part, _ in cells],
+             [total / c if c else math.nan for c, _, total in cells],
+             [0] * len(cells), [0.0] * len(cells))
+            for cells in self._bar
+        ]
+        self._rows: dict[int, list[tuple[list, list, list, list]]] = {}
         # fixed for the episode, each in the expression a decision would use;
         # thresholds are indexed by round, 1..S
         self._thresholds = [self.sigma / (2.0 ** s) for s in range(self.S + 1)]
         self._narrow = self.sigma / math.sqrt(self.horizon)
         self._arms = list(range(len(self.periods)))
         self._lcm = math.lcm(*self.periods)
-        self._settled: dict[int, tuple[int, list[int]]] | None = {} if self._lcm < self.horizon else None
+        self._settled: dict[int, tuple[int, list[int], list[int]]] | None = {} if self._lcm < self.horizon else None
 
     def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
         row = self._rows.get(s)
         if row is None:
             if not 1 <= s <= self.S:
                 raise ValueError(f"round {s} outside 1..{self.S}")
-            widths, means = self._bar_row
-            self._round_counts[s] = [[0] * p for p in self.periods]
-            self._round_sums[s] = [[0.0] * p for p in self.periods]
-            row = self._rows[s] = ([w[:] for w in widths], [m[:] for m in means])
+            row = self._rows[s] = [tuple(cells[:] for cells in tables) for tables in self._bar_row]
+        widths, means, counts, sums = row[arm]
         p = epoch % self.periods[arm]
-        widths = row[0][arm]
         if self._settled and not widths[p] > self._thresholds[s]:
             # the cell was closed: a round passed on it may not pass again
             self._settled.clear()
         # width (c_bar term(c_bar) + c_s term(c_s)) / total, mean
         # (bar sum + round sum) / total
-        counts, sums = self._round_counts[s][arm], self._round_sums[s][arm]
+        c_bar, part, bar_sum = self._bar[arm][p]
         c_s = counts[p] = counts[p] + 1
         sum_s = sums[p] = sums[p] + reward
-        total = self._bar_counts[arm][p] + c_s
-        term = self._term_cache.get(c_s)
-        if term is None:
-            term = self._term(c_s)
-        widths[p] = (self._bar_parts[arm][p] + c_s * term) / total
-        row[1][arm][p] = (self._bar_sums[arm][p] + sum_s) / total
+        total = c_bar + c_s
+        term = self._term_cache.get(c_s) or self._term(c_s)
+        widths[p] = (part + c_s * term) / total
+        means[p] = (bar_sum + sum_s) / total
 
     def counts_at(self, s: int, arm: int, t: int) -> tuple[int, int]:
         """(reuse-block count, round-s count) at arm's phase of epoch t."""
         p = t % self.periods[arm]
-        c_bar = self._bar_counts[arm][p]
-        c_s = self._round_counts[s][arm][p] if s in self._round_counts else 0
-        return c_bar, c_s
+        return self._bar[arm][p][0], self._rows.get(s, self._bar_row)[arm][2][p]
 
     def _term(self, c: int) -> float:
         # sqrt((4 sigma^2 / c) * log(8 d_hat c / delta)), memoized on c
@@ -212,7 +206,7 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
     at the phases of t, so a decision computes no confidence radius. The
     tournament starts from the state's settled entry for ``t % lcm(periods)``
     instead of round 1 with every arm, and records there each round it
-    passes: the next round and its survivors. That record is all it writes.
+    passes: the next round, its survivors and t's phases. That is all it writes.
     Rounds pass only on closed cells, which no sample of the policy changes
     (see ``NestedCBState``), so the result equals a tournament from round 1;
     the cached rows and ``counts_at`` read only the samples, never the record.
@@ -232,29 +226,28 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
         key = t % state._lcm
         entry = settled.get(key)
     if entry is None:
-        s, active = 1, state._arms
+        s, active, phases = 1, state._arms, [t % p for p in state.periods]
     else:
-        s, active = entry
+        s, active, phases = entry
         if len(active) == 1:
             k = active[0]
-            if rows.get(s, bar_row)[0][k][t % state.periods[k]] > thresholds[s]:
+            if rows.get(s, bar_row)[k][0][phases[k]] > thresholds[s]:
                 return k, s
     sigma = state.sigma
-    phases = [t % p for p in state.periods]
     first = active[0]
     while True:
-        width_row, mean_row = rows.get(s, bar_row)
-        widest_arm, widest = first, width_row[first][phases[first]]
+        row = rows.get(s, bar_row)
+        widest_arm, widest = first, row[first][0][phases[first]]
         for k in active:
-            w = width_row[k][phases[k]]
+            w = row[k][0][phases[k]]
             if w > widest:
                 widest_arm, widest = k, w
         if widest > thresholds[s]:
             return widest_arm, s
-        leader, best_m = first, mean_row[first][phases[first]]
+        leader, best_m = first, row[first][1][phases[first]]
         means = []
         for k in active:
-            m = mean_row[k][phases[k]]
+            m = row[k][1][phases[k]]
             means.append(m)
             if m > best_m:
                 leader, best_m = k, m
@@ -265,25 +258,30 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
         first = active[0]
         s += 1
         if settled is not None:
-            settled[key] = (s, active)
+            settled[key] = (s, active, phases)
 
 
 class _ExploreFirst(Policy):
     """Stage one of the two-stage policy, shared with ``lcm_ucb``: n
     consecutive pulls per arm, then one period per arm.
 
-    The constructor checks n and g. ``begin`` completes them for the horizon
-    (an unset n is the recommended one; an unset g, and H, follow the n
-    actually used) and fixes stage one's last epoch ``_end = n K``. Up to
+    The constructor checks n and g (g^2 >= n too, if both are set). ``begin``
+    completes them for the horizon (an unset n is the recommended one; an
+    unset g, and H, follow the n actually used), checks g^2 >= n before the
+    first epoch, and fixes stage one's last epoch ``_end = n K``. Up to
     ``_end``, a subclass's ``decide`` pulls arm (t - 1) // n and its
     ``observe`` appends the reward to that arm's block, inline, since both
     run every epoch; ``_periods`` runs the spectral estimator on the blocks.
     What comes after stage one keeps its state in ``_state``.
     """
 
+    params = ("n", "g")
+
     def __init__(self, n: int | None = None, g: int | None = None):
         self.n = None if n is None else _checked_int("n", n, least=2)
         self.g = None if g is None else _checked_int("g", g, least=2)
+        if n is not None and g is not None:
+            detector_parameters(n, g)  # checks g^2 >= n
 
     def begin(self, view: InstanceView) -> None:
         K, T = view.n_arms, view.horizon
@@ -331,9 +329,10 @@ class TwoStagePolicy(_ExploreFirst):
         self._state = state = NestedCBState(
             self.estimated_periods, view.sigma, view.horizon, 8.0 / view.horizon, bar_samples
         )
+        self._add_round_sample = state.add_round_sample
         # a (0, 0) cell needs an empty reuse-block cell, and the reuse block
         # is fixed: without one, no pull can be a zero-count pull
-        self._may_force = any(0 in counts for counts in state._bar_counts)
+        self._may_force = any(cell[0] == 0 for cells in state._bar for cell in cells)
 
     def decide(self, t: int) -> int:
         if t <= self._end:
@@ -351,7 +350,7 @@ class TwoStagePolicy(_ExploreFirst):
             self._blocks[arm].append(reward)
             return
         if self._pending_round is not None:
-            self._state.add_round_sample(self._pending_round, t, arm, reward)
+            self._add_round_sample(self._pending_round, t, arm, reward)
 
 
 class OraclePolicy(TwoStagePolicy):
@@ -454,27 +453,26 @@ class _CellUCB:
         self.sums = [[0.0] * n_arms for _ in range(n_cells)]
         # sums[cell][k] / counts[cell][k], refreshed on each sample of k
         self.means = [[0.0] * n_arms for _ in range(n_cells)]
-        self.visits = [0] * n_cells
+        self._rest = range(1, n_arms)  # the arms after arm 0, which seeds the argmax
 
     def pick(self, cell: int) -> int:
         counts = self.counts[cell]
         if 0 in counts:
             return counts.index(0)
-        two_log_n = 2.0 * math.log(self.visits[cell])
+        two_log_n = 2.0 * log(sum(counts))  # N: the cell's visits
         means = self.means[cell]
-        best, best_idx = -math.inf, 0
-        for k, c in enumerate(counts):
-            idx = means[k] + math.sqrt(two_log_n / c)
+        best, best_idx = means[0] + sqrt(two_log_n / counts[0]), 0
+        for k in self._rest:
+            idx = means[k] + sqrt(two_log_n / counts[k])
             if idx > best:
                 best, best_idx = idx, k
         return best_idx
 
     def update(self, cell: int, arm: int, reward: float) -> None:
         counts, sums = self.counts[cell], self.sums[cell]
-        counts[arm] += 1
-        sums[arm] += reward
-        self.means[cell][arm] = sums[arm] / counts[arm]
-        self.visits[cell] += 1
+        c = counts[arm] = counts[arm] + 1
+        total = sums[arm] = sums[arm] + reward
+        self.means[cell][arm] = total / c
 
 
 class StationaryUCB(Policy):
@@ -484,13 +482,14 @@ class StationaryUCB(Policy):
     horizon_free = True
 
     def begin(self, view: InstanceView) -> None:
-        self._cells = _CellUCB(1, view.n_arms)
+        cells = _CellUCB(1, view.n_arms)
+        self._pick, self._update = cells.pick, cells.update
 
     def decide(self, t: int) -> int:
-        return self._cells.pick(0)
+        return self._pick(0)
 
     def observe(self, t: int, arm: int, reward: float) -> None:
-        self._cells.update(0, arm, reward)
+        self._update(0, arm, reward)
 
 
 class PerPhaseUCB(Policy):
@@ -527,13 +526,14 @@ class LcmUCB(_ExploreFirst):
             self.estimated_periods = self._periods()
             self.lcm_period = min(math.lcm(*self.estimated_periods), self._view.horizon)
             self._state = _CellUCB(self.lcm_period, self._view.n_arms)
-        return self._state.pick(t % self.lcm_period)
+            self._pick, self._update = self._state.pick, self._state.update
+        return self._pick(t % self.lcm_period)
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         if t <= self._end:
             self._blocks[arm].append(reward)
             return
-        self._state.update(t % self.lcm_period, arm, reward)
+        self._update(t % self.lcm_period, arm, reward)
 
 
 _POLICIES = {
@@ -547,4 +547,5 @@ def make_policy(policy_id: str, params: dict | None = None) -> Policy:
     """Instantiate a policy by its id with a namespaced parameter dict."""
     if policy_id not in _POLICIES:
         raise ValueError(f"unknown policy id {policy_id!r}; expected one of {POLICY_IDS}")
-    return _POLICIES[policy_id](**dict(params or {}))
+    cls = _POLICIES[policy_id]
+    return cls(**_checked_keys(f"{policy_id} params", dict(params or {}), cls.params))

@@ -85,8 +85,7 @@ def u_constants(n: int, g: int) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    if g < 2 or g * g < n:
-        raise ValueError(f"g={g} violates g >= max(2, sqrt(n)) for n={n}")
+    detector_parameters(n, g)  # checks g
     u1 = sum((a_sup((2 * j + 1) * g) for j in range(0, (n - 2 * g - 1) // (4 * g) + 1)), 0.0)
     u2 = sum((a_sup(2 * j * g - 1) for j in range(1, (n - 1) // (4 * g) + 1)), 0.0)
     return u1, u2
@@ -108,9 +107,12 @@ def default_H(n: int) -> float:
 
 
 def detector_parameters(n: int, g: int | None = None, H: float | None = None) -> tuple[int, int, float]:
-    """(n, g, H) for an n-sample block: an unset g is ceil(sqrt(n)), an unset H is sqrt(1 + log n)."""
+    """(n, g, H) for an n-sample block: an unset g is ceil(sqrt(n)), a set g
+    must be at least max(2, sqrt(n)), and an unset H is sqrt(1 + log n)."""
     if n < 1:
         raise ValueError(f"sample size n={n} must be positive")
+    if g is not None and (g < 2 or g * g < n):
+        raise ValueError(f"g={g} violates g >= max(2, sqrt(n)) for n={n}")
     return n, math.ceil(math.sqrt(n)) if g is None else g, default_H(n) if H is None else H
 
 

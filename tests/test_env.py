@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_bandits.env import (
@@ -16,6 +16,8 @@ from periodic_bandits.env import (
     pseudo_regret,
     validity_report,
 )
+from periodic_bandits.harness import run_episode
+from periodic_bandits.policies import make_policy
 
 
 def mean(profile: MeanProfile, t: int) -> float:
@@ -216,6 +218,40 @@ def test_pseudo_regret_nonnegative_nondecreasing(seed):
     assert np.all(gaps >= 0)
     assert np.all(np.diff(cum) >= -1e-15)
     assert cum[-1] == pytest.approx(gaps.sum())
+
+
+def means_matrix_regret(inst: BanditInstance, actions) -> tuple[np.ndarray, np.ndarray]:
+    """Gaps and their prefix sums from the whole (K, T) means matrix."""
+    means = inst.means_matrix()
+    gaps = means.max(axis=0) - means[np.asarray(actions, dtype=int), np.arange(inst.horizon)]
+    return gaps, np.cumsum(gaps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    profiles=st.lists(
+        st.integers(1, 7).flatmap(lambda p: st.lists(st.floats(0.0, 1.0), min_size=p, max_size=p, unique=True)),
+        min_size=1,
+        max_size=4,
+    ),
+    horizon=st.integers(1, 200),
+    seed=st.integers(0, 2**32 - 1),
+)
+# lcm(5, 7, 3) = 105 above T, and lcm(4, 6) = 12 repeated 16 times and cut
+@example(profiles=[[0.1, 0.5, 0.3, 0.7, 0.2], [0.9, 0.0, 0.4, 0.6, 0.8, 0.05, 0.3], [0.2, 0.4, 0.6]],
+         horizon=100, seed=0)
+@example(profiles=[[0.3, 0.9, 0.1, 0.5], [0.8, 0.2, 0.6, 0.0, 0.4, 0.7]], horizon=200, seed=1)
+@example(profiles=[[0.5]], horizon=1, seed=0)
+def test_pseudo_regret_reads_one_cycle_bit_for_bit(profiles, horizon, seed):
+    # the gaps read off one lcm(periods) cycle, capped at T, carry the bits of
+    # the gaps read off the whole means matrix, and so do their prefix sums
+    inst = BanditInstance(tuple(MeanProfile.from_values(v) for v in profiles), NoiseModel("gaussian", 0.1), horizon)
+    actions = np.random.default_rng(seed).integers(0, len(profiles), horizon)
+    for got, want in zip(pseudo_regret(inst, actions), means_matrix_regret(inst, actions)):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    res = run_episode(inst, make_policy("stationary_ucb"), seed)
+    assert res.actions.dtype == np.int64 and res.actions.shape == (horizon,)
+    assert res.cumulative_regret.tobytes() == means_matrix_regret(inst, res.actions)[1].tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -215,6 +215,7 @@ MISSING = object()  # a config value that stands for deleting its key
         ("n-string", {"id": "lcm_ucb", "params": {"n": "50"}}),
         ("n-bool", {"id": "two_stage", "params": {"n": True}}),
         ("g-one", {"id": "oracle", "params": {"g": 1}}),
+        ("g-below-sqrt-n", {"id": "two_stage", "params": {"n": 50, "g": 3}}),
     )],
 )
 def test_tail_fraction_checked_before_any_episode(key, value):
@@ -248,13 +249,25 @@ def test_tail_fraction_checked_before_any_episode(key, value):
          "arm has unknown key 'phase'"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 1, "valeus": [0.5], "values": [0.4]}),
          "arm has unknown key 'valeus'"),
+        (lambda cfg: cfg["policies"][0]["params"].update(delta=0.5), re.escape(
+            "policies entry 'two_stage' cannot be built from params {'n': 64, 'g': 8, 'delta': 0.5}: "
+            "two_stage params has unknown key 'delta'; expected one of n, g") + "$"),
+        (lambda cfg: cfg["policies"].append({"id": "lcm_ucb", "params": {"n": 50, "ucb_scale": 1.0}}), re.escape(
+            "policies entry 'lcm_ucb' cannot be built from params {'n': 50, 'ucb_scale': 1.0}: "
+            "lcm_ucb params has unknown key 'ucb_scale'; expected one of n, g") + "$"),
+        (lambda cfg: cfg["policies"][1].update(params={"ucb_scale": 1.0}), re.escape(
+            "policies entry 'stationary_ucb' cannot be built from params {'ucb_scale': 1.0}: "
+            "stationary_ucb params has unknown key 'ucb_scale'; expected none") + "$"),
     ],
     ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
-         "noise-not-dict", "sigma-string", "sigma-bool", "arm-phase", "arm-valeus"],
+         "noise-not-dict", "sigma-string", "sigma-bool", "arm-phase", "arm-valeus",
+         "policy-param-two_stage", "policy-param-lcm_ucb", "policy-param-stationary_ucb"],
 )
 def test_unknown_config_key_fails_before_any_episode(edit, named):
     # a misspelt key at any level of the config, or a sigma that float()
-    # would accept but is not a number, fails rather than running defaults
+    # would accept but is not a number, fails rather than running defaults;
+    # a policy param no policy takes is named, in one line, with the params
+    # that policy takes
     cfg = small_config()
     edit(cfg)
     with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):

@@ -48,7 +48,8 @@ def count_same_phase(actions: dict[int, int], index_set: Sequence[int], arm: int
 def row(st: NestedCBState, s: int):
     """Cached (widths, means) of round s, each indexed [arm][phase]; a round
     without samples reads the bar-only row, as a decision does."""
-    return st._rows.get(s, st._bar_row)
+    arms = st._rows.get(s, st._bar_row)  # per arm: (widths, means, counts, sums)
+    return [cells[0] for cells in arms], [cells[1] for cells in arms]
 
 
 def cell_width(st: NestedCBState, s: int, arm: int, t: int) -> float:
@@ -495,13 +496,14 @@ def settled_state():
 
     250 bar samples per arm give width 0.454: at most sigma/2, above sigma/4.
     Arm 1 trails arm 0 by 2 > sigma, so round 1 drops it and round 2 explores
-    arm 0; the state records round 2 with survivors [0] at phase key 0.
+    arm 0; the state records round 2 with survivors [0] at phase key 0,
+    with the phases [0, 0] of that key.
     """
     bars = [(1 + i, arm, value) for arm, value in ((0, 2.0), (1, 0.0)) for i in range(250)]
     st = NestedCBState([1, 1], sigma=1.0, horizon=10000, delta=0.01, bar_samples=bars)
     assert 0.25 < cell_width(st, 1, 0, 1) <= 0.5
     assert policies.nested_cb_decide(st, 300) == (0, 2)
-    assert st._settled == {0: (2, [0])}
+    assert st._settled == {0: (2, [0], [0, 0])}
     return st
 
 
@@ -525,9 +527,9 @@ def test_single_survivor_passes_the_round_its_cell_closed_in():
     while cell_width(st, 2, 0, epoch) > 0.25:
         st.add_round_sample(2, epoch, 0, 2.0)
         epoch += 1
-    assert st._settled == {0: (2, [0])}
+    assert st._settled == {0: (2, [0], [0, 0])}
     assert policies.nested_cb_decide(st, epoch) == reference_tournament(st, epoch)[:2] == (0, 3)
-    assert st._settled == {0: (3, [0])}
+    assert st._settled == {0: (3, [0], [0, 0])}
 
 
 def test_no_settled_entries_when_no_phase_key_repeats():
@@ -681,6 +683,22 @@ def test_nonpositive_n_rejected(n):
         make_policy("two_stage", {"n": n})
 
 
+@pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
+def test_g_below_sqrt_n_rejected_before_the_first_epoch(policy_id):
+    # g^2 >= n is checked by the constructor when both are set, and by begin
+    # once an unset n is completed, so an oracle, which never runs stage
+    # one's estimate, fails before its first epoch as well
+    with pytest.raises(ValueError, match=r"^g=3 violates g >= max\(2, sqrt\(n\)\) for n=50$"):
+        make_policy(policy_id, {"n": 50, "g": 3})
+    with pytest.raises(ValueError, match=r"^g=6 violates .* for n=37$"):
+        make_policy(policy_id, {"n": 37, "g": 6})
+    make_policy(policy_id, {"n": 36, "g": 6})
+    pol = make_policy(policy_id, {"g": 3})
+    pol.decide = mock.Mock(side_effect=AssertionError("an epoch ran"))
+    with pytest.raises(ValueError, match=r"^g=3 violates .* for n=35$"):
+        run_episode(instance([[1.0, 0.0], [1.0, 0.0, 0.0]], sigma=0.1, horizon=2500), pol, 0)
+
+
 def test_oracle_requires_periods():
     pol = make_policy("oracle")
     from periodic_bandits.policies import InstanceView
@@ -827,8 +845,8 @@ def test_per_phase_counts_partition():
     res = run_episode(inst, pol, 5)
     for phase in range(2):
         epochs = [t for t in range(1, 1002) if t % 2 == phase]
-        total = sum(pol._cells.counts[phase])
-        assert total == len(epochs) == pol._cells.visits[phase]
+        # the cell's visit count, the N of its UCB index, is this sum
+        assert sum(pol._cells.counts[phase]) == len(epochs)
         for arm in range(2):
             assert pol._cells.counts[phase][arm] == sum(
                 1 for t in epochs if res.actions[t - 1] == arm
