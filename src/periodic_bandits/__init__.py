@@ -28,8 +28,6 @@ from .spectral import (
     amplitude_condition_coefficients,
     compute_periodogram,
     default_H,
-    default_t_max,
-    detector_parameters,
     estimate_periods,
     failure_probability_bound,
     frequency_grid,

@@ -23,19 +23,18 @@ from .harness import monte_carlo, report_from_dir
 
 
 def _cmd_constants(args: argparse.Namespace) -> int:
-    H = args.H if args.H is not None else spectral.default_H(args.n)
-    u1, u2 = spectral.u_constants(args.n, args.g)
-    sig_c, b_c = spectral.amplitude_condition_coefficients(args.n, args.g, H)
+    c = spectral.threshold_constants(args.n, args.g, args.sigma, args.H)
+    sig_c, b_c = spectral.amplitude_condition_coefficients(c.n, c.g, c.H)
     row = {
-        "n": args.n,
-        "g": args.g,
-        "H": H,
-        "u1": u1,
-        "u2": u2,
-        "eps_bar": spectral.noise_bound(args.n, args.sigma, H),
+        "n": c.n,
+        "g": c.g,
+        "H": c.H,
+        "u1": c.u1,
+        "u2": c.u2,
+        "eps_bar": c.eps_bar,
         "sigma_coeff": sig_c,
         "B_coeff": b_c,
-        "failure_bound": spectral.failure_probability_bound(args.n, args.K, H),
+        "failure_bound": spectral.failure_probability_bound(c.n, args.K, c.H),
         "K": args.K,
     }
     json.dump(row, sys.stdout, indent=2)
@@ -98,15 +97,17 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
 def _cmd_detect(args: argparse.Namespace) -> int:
     samples, epochs = _read_series(args.csv)
     if args.t_max is not None and args.t_max < 2:
-        # no period is representable: refuse rather than report period 1
         raise ValueError(f"--t-max must be at least 2, got {args.t_max}")
-    n, g, H = spectral.detector_parameters(len(samples), args.g, args.H)
-    (est,) = spectral.estimate_periods([(samples, epochs)], n, g, H, args.sigma, t_max=args.t_max)[1]
+    c = spectral.threshold_constants(len(samples), args.g, args.sigma, args.H, args.t_max)
+    if c.t_max < 2:
+        # no period is representable: refuse rather than report period 1
+        raise ValueError(f"n={c.n} samples at g={c.g} give t_max={c.t_max}: no period is below n/(2g)")
+    (est,) = spectral.estimate_periods([(samples, epochs)], c.n, c.g, c.H, c.sigma, c.t_max)[1]
     out = {
         "identified": [str(f) for f in est.identified],
         "period": est.period_estimate,
         "threshold": est.threshold,
-        "failure_bound": spectral.failure_probability_bound(n, 1, H),
+        "failure_bound": spectral.failure_probability_bound(c.n, 1, c.H),
     }
     json.dump(out, sys.stdout, indent=2)
     print()

@@ -18,6 +18,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .spectral import ThresholdConstants, amplitude_condition_coefficients
+
 IMAG_TOL = 1e-9   # max imaginary residue tolerated when evaluating Fourier profiles
 COEF_TOL = 1e-12  # below this a Fourier coefficient counts as absent
 
@@ -288,20 +290,14 @@ def make_lower_bound_instance(
     raise ValueError(f"unknown family {family!r}; expected e1, e2 or e3")
 
 
-def validity_report(
-    instance: BanditInstance,
-    n: int | None = None,
-    g: int | None = None,
-    sigma: float | None = None,
-    H: float | None = None,
-) -> dict:
+def validity_report(instance: BanditInstance, detector: ThresholdConstants | None = None) -> dict:
     """Non-fatal checks against the modeling assumptions.
 
-    Always reports the [0, 1] mean-range check, K >= 2 and T >= 4K. When
-    stage-one parameters (n, g) are given, also reports which periods violate
-    T_k < n / (2 g); with sigma and H as well, evaluates the minimum-amplitude
-    condition for reliable frequency detection per arm. Every value is a plain
-    Python bool, int or float, so the report serialises with ``json.dumps``.
+    Always reports the [0, 1] mean-range check, K >= 2 and T >= 4K. Given
+    stage one's detector, also reports which periods violate T_k < n / (2 g)
+    and evaluates, at the detector's sigma, the minimum-amplitude condition
+    for reliable frequency detection per arm. Every value is a plain Python
+    bool, int or float, so the report serialises with ``json.dumps``.
     """
     report: dict = {
         "means_in_unit_interval": [
@@ -312,30 +308,26 @@ def validity_report(
         "periods": list(instance.periods),
     }
     report["all_means_in_unit_interval"] = all(report["means_in_unit_interval"])
-    if n is not None and g is not None:
-        bound = n / (2 * g)
-        report["period_bound"] = bound
+    if detector is not None:
+        bound = report["period_bound"] = detector.n / (2 * detector.g)
         report["period_within_bound"] = [p.period < bound for p in instance.arms]
-        if sigma is not None and H is not None:
-            from .spectral import amplitude_condition_coefficients
-
-            sig_c, b_c = amplitude_condition_coefficients(n, g, H)
-            checks = []
-            for prof in instance.arms:
-                # the weakest and strongest nonzero coefficient magnitudes, 0s if flat
-                mags = np.abs(prof.fourier_coefficients())
-                nonzero = mags[mags > COEF_TOL]
-                weakest, strongest = (float(nonzero.min()), float(nonzero.max())) if nonzero.size else (0.0, 0.0)
-                required = sig_c * sigma + b_c * strongest
-                checks.append(
-                    {
-                        "weakest": weakest,
-                        "strongest": strongest,
-                        "required": required,
-                        "satisfied": weakest >= required if strongest > 0 else True,
-                    }
-                )
-            report["amplitude_condition"] = checks
+        sig_c, b_c = amplitude_condition_coefficients(detector.n, detector.g, detector.H)
+        checks = []
+        for prof in instance.arms:
+            # the weakest and strongest nonzero coefficient magnitudes, 0s if flat
+            mags = np.abs(prof.fourier_coefficients())
+            nonzero = mags[mags > COEF_TOL]
+            weakest, strongest = (float(nonzero.min()), float(nonzero.max())) if nonzero.size else (0.0, 0.0)
+            required = sig_c * detector.sigma + b_c * strongest
+            checks.append(
+                {
+                    "weakest": weakest,
+                    "strongest": strongest,
+                    "required": required,
+                    "satisfied": weakest >= required if strongest > 0 else True,
+                }
+            )
+        report["amplitude_condition"] = checks
     return report
 
 

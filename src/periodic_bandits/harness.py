@@ -52,15 +52,8 @@ CONFIG_KEYS = ("instance", "policies", "horizons", "replications", "base_seed", 
 
 def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResult:
     """Play one full episode; deterministic in (instance, policy config, seed)."""
-    T, K = instance.horizon, instance.n_arms
     stream = instance.noise_stream(seed)
-    view = InstanceView(
-        n_arms=K,
-        horizon=T,
-        sigma=instance.noise.sigma,
-        true_periods=instance.periods if policy.uses_true_periods else None,
-    )
-    policy.begin(view)
+    policy.begin(_view(instance, policy))
     # Python ints and floats in the loop, and one array at the end: numpy
     # scalar arithmetic and item assignment cost more per epoch. Each cycle
     # is rotated by one, so epoch t's mean sits at index t % period
@@ -81,6 +74,12 @@ def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResul
         estimated_periods=policy.estimated_periods,
         events=list(policy.events),
     )
+
+
+def _view(instance: BanditInstance, policy: Policy) -> InstanceView:
+    """What ``policy`` may know of ``instance``."""
+    periods = instance.periods if policy.uses_true_periods else None
+    return InstanceView(instance.n_arms, instance.horizon, instance.noise.sigma, periods)
 
 
 # ---------------------------------------------------------------------------
@@ -352,9 +351,10 @@ def _instance_at(spec: dict, horizon: int | None) -> BanditInstance:
         raise ValueError(f"instance {spec!r} at horizon {horizon}: {type(exc).__name__}: {exc}") from exc
 
 
-def _policy_params(config: dict) -> dict[str, dict]:
+def _policy_params(config: dict, instances: list[BanditInstance]) -> dict[str, dict]:
     """{id: params} of config["policies"], each entry built once with
-    ``make_policy`` so an unknown id or a bad param fails before any episode."""
+    ``make_policy`` and begun on every instance, so an unknown id, a bad param
+    or one that does not fit some horizon fails before any episode."""
     entries = config.get("policies")
     if not isinstance(entries, (list, tuple)):
         raise ValueError(f"policies must be a list of entries, got {entries!r}")
@@ -371,7 +371,9 @@ def _policy_params(config: dict) -> dict[str, dict]:
     for pol in entries:
         try:
             params[pol["id"]] = dict(pol.get("params") or {})
-            make_policy(pol["id"], params[pol["id"]])
+            policy = make_policy(pol["id"], params[pol["id"]])
+            for inst in instances:
+                policy.begin(_view(inst, policy))
         except (TypeError, ValueError) as exc:
             # TypeError: params that are not a mapping
             raise ValueError(
@@ -409,14 +411,14 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     curve_points = _checked_int("curve_points", config.get("curve_points", 128))
     workers = _checked_int("workers", config.get("workers", 1))
     horizons = _horizons(config)
-    params = _policy_params(config)
+    instances = {T: _instance_at(config.get("instance"), T) for T in horizons}
+    params = _policy_params(config, list(instances.values()))
     # repr, not ==: 64 == 64.0 and True == 1, yet a policy may treat them apart
     coupled = (
         "two_stage" in params and "oracle" in params
         and repr(sorted(params["two_stage"].items())) == repr(sorted(params["oracle"].items()))
     )
 
-    instances = {T: _instance_at(config.get("instance"), T) for T in horizons}
     # an e1/e2/e3 preset's means depend on T, so only an instance that stays
     # the same at every horizon has shorter episodes that are prefixes
     longest = instances[horizons[-1]]

@@ -20,14 +20,13 @@ from math import log, sqrt
 from typing import Iterable, Sequence
 
 from .env import _checked_int, _checked_keys
-from .spectral import detector_parameters, estimate_periods
+from .spectral import ThresholdConstants, estimate_periods, u_constants
 
 
 def recommended_parameters(T: int, K: int) -> tuple[int, int, float]:
-    """Stage-one defaults: n = floor(sqrt(T/K)), g = ceil(sqrt(n)), H = sqrt(1 + log n)."""
-    if T <= 4 * K:
-        raise ValueError("horizon too short: need T > 4K")
-    return detector_parameters(int(math.floor(math.sqrt(T / K))))
+    """(n, g, H) of stage one's default detector, ``ThresholdConstants.for_horizon``."""
+    c = ThresholdConstants.for_horizon(T, K, 0.0)
+    return c.n, c.g, c.H
 
 
 @dataclass(frozen=True)
@@ -46,7 +45,10 @@ class Policy:
     A ``horizon_free`` policy never reads ``view.horizon``, so its episode at
     a horizon T is the first T epochs of its episode at any longer horizon.
     A policy that estimates periods or records ``(epoch, kind, detail)``
-    events resets ``estimated_periods`` and ``events`` in ``begin``.
+    events resets ``estimated_periods`` and ``events`` in ``begin``. A sweep
+    begins every policy entry on each horizon's instance before any episode,
+    so ``begin`` checks what it can, stays cheap and changes nothing outside
+    the object.
     """
 
     policy_id = "base"
@@ -266,12 +268,12 @@ class _ExploreFirst(Policy):
     consecutive pulls per arm, then one period per arm.
 
     The constructor checks n and g (g^2 >= n too, if both are set). ``begin``
-    completes them for the horizon (an unset n is the recommended one; an
-    unset g, and H, follow the n actually used), checks g^2 >= n before the
-    first epoch, and fixes stage one's last epoch ``_end = n K``. Up to
-    ``_end``, a subclass's ``decide`` pulls arm (t - 1) // n and its
-    ``observe`` appends the reward to that arm's block, inline, since both
-    run every epoch; ``_periods`` runs the spectral estimator on the blocks.
+    keeps the detector ``ThresholdConstants.for_horizon`` builds from them,
+    which checks g^2 >= n and n K < T before the first epoch, and fixes stage
+    one's last epoch ``_end = n K``. Up to ``_end``, a subclass's ``decide``
+    pulls arm (t - 1) // n and its ``observe`` appends the reward to that
+    arm's block, inline, since both run every epoch; ``_periods`` runs the
+    spectral estimator on the blocks with that detector.
     What comes after stage one keeps its state in ``_state``.
     """
 
@@ -281,15 +283,13 @@ class _ExploreFirst(Policy):
         self.n = None if n is None else _checked_int("n", n, least=2)
         self.g = None if g is None else _checked_int("g", g, least=2)
         if n is not None and g is not None:
-            detector_parameters(n, g)  # checks g^2 >= n
+            u_constants(n, g)  # checks g^2 >= n
 
     def begin(self, view: InstanceView) -> None:
-        K, T = view.n_arms, view.horizon
-        n = recommended_parameters(T, K)[0] if self.n is None else self.n
-        self._n, self._g, self._H = detector_parameters(n, self.g)
+        K = view.n_arms
+        self._detector = ThresholdConstants.for_horizon(view.horizon, K, view.sigma, self.n, self.g)
+        self._n = self._detector.n
         self._end = self._n * K
-        if self._end >= T:
-            raise ValueError("stage one would consume the whole horizon")
         self._view = view
         self._blocks: list[list[float]] = [[] for _ in range(K)]
         self._state = None
@@ -298,9 +298,9 @@ class _ExploreFirst(Policy):
 
     def _periods(self) -> Sequence[int]:
         """The periods used after stage one: its estimates, one per arm."""
-        n = self._n
+        d, n = self._detector, self._n
         blocks = [(block, range(n * k + 1, n * (k + 1) + 1)) for k, block in enumerate(self._blocks)]
-        return estimate_periods(blocks, n, self._g, self._H, self._view.sigma)[0]
+        return estimate_periods(blocks, n, d.g, d.H, d.sigma, d.t_max)[0]
 
 
 class TwoStagePolicy(_ExploreFirst):

@@ -85,7 +85,8 @@ def u_constants(n: int, g: int) -> tuple[float, float]:
     """
     if n < 2:
         raise ValueError("n must be at least 2")
-    detector_parameters(n, g)  # checks g
+    if g < 2 or g * g < n:
+        raise ValueError(f"g={g} violates g >= max(2, sqrt(n)) for n={n}")
     u1 = sum((a_sup((2 * j + 1) * g) for j in range(0, (n - 2 * g - 1) // (4 * g) + 1)), 0.0)
     u2 = sum((a_sup(2 * j * g - 1) for j in range(1, (n - 1) // (4 * g) + 1)), 0.0)
     return u1, u2
@@ -106,19 +107,10 @@ def default_H(n: int) -> float:
     return math.sqrt(1.0 + math.log(n))
 
 
-def detector_parameters(n: int, g: int | None = None, H: float | None = None) -> tuple[int, int, float]:
-    """(n, g, H) for an n-sample block: an unset g is ceil(sqrt(n)), a set g
-    must be at least max(2, sqrt(n)), and an unset H is sqrt(1 + log n)."""
-    if n < 1:
-        raise ValueError(f"sample size n={n} must be positive")
-    if g is not None and (g < 2 or g * g < n):
-        raise ValueError(f"g={g} violates g >= max(2, sqrt(n)) for n={n}")
-    return n, math.ceil(math.sqrt(n)) if g is None else g, default_H(n) if H is None else H
-
-
 @dataclass(frozen=True)
 class ThresholdConstants:
-    """Everything deterministic in (n, g, H, sigma) that the threshold needs."""
+    """Stage one's detector: n, g, H, sigma, the largest candidate denominator
+    t_max, and everything deterministic in them that the threshold needs."""
 
     n: int
     g: int
@@ -127,6 +119,21 @@ class ThresholdConstants:
     u1: float
     u2: float
     eps_bar: float
+    t_max: int
+
+    @classmethod
+    def for_horizon(
+        cls, T: int, K: int, sigma: float, n: int | None = None, g: int | None = None
+    ) -> ThresholdConstants:
+        """The detector of stage one at horizon T with K arms: an unset n is
+        floor(sqrt(T/K)), which needs T > 4K, and n K must be below T."""
+        if n is None:
+            if T <= 4 * K:
+                raise ValueError("horizon too short: need T > 4K")
+            n = int(math.floor(math.sqrt(T / K)))
+        if n * K >= T:
+            raise ValueError(f"stage one's n K = {n} * {K} pulls would consume the whole horizon T={T}")
+        return threshold_constants(n, g, sigma)
 
     @property
     def leakage_ratio(self) -> float:
@@ -137,11 +144,17 @@ class ThresholdConstants:
         return math.pi * self.u1 / denom
 
 
-def threshold_constants(n: int, g: int, sigma: float, H: float | None = None) -> ThresholdConstants:
-    if H is None:
-        H = default_H(n)
-    u1, u2 = u_constants(n, g)
-    return ThresholdConstants(n=n, g=g, H=H, sigma=sigma, u1=u1, u2=u2, eps_bar=noise_bound(n, sigma, H))
+def threshold_constants(
+    n: int, g: int | None, sigma: float, H: float | None = None, t_max: int | None = None
+) -> ThresholdConstants:
+    """The detector for an n-sample block, the one place its defaults are
+    filled: an unset g is ceil(sqrt(n)), H is sqrt(1 + log n) and t_max is
+    ceil(n / (2g)) - 1, so periods must be below n/(2g)."""
+    g = math.ceil(math.sqrt(max(n, 0))) if g is None else g  # so that n < 0 reaches the check below
+    u1, u2 = u_constants(n, g)  # checks n >= 2 and g >= max(2, sqrt(n))
+    H = default_H(n) if H is None else H
+    return ThresholdConstants(n, g, H, sigma, u1, u2, noise_bound(n, sigma, H),
+                              math.ceil(n / (2 * g)) - 1 if t_max is None else t_max)
 
 
 def threshold(constants: ThresholdConstants, sup_mag: float) -> float:
@@ -219,11 +232,6 @@ def _candidates(t_max: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
     vals = np.array([float(c) for c in cands])
     vals.flags.writeable = False
     return cands, vals
-
-
-def default_t_max(n: int, g: int) -> int:
-    """Largest candidate denominator: ceil(n / (2g)) - 1 (periods must satisfy T < n/(2g))."""
-    return math.ceil(n / (2 * g)) - 1
 
 
 def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
@@ -415,14 +423,12 @@ def estimate_periods(
     ``blocks`` holds one (samples, absolute epochs) pair per arm, each of
     exactly n consecutive samples. Arms are processed independently.
     """
-    consts = threshold_constants(n, g, sigma, H)
-    if t_max is None:
-        t_max = default_t_max(n, g)
-    grid = _detection_plan(n, t_max).grid
+    consts = threshold_constants(n, g, sigma, H, t_max)
+    grid = _detection_plan(n, consts.t_max).grid
     estimates = []
     for samples, epochs in blocks:
         if len(samples) != n:
             raise ValueError(f"each block must have exactly n={n} samples, got {len(samples)}")
         pg = compute_periodogram(samples, epochs, grid)
-        estimates.append(identify_frequencies(pg, consts, t_max=t_max))
+        estimates.append(identify_frequencies(pg, consts, t_max=consts.t_max))
     return tuple(e.period_estimate for e in estimates), estimates

@@ -16,8 +16,9 @@ from periodic_bandits.env import (
     pseudo_regret,
     validity_report,
 )
-from periodic_bandits.harness import run_episode
+from periodic_bandits.harness import default_sweep_instance, run_episode
 from periodic_bandits.policies import make_policy
+from periodic_bandits.spectral import ThresholdConstants, threshold_constants
 
 
 def mean(profile: MeanProfile, t: int) -> float:
@@ -332,7 +333,7 @@ def test_unknown_family():
 
 def test_validity_report_period_bound():
     inst = make_demo_instance(50, 0.2)
-    report = validity_report(inst, n=50, g=8)
+    report = validity_report(inst, threshold_constants(50, 8, 0.2))
     assert report["period_bound"] == pytest.approx(3.125)
     assert report["period_within_bound"] == [False]  # 4 > 3.125
     assert report["k_at_least_2"] is False
@@ -340,7 +341,7 @@ def test_validity_report_period_bound():
 
 def test_validity_report_amplitude_condition():
     inst = make_demo_instance(50, 0.2)
-    report = validity_report(inst, n=50, g=8, sigma=0.2, H=math.sqrt(1 + math.log(50)))
+    report = validity_report(inst, threshold_constants(50, 8, 0.2, math.sqrt(1 + math.log(50))))
     check = report["amplitude_condition"][0]
     # weakest 1.5, strongest 3: required = 3.337 * 0.2 + 0.2450 * 3
     assert check["weakest"] == pytest.approx(1.5, abs=1e-9)
@@ -350,13 +351,32 @@ def test_validity_report_amplitude_condition():
 
 def test_validity_report_is_plain_json():
     # the amplitude check's constants are numpy scalars; the report is not
-    from periodic_bandits.harness import default_sweep_instance
-
-    report = validity_report(default_sweep_instance(), 115, 11, 0.04, 2.3)
+    report = validity_report(default_sweep_instance(), threshold_constants(115, 11, 0.04, 2.3))
     assert json.loads(json.dumps(report)) == report
     for check in report["amplitude_condition"]:
         assert type(check["required"]) is float and type(check["satisfied"]) is bool
     assert [c["satisfied"] for c in report["amplitude_condition"]] == [True, False, False]
+
+
+@pytest.mark.parametrize(
+    ("T", "ngt", "within", "met"),
+    [
+        (2500, (28, 6, 2), [True, False, False], [False, False, False]),
+        (5000, (40, 7, 2), [True, False, False], [False, False, False]),
+        (10000, (57, 8, 3), [True, True, False], [False, False, False]),
+        (20000, (81, 9, 4), [True, True, True], [False, False, False]),
+        (40000, (115, 11, 5), [True, True, True], [True, False, False]),
+    ],
+)
+def test_stage_one_table_of_the_default_sweep(T, ngt, within, met):
+    # the stage-one table of the sweep's horizons (K=3, sigma 0.04): n, g and
+    # t_max, the periods (2, 3, 4) below n/(2g), and the arms that meet the
+    # amplitude condition
+    detector = ThresholdConstants.for_horizon(T, 3, 0.04)
+    assert (detector.n, detector.g, detector.t_max) == ngt
+    report = validity_report(default_sweep_instance(T), detector)
+    assert report["period_within_bound"] == within
+    assert [check["satisfied"] for check in report["amplitude_condition"]] == met
 
 
 def test_instance_json_roundtrip(tmp_path):

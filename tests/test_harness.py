@@ -216,6 +216,10 @@ MISSING = object()  # a config value that stands for deleting its key
         ("n-bool", {"id": "two_stage", "params": {"n": True}}),
         ("g-one", {"id": "oracle", "params": {"g": 1}}),
         ("g-below-sqrt-n", {"id": "two_stage", "params": {"n": 50, "g": 3}}),
+        # g=4 fits n=14 at T=400, not n=17 at T=600; n=250 fills T=400 only
+        ("g-fits-shorter-horizon-only", {"id": "oracle", "params": {"g": 4}}),
+        ("n-fills-shorter-horizon", {"id": "lcm_ucb", "params": {"n": 250}}),
+        ("seq-elim-two-periods", {"id": "seq_elim"}),
     )],
 )
 def test_tail_fraction_checked_before_any_episode(key, value):
@@ -682,20 +686,22 @@ def test_cli_detect(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    ("option", "value", "message"),
-    [pytest.param(o, v, f"{o[2:]} must be finite", id=f"{o}-{v}")
+    ("rows", "args", "message"),
+    [pytest.param(50, [o, v, "--t-max", "10"], f"{o[2:]} must be finite", id=f"{o}-{v}")
      for o, v in (("--sigma", "nan"), ("--sigma", "inf"), ("--H", "nan"), ("--H", "inf"), ("--sigma", "-1"))]
-    + [pytest.param("--g", "1", "g=1 violates g >= max", id="--g-1")]
-    + [pytest.param("--t-max", v, f"--t-max must be at least 2, got {v}$", id=f"--t-max-{v}") for v in ("1", "0")],
+    + [pytest.param(50, ["--g", "1", "--t-max", "10"], "g=1 violates g >= max", id="--g-1")]
+    + [pytest.param(50, ["--t-max", v], f"--t-max must be at least 2, got {v}$", id=f"--t-max-{v}")
+       for v in ("1", "0")]
+    # 12 rows at the default g=4 leave t_max=1, below every period
+    + [pytest.param(12, [], r"n=12 samples at g=4 give t_max=1: no period is", id="12-rows")],
 )
-def test_cli_detect_rejects_non_finite_sigma_or_H(tmp_path, capsys, option, value, message):
+def test_cli_detect_rejects_non_finite_sigma_or_H(tmp_path, capsys, rows, args, message):
     # a NaN threshold, like a t_max below 2, would report period 1 as if no
     # peak stood out; a bad argument exits with one line naming the file
     path = tmp_path / "series.csv"
-    path.write_text("\n".join(_demo_rows()))
-    args = ["detect", str(path), "--sigma", "0.2", "--t-max", "10"]
+    path.write_text("\n".join(_demo_rows()[:rows]))
     with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: .*{message}") as exc:
-        cli.main(args + [option, value])
+        cli.main(["detect", str(path), "--sigma", "0.2"] + args)
     assert "\n" not in str(exc.value)
     assert capsys.readouterr().out == ""
 

@@ -673,7 +673,7 @@ def test_fixed_n_derives_g_and_H_from_it(policy_id):
     pol = make_policy(policy_id, {"n": 200})
     res = run_episode(default_sweep_instance(10000), pol, seed=0)
     assert pol._end == 3 * 200
-    assert (pol._g, pol._H) == (15, default_H(200))
+    assert (pol._detector.g, pol._detector.H) == (15, default_H(200))
     assert len(res.actions) == 10000
 
 

@@ -18,8 +18,6 @@ from periodic_bandits.spectral import (
     amplitude_condition_coefficients,
     compute_periodogram,
     default_H,
-    default_t_max,
-    detector_parameters,
     estimate_periods,
     failure_probability_bound,
     frequency_grid,
@@ -168,7 +166,7 @@ def test_threshold_zero_noise_zero_sup():
 def test_threshold_degenerate_constants():
     from periodic_bandits.spectral import ThresholdConstants
 
-    bad = ThresholdConstants(n=50, g=8, H=1.0, sigma=1.0, u1=0.1, u2=1.0, eps_bar=0.1)
+    bad = ThresholdConstants(n=50, g=8, H=1.0, sigma=1.0, u1=0.1, u2=1.0, eps_bar=0.1, t_max=3)
     with pytest.raises(ValueError):
         threshold(bad, 1.0)
 
@@ -263,7 +261,8 @@ def test_dft_shift_changes_phase_only():
 def test_estimate_periods_ignores_the_start_epoch():
     # the same n=500 samples of a period-4 profile read at epochs 1.. and at
     # epochs 12001.. give the same trace and threshold
-    n, g, H = detector_parameters(500)
+    c = threshold_constants(500, None, 0.1)
+    n, g, H = c.n, c.g, c.H
     t = np.arange(1, n + 1)
     y = np.array([0.9, 0.1, 0.5, 0.3])[t % 4] + np.random.default_rng(7).normal(0, 0.1, n)
     (a,), (b,) = (estimate_periods([(y, range(t0, t0 + n))], n, g, H, 0.1)[1] for t0 in (1, 12001))
@@ -399,7 +398,8 @@ def test_frequency_grid_equals_sorted_unique(t_max):
 def _assert_matches_fresh_plan(y, epochs, n, t_max):
     # estimate_periods (the cached plan) against a fresh grid and plan built
     # for this call alone
-    n, g, H = detector_parameters(n)
+    c = threshold_constants(n, None, 0.3)
+    g, H = c.g, c.H
     grid = frequency_grid(n, _candidates(t_max)[1])
     fresh = compute_periodogram(y, epochs, grid)
     ref = identify_frequencies(fresh, threshold_constants(n, g, 0.3, H), t_max=t_max)
@@ -471,8 +471,8 @@ def test_stage_one_detection_golden():
         (115, None, None, sweep_arms, 0.04, None),
         (115, None, None, sweep_arms[2:], 0.04, 12345),
     ):
-        n, g, H = detector_parameters(n, g)
-        t_max = default_t_max(n, g) if t_max is None else t_max
+        c = threshold_constants(n, g, sigma, t_max=t_max)
+        g, H, t_max = c.g, c.H, c.t_max
         for seed in (0, 1):
             eps = np.random.default_rng(seed).normal(0.0, sigma, n * len(arms))
             blocks = []
@@ -503,8 +503,35 @@ def test_candidate_frequencies_reduced_and_unique():
 
 
 def test_default_t_max():
-    assert default_t_max(50, 8) == 3
-    assert default_t_max(64, 8) == 3  # integral n/(2g) -> strictly below
+    assert threshold_constants(50, 8, 0.1).t_max == 3
+    assert threshold_constants(64, 8, 0.1).t_max == 3  # integral n/(2g) -> strictly below
+
+
+@settings(max_examples=60, deadline=None)
+@given(K=st.integers(1, 8), data=st.data())
+def test_for_horizon_resolution_rules(K, data):
+    # the defaults stage one fills at a horizon, in exact integer arithmetic
+    T = data.draw(st.integers(4 * K + 1, 10**6), label="T")
+    d = spectral.ThresholdConstants.for_horizon(T, K, 0.1)
+    n = math.isqrt(T // K)  # floor(sqrt(T/K))
+    g = math.isqrt(n - 1) + 1  # ceil(sqrt(n))
+    assert (d.n, d.g, d.t_max, d.sigma) == (n, g, -(-n // (2 * g)) - 1, 0.1)
+    assert d.H == math.sqrt(1 + math.log(n))
+    assert n * K < T
+    # an explicit (n, g) fails exactly when g < 2 or g^2 < n, and an n that
+    # fills the horizon fails too
+    n = data.draw(st.integers(2, 400), label="n")
+    g = data.draw(st.integers(-1, 25), label="g")
+    T = n * K + data.draw(st.integers(1, 1000), label="T - nK")
+    if g < 2 or g * g < n:
+        with pytest.raises(ValueError, match=rf"^g={g} violates g >= max\(2, sqrt\(n\)\) for n={n}$"):
+            spectral.ThresholdConstants.for_horizon(T, K, 0.1, n, g)
+    else:
+        d = spectral.ThresholdConstants.for_horizon(T, K, 0.1, n, g)
+        assert (d.n, d.g) == (n, g)
+    fills = rf"^stage one's n K = {n} \* {K} pulls would consume the whole horizon T={n * K}$"
+    with pytest.raises(ValueError, match=fills):
+        spectral.ThresholdConstants.for_horizon(n * K, K, 0.1, n)
 
 
 def test_lcm_of_denominators():
