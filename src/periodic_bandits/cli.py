@@ -24,7 +24,7 @@ from .harness import monte_carlo, report_from_dir
 
 def _cmd_constants(args: argparse.Namespace) -> int:
     c = spectral.threshold_constants(args.n, args.g, args.sigma, args.H)
-    sig_c, b_c = spectral.amplitude_condition_coefficients(c.n, c.g, c.H)
+    sig_c, b_c = spectral.amplitude_condition_coefficients(c)
     row = {
         "n": c.n,
         "g": c.g,

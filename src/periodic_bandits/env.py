@@ -117,8 +117,6 @@ class NoiseModel:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.sigma == 0:
-            return np.zeros(size)
         if self.kind == "gaussian":
             return rng.normal(0.0, self.sigma, size)
         return rng.uniform(-self.sigma, self.sigma, size)
@@ -311,7 +309,7 @@ def validity_report(instance: BanditInstance, detector: ThresholdConstants | Non
     if detector is not None:
         bound = report["period_bound"] = detector.n / (2 * detector.g)
         report["period_within_bound"] = [p.period < bound for p in instance.arms]
-        sig_c, b_c = amplitude_condition_coefficients(detector.n, detector.g, detector.H)
+        sig_c, b_c = amplitude_condition_coefficients(detector)
         checks = []
         for prof in instance.arms:
             # the weakest and strongest nonzero coefficient magnitudes, 0s if flat

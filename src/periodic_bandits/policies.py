@@ -270,9 +270,10 @@ class _ExploreFirst(Policy):
     The constructor checks n and g (g^2 >= n too, if both are set). ``begin``
     keeps the detector ``ThresholdConstants.for_horizon`` builds from them,
     which checks g^2 >= n and n K < T before the first epoch, and fixes stage
-    one's last epoch ``_end = n K``. Up to ``_end``, a subclass's ``decide``
+    one's last epoch ``_end = n K`` and each arm k's block, its samples and
+    its epochs n k + 1 .. n (k + 1). Up to ``_end``, a subclass's ``decide``
     pulls arm (t - 1) // n and its ``observe`` appends the reward to that
-    arm's block, inline, since both run every epoch; ``_periods`` runs the
+    arm's samples, inline, since both run every epoch; ``_periods`` runs the
     spectral estimator on the blocks with that detector.
     What comes after stage one keeps its state in ``_state``.
     """
@@ -288,19 +289,18 @@ class _ExploreFirst(Policy):
     def begin(self, view: InstanceView) -> None:
         K = view.n_arms
         self._detector = ThresholdConstants.for_horizon(view.horizon, K, view.sigma, self.n, self.g)
-        self._n = self._detector.n
-        self._end = self._n * K
+        n = self._n = self._detector.n
+        self._end = n * K
         self._view = view
-        self._blocks: list[list[float]] = [[] for _ in range(K)]
+        self._blocks: list[tuple[list[float], range]] = [([], range(n * k + 1, n * (k + 1) + 1)) for k in range(K)]
         self._state = None
         self.events: list = []
         self.estimated_periods: tuple[int, ...] | None = None
 
     def _periods(self) -> Sequence[int]:
         """The periods used after stage one: its estimates, one per arm."""
-        d, n = self._detector, self._n
-        blocks = [(block, range(n * k + 1, n * (k + 1) + 1)) for k, block in enumerate(self._blocks)]
-        return estimate_periods(blocks, n, d.g, d.H, d.sigma, d.t_max)[0]
+        d = self._detector
+        return estimate_periods(self._blocks, d.n, d.g, d.H, d.sigma, d.t_max)[0]
 
 
 class TwoStagePolicy(_ExploreFirst):
@@ -318,14 +318,10 @@ class TwoStagePolicy(_ExploreFirst):
     policy_id = "two_stage"
 
     def _start_stage_two(self) -> None:
-        view, n = self._view, self._n
+        view = self._view
         self.estimated_periods = tuple(self._periods())
-        # the blocks in epoch order: arm k's n pulls start at epoch n k + 1
-        bar_samples = (
-            (t, k, y)
-            for k, block in enumerate(self._blocks)
-            for t, y in enumerate(block, start=n * k + 1)
-        )
+        bar_samples = ((t, k, y) for k, (samples, epochs) in enumerate(self._blocks)
+                       for t, y in zip(epochs, samples))
         self._state = state = NestedCBState(
             self.estimated_periods, view.sigma, view.horizon, 8.0 / view.horizon, bar_samples
         )
@@ -347,7 +343,7 @@ class TwoStagePolicy(_ExploreFirst):
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         if t <= self._end:
-            self._blocks[arm].append(reward)
+            self._blocks[arm][0].append(reward)
             return
         if self._pending_round is not None:
             self._add_round_sample(self._pending_round, t, arm, reward)
@@ -531,7 +527,7 @@ class LcmUCB(_ExploreFirst):
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         if t <= self._end:
-            self._blocks[arm].append(reward)
+            self._blocks[arm][0].append(reward)
             return
         self._update(t % self.lcm_period, arm, reward)
 

@@ -185,20 +185,19 @@ def failure_probability_bound(n: int, K: int, H: float) -> float:
     )
 
 
-def amplitude_condition_coefficients(n: int, g: int, H: float | None = None) -> tuple[float, float]:
+def amplitude_condition_coefficients(detector: ThresholdConstants) -> tuple[float, float]:
     """(c_sigma, c_B) such that detection is reliable when the weakest present
     coefficient satisfies b >= c_sigma * sigma + c_B * B (B the strongest).
 
-    c_sigma multiplies sigma via the noise envelope, so it does not depend on
-    sigma itself; c_B collects the worst of the two leakage routes. Both come
-    from the threshold's own constants at unit sigma.
+    c_sigma multiplies sigma via the noise envelope, so it takes the
+    detector's envelope at unit sigma and does not read its sigma; c_B
+    collects the worst of the two leakage routes.
     """
-    c = threshold_constants(n, g, 1.0, H)
-    ratio = c.leakage_ratio  # raises on degenerate constants
-    sigma_coeff = (2.0 * ratio + 2.0) * c.eps_bar
+    ratio = detector.leakage_ratio  # raises on degenerate constants
+    sigma_coeff = (2.0 * ratio + 2.0) * noise_bound(detector.n, 1.0, detector.H)
     b_coeff = max(
-        (8.0 * math.pi / 3.0) * c.u2,
-        ratio * max(math.pi * c.u1, math.pi * c.u2 + 1.0) + math.pi * c.u2,
+        (8.0 * math.pi / 3.0) * detector.u2,
+        ratio * max(math.pi * detector.u1, math.pi * detector.u2 + 1.0) + math.pi * detector.u2,
     )
     return sigma_coeff, b_coeff
 
@@ -356,26 +355,26 @@ class FrequencyEstimate:
     trace: list[dict]
 
 
-def identify_frequencies(
-    periodogram: Periodogram,
-    constants: ThresholdConstants,
-    t_max: int,
-) -> FrequencyEstimate:
-    """Threshold-and-excise search over the periodogram.
+def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants) -> FrequencyEstimate:
+    """Threshold-and-excise search over the periodogram with the detector's
+    candidates, the rationals of denominator at most ``detector.t_max``.
 
     Grid points below g/n are excluded from the search (the constant term's
     main lobe lives there) but still count toward the supremum that sets the
     threshold. Ties at the global maximum resolve to the lowest frequency;
     candidate-matching ties resolve to the smaller denominator, then smaller
-    numerator.
+    numerator. Raises ``ValueError`` on an empty periodogram or one of a
+    block whose length is not the detector's n.
 
     A t_max below 2 leaves no representable period at this sample size; the
     candidate set is then empty and the estimate degrades to period 1.
     """
     if periodogram.grid.size == 0:
         raise ValueError("empty periodogram")
-    n, g = constants.n, constants.g
-    tau = threshold(constants, float(periodogram.magnitudes.max()))
+    n, g, t_max = detector.n, detector.g, detector.t_max
+    if periodogram.n != n:
+        raise ValueError(f"periodogram of {periodogram.n} samples given to a detector for n={n}")
+    tau = threshold(detector, float(periodogram.magnitudes.max()))
     if t_max < 2:
         return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
     cands, cand_vals = _candidates(t_max)
@@ -430,5 +429,5 @@ def estimate_periods(
         if len(samples) != n:
             raise ValueError(f"each block must have exactly n={n} samples, got {len(samples)}")
         pg = compute_periodogram(samples, epochs, grid)
-        estimates.append(identify_frequencies(pg, consts, t_max=consts.t_max))
+        estimates.append(identify_frequencies(pg, consts))
     return tuple(e.period_estimate for e in estimates), estimates

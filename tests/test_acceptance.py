@@ -41,6 +41,7 @@ from periodic_bandits.spectral import (
     estimate_periods,
     failure_probability_bound,
     frequency_grid,
+    threshold_constants,
     u_constants,
 )
 
@@ -74,7 +75,7 @@ TABLE_ERRATA = {((50, 8), "fail"): 8.374e-2}
 def _row_values(n, g):
     H = default_H(n)
     u1, u2 = u_constants(n, g)
-    sig, bcoef = amplitude_condition_coefficients(n, g, H)
+    sig, bcoef = amplitude_condition_coefficients(threshold_constants(n, g, 1.0, H))
     return {"u1": u1, "u2": u2, "sig": sig, "bcoef": bcoef,
             "fail": failure_probability_bound(n, 5, H)}
 

@@ -123,6 +123,17 @@ def test_zero_noise_is_exact():
     assert inst.means_matrix()[0, 1] + stream.values[1] == 0.8
 
 
+@pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
+def test_zero_sigma_stream_is_positive_zero(kind):
+    # a sigma of 0 takes the same draw as any other sigma: N(0, 0) and
+    # U[-0, 0] scale every variate by 0.0 and shift it by +0.0, so no -0.0
+    # reaches a reward
+    for seed in range(5):
+        inst = BanditInstance((MeanProfile.from_values([0.5]),), NoiseModel(kind, 0.0), 40_000)
+        eps = inst.noise_stream(seed).values
+        assert eps.shape == (40_000,) and not eps.any() and not np.signbit(eps).any()
+
+
 def test_sampling_bit_identical_across_streams():
     inst = two_arm([0.2, 0.8], [0.5], sigma=1.0, horizon=100)
     a = inst.means_matrix()[0] + inst.noise_stream(3).values

@@ -1,4 +1,5 @@
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -277,6 +278,45 @@ def test_unknown_config_key_fails_before_any_episode(edit, named):
     with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
         with pytest.raises(ValueError, match=named):
             monte_carlo(cfg)
+
+
+def test_file_instance_runs_as_the_same_instance_inline(tmp_path):
+    # {"file": path} loads the inline spec from disk: the same rows, and a
+    # path that does not exist fails as one ValueError before any episode
+    cfg = small_config(reps=2)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(cfg["instance"]))
+    inline = monte_carlo(cfg)["raw"]
+    from_file = monte_carlo(dict(cfg, instance={"file": str(path)}))["raw"]
+    assert from_file == inline
+    cfg["instance"] = {"file": str(tmp_path / "missing.json")}
+    with mock.patch.object(harness, "run_episode", side_effect=AssertionError("an episode ran")):
+        with pytest.raises(ValueError, match="missing.json.* FileNotFoundError: .*No such file"):
+            monte_carlo(cfg)
+
+
+def test_report_rewrites_a_deleted_curves_csv(tmp_path):
+    # report writes regret_curves.csv only when it is missing, from raw/
+    out = str(tmp_path / "out")
+    monte_carlo(small_config(reps=2), out_dir=out)
+    path = os.path.join(out, "regret_curves.csv")
+    with open(path, "rb") as fh:
+        before = fh.read()
+    os.remove(path)
+    report_from_dir(out)
+    with open(path, "rb") as fh:
+        assert fh.read() == before
+
+
+def test_one_point_curve_has_no_slope(tmp_path):
+    # a curve of one point has no log-log slope to fit
+    out = str(tmp_path / "out")
+    cfg = small_config(reps=2)
+    cfg["curve_points"] = 1
+    monte_carlo(cfg, out_dir=out)
+    with open(os.path.join(out, "summary.json")) as fh:
+        cells = json.load(fh)["cells"]
+    assert len(cells) == 4 and all(c["curve_slope"] is None for c in cells)
 
 
 def test_report_rejects_bad_tail_fraction_before_writing(tmp_path):
@@ -715,6 +755,19 @@ def test_cli_detect_epoch_column(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["period"] == 4
 
 
+def test_cli_detect_skips_blank_rows(tmp_path, capsys):
+    # an empty, all-space or all-separator row adds no sample
+    rows = _demo_rows()
+    outs = []
+    for name, lines in (("plain", rows), ("blank", ["", *rows[:20], "  ", ",", *rows[20:], " ; ", ""])):
+        path = tmp_path / f"{name}.csv"
+        path.write_text("\n".join(lines))
+        assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    assert json.loads(outs[0])["period"] == 4
+
+
 def _demo_rows():
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     return [f"{t},{m}" for t, m in enumerate(inst.means_matrix()[0].tolist(), start=1)]
@@ -819,3 +872,23 @@ def test_summarize_warns_once_naming_the_fits(tmp_path):
         message = str(caught[0].message)
         for name in ("stationary_ucb T=100", "stationary_ucb T=200", "stationary_ucb T=400", "stationary_ucb sweep"):
             assert name in message
+
+
+def test_tracer_wraps_and_restores_the_names_the_benchmark_reaches(tmp_path):
+    # the benchmark's tracer replaces package names by vars(owner)[attr]: a
+    # renamed or moved decide, observe, estimate_periods, nested_cb_decide or
+    # run_episode fails its install, and uninstall puts every one back
+    repo = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", os.path.join(repo, "perfbench", "tracer.py"))
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    t = tracer.Tracer(str(tmp_path))
+    try:
+        tracer.install(t)
+        wrapped = [(owner, attr, original, vars(owner)[attr]) for owner, attr, original in t._saved]
+    finally:
+        t.uninstall()
+    assert wrapped
+    for owner, attr, original, wrapper in wrapped:
+        assert wrapper is not original, f"{owner.__name__}.{attr} not wrapped"
+        assert vars(owner)[attr] is original, f"{owner.__name__}.{attr} not restored"

@@ -133,7 +133,7 @@ def test_failure_bound_rejects_bad_H(H):
     with pytest.raises(ValueError, match="finite H > 0"):
         failure_probability_bound(50, 5, H)
     with pytest.raises(ValueError, match="H must be finite"):
-        amplitude_condition_coefficients(50, 8, H)
+        amplitude_condition_coefficients(threshold_constants(50, 8, 1.0, H))
 
 
 def test_noise_bound_homogeneous_in_sigma():
@@ -143,7 +143,7 @@ def test_noise_bound_homogeneous_in_sigma():
 
 @pytest.mark.parametrize("ng,expected", CONSTANTS_TABLE.items())
 def test_amplitude_condition_rows(ng, expected):
-    sig_c, b_c = amplitude_condition_coefficients(*ng)
+    sig_c, b_c = amplitude_condition_coefficients(threshold_constants(*ng, 1.0))
     assert sig_c == pytest.approx(expected[2], rel=5e-4)
     assert b_c == pytest.approx(expected[3], rel=5e-4)
 
@@ -402,7 +402,7 @@ def _assert_matches_fresh_plan(y, epochs, n, t_max):
     g, H = c.g, c.H
     grid = frequency_grid(n, _candidates(t_max)[1])
     fresh = compute_periodogram(y, epochs, grid)
-    ref = identify_frequencies(fresh, threshold_constants(n, g, 0.3, H), t_max=t_max)
+    ref = identify_frequencies(fresh, threshold_constants(n, g, 0.3, H, t_max))
     for _ in range(2):  # the second call reads the cached plan
         cached = compute_periodogram(y, epochs, _detection_plan(n, t_max).grid)
         assert np.array_equal(cached.grid, grid)
@@ -544,7 +544,7 @@ def test_lcm_of_denominators():
     def period(peaks):
         mags = np.zeros(grid.size)
         mags[[int(np.argmin(np.abs(grid - float(f)))) for f in peaks]] = 1.0
-        est = identify_frequencies(spectral.Periodogram(n=n, grid=grid, magnitudes=mags), consts, t_max=t_max)
+        est = identify_frequencies(spectral.Periodogram(n=n, grid=grid, magnitudes=mags), consts)
         assert est.identified == sorted(peaks)
         return est.period_estimate
 
@@ -576,14 +576,23 @@ def test_constants_are_plain_floats():
     _, est = demo_noise_free_estimate()
     assert type(est.threshold) is float
     assert all(type(a_sup(j)) is float for j in range(1, 41))
-    assert all(type(v) is float for v in (*u_constants(500, 23), *amplitude_condition_coefficients(500, 23)))
+    assert all(type(v) is float for v in (
+        *u_constants(500, 23), *amplitude_condition_coefficients(threshold_constants(500, 23, 1.0))))
+
+
+def test_identify_frequencies_rejects_periodogram_of_another_n():
+    # the detector carries n, g and t_max: a block of another length would be
+    # thresholded with another length's noise envelope
+    pg = compute_periodogram([1.0] * 60, range(1, 61), frequency_grid(60, _candidates(3)[1]))
+    with pytest.raises(ValueError, match="periodogram of 60 samples given to a detector for n=50"):
+        identify_frequencies(pg, threshold_constants(50, 8, 0.5))
 
 
 def test_constant_signal_identifies_nothing():
     consts = threshold_constants(50, 8, sigma=0.5)
     grid = frequency_grid(50, _candidates(3)[0])
     pg = compute_periodogram([1.0] * 50, range(1, 51), grid)
-    est = identify_frequencies(pg, consts, t_max=3)
+    est = identify_frequencies(pg, consts)
     assert est.identified == []
     assert est.period_estimate == 1
 
