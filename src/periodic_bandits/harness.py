@@ -119,10 +119,13 @@ def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditI
     return BanditInstance(arms=arms, noise=NoiseModel("gaussian", sigma), horizon=horizon)
 
 
-def resolve_instance(spec: dict, horizon: int | None = None) -> BanditInstance:
+def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) -> BanditInstance:
     """A config's instance spec, {"file"}, {"preset", "params"} or an inline
-    definition, at ``horizon`` if given; a key outside its form is an error."""
-    if isinstance(spec, dict) and "file" in spec:
+    definition, or a built instance, at ``horizon`` if given; a key outside
+    its form is an error."""
+    if isinstance(spec, BanditInstance):
+        inst = spec
+    elif isinstance(spec, dict) and "file" in spec:
         inst = load_instance(_checked_keys("instance", spec, ("file",))["file"])
     elif isinstance(spec, dict) and "preset" in spec:
         params = dict(_checked_keys("instance", spec, ("preset", "params")).get("params", {}))
@@ -160,7 +163,9 @@ def default_sweep_config() -> dict:
 
 def _curve_grid(T: int, points: int) -> np.ndarray:
     """The distinct epochs of min(T, points) evenly spaced points in [1, T],
-    truncated to integers, in increasing order."""
+    truncated to integers, in increasing order; one point is epoch T."""
+    if points == 1:
+        return np.array([T])  # linspace's one point would be its start, 1
     # nondecreasing already, so dropping repeats needs no sort; numpy's
     # unique() would also import numpy.ma into every pool worker's first job
     grid = np.linspace(1, T, num=min(T, points)).astype(int)
@@ -342,7 +347,7 @@ def _horizons(config: dict) -> list:
     return hs
 
 
-def _instance_at(spec: dict, horizon: int | None) -> BanditInstance:
+def _instance_at(spec: dict | BanditInstance, horizon: int | None) -> BanditInstance:
     """``resolve_instance`` with every failure of a bad spec (an unknown
     preset, a misspelt param, a missing key) raised as ``ValueError``."""
     try:
@@ -411,7 +416,11 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     curve_points = _checked_int("curve_points", config.get("curve_points", 128))
     workers = _checked_int("workers", config.get("workers", 1))
     horizons = _horizons(config)
-    instances = {T: _instance_at(config.get("instance"), T) for T in horizons}
+    spec = config.get("instance")
+    if isinstance(spec, dict) and "file" in spec:
+        # read the file once: every horizon resolves the same instance
+        spec = _instance_at(spec, horizons[0])
+    instances = {T: _instance_at(spec, T) for T in horizons}
     params = _policy_params(config, list(instances.values()))
     # repr, not ==: 64 == 64.0 and True == 1, yet a policy may treat them apart
     coupled = (
@@ -439,6 +448,10 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
         for rep in range(R)
     ]
     if workers > 1:
+        # numpy loads these on first use: loaded before the fork, they are
+        # inherited, not imported again by every worker on its first job
+        import numpy.fft
+        import numpy.random
         with Pool(workers) as pool:
             done = pool.map(_run_job, sorted(jobs, key=lambda job: -(job[1] or 0)), chunksize=1)
     else:

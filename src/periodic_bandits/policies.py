@@ -73,27 +73,24 @@ class Policy:
 # ---------------------------------------------------------------------------
 
 class NestedCBState:
-    """Sufficient statistics for the screening tournament, kept per cell.
+    """Sufficient statistics for the screening tournament, one record per cell.
 
     A cell is one (round s, arm k, phase) triple, the phase taken modulo the
-    (estimated) period of k. Each cell holds the count and reward sum of the
-    reused exploration block and of round s's index set, and caches the two
-    numbers a decision reads: the confidence width and the pooled mean. A
-    bar-only row, built from the exploration block alone, stands in for every
-    round that has no sample yet.
+    (estimated) period of k. Its record, a list built at construction for
+    every round 1..S, holds ``[width, round count, round sum, reuse count,
+    reuse part c_bar term(c_bar), reuse sum]``: the confidence width a
+    decision reads, and the counts and reward sums of round s's index set
+    and of the reused exploration block. No mean is stored.
 
     A width is the count-weighted combination of the reuse block's and round
     s's Hoeffding radii, a zero count contributing nothing; an unsampled cell
-    has width inf and mean nan. The reuse block, given to the constructor as
-    (epoch, arm, reward) triples and summed per cell in that order, is fixed
-    for the episode, so the bar-only row is computed once. An epoch changes
-    one round count, so ``add_round_sample`` refreshes the one cell it
-    touches. The cached values are computed exactly as a from-scratch
-    evaluation would compute them.
-
-    What a decision needs that is fixed for the episode is computed once: the
-    round thresholds sigma/2^s, the exploit width sigma/sqrt(T), the full arm
-    list, and each cell's reuse-block part c_bar term(c_bar) of its width.
+    has width inf (and pooled mean nan). The reuse block, given to the
+    constructor as (epoch, arm, reward) triples and summed per cell in that
+    order, is fixed for the episode, so its part of every record is set once,
+    as are the round thresholds sigma/2^s, the exploit width sigma/sqrt(T)
+    and the full arm list. An epoch changes one round count, so
+    ``add_round_sample`` updates the one record it touches, computing the
+    width exactly as a from-scratch evaluation would.
 
     Closed cells are frozen. The tournament charges an epoch to round s only
     at the widest active cell, and only while that cell's width exceeds
@@ -134,18 +131,14 @@ class NestedCBState:
         self._term_cache: dict[int, float] = {}
         # (count, c_bar term(c_bar), sum) per [arm][phase], the middle one
         # 0.0 while empty: the reuse block's part of every width of the cell
-        self._bar = [[(c, c * self._term(c) if c else 0.0, total) for c, total in zip(cs, ts)]
-                     for cs, ts in zip(counts, sums)]
-        # per arm, (widths, means, round counts, round sums) indexed by phase:
-        # one row per round with samples and the bar-only row for the others;
-        # a decision never reads the mean of an empty cell
-        self._bar_row = [
-            ([part / c if c else math.inf for c, part, _ in cells],
-             [total / c if c else math.nan for c, _, total in cells],
-             [0] * len(cells), [0.0] * len(cells))
-            for cells in self._bar
-        ]
-        self._rows: dict[int, list[tuple[list, list, list, list]]] = {}
+        bar = [[(c, c * self._term(c) if c else 0.0, total) for c, total in zip(cs, ts)]
+               for cs, ts in zip(counts, sums)]
+        # the records, indexed [round][arm][phase] for rounds 1..S
+        self._rounds = {
+            s: [[[part / c if c else math.inf, 0, 0.0, c, part, total] for c, part, total in cells]
+                for cells in bar]
+            for s in range(1, self.S + 1)
+        }
         # fixed for the episode, each in the expression a decision would use;
         # thresholds are indexed by round, 1..S
         self._thresholds = [self.sigma / (2.0 ** s) for s in range(self.S + 1)]
@@ -155,30 +148,23 @@ class NestedCBState:
         self._settled: dict[int, tuple[int, list[int], list[int]]] | None = {} if self._lcm < self.horizon else None
 
     def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
-        row = self._rows.get(s)
-        if row is None:
-            if not 1 <= s <= self.S:
-                raise ValueError(f"round {s} outside 1..{self.S}")
-            row = self._rows[s] = [tuple(cells[:] for cells in tables) for tables in self._bar_row]
-        widths, means, counts, sums = row[arm]
-        p = epoch % self.periods[arm]
-        if self._settled and not widths[p] > self._thresholds[s]:
+        try:
+            cell = self._rounds[s][arm][epoch % self.periods[arm]]
+        except KeyError:
+            raise ValueError(f"round {s} outside 1..{self.S}") from None
+        if self._settled and not cell[0] > self._thresholds[s]:
             # the cell was closed: a round passed on it may not pass again
             self._settled.clear()
-        # width (c_bar term(c_bar) + c_s term(c_s)) / total, mean
-        # (bar sum + round sum) / total
-        c_bar, part, bar_sum = self._bar[arm][p]
-        c_s = counts[p] = counts[p] + 1
-        sum_s = sums[p] = sums[p] + reward
-        total = c_bar + c_s
+        # width (c_bar term(c_bar) + c_s term(c_s)) / total
+        c_s = cell[1] = cell[1] + 1
+        cell[2] += reward
         term = self._term_cache.get(c_s) or self._term(c_s)
-        widths[p] = (part + c_s * term) / total
-        means[p] = (bar_sum + sum_s) / total
+        cell[0] = (cell[4] + c_s * term) / (cell[3] + c_s)
 
     def counts_at(self, s: int, arm: int, t: int) -> tuple[int, int]:
         """(reuse-block count, round-s count) at arm's phase of epoch t."""
-        p = t % self.periods[arm]
-        return self._bar[arm][p][0], self._rows.get(s, self._bar_row)[arm][2][p]
+        cell = self._rounds[s][arm][t % self.periods[arm]]
+        return cell[3], cell[1]
 
     def _term(self, c: int) -> float:
         # sqrt((4 sigma^2 / c) * log(8 d_hat c / delta)), memoized on c
@@ -204,24 +190,28 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
     counter is capped at floor(log2 T), falling through to the exploit branch.
     The arms are the state's, one per period.
 
-    Each round reads the widths and means of the state's cached round-s row
-    at the phases of t, so a decision computes no confidence radius. The
-    tournament starts from the state's settled entry for ``t % lcm(periods)``
-    instead of round 1 with every arm, and records there each round it
-    passes: the next round, its survivors and t's phases. That is all it writes.
-    Rounds pass only on closed cells, which no sample of the policy changes
-    (see ``NestedCBState``), so the result equals a tournament from round 1;
-    the cached rows and ``counts_at`` read only the samples, never the record.
-    An entry with one survivor first reads that arm's width alone: above the
-    threshold, the round explores it whatever its mean.
+    Each round reads the cached widths of the state's round-s records at the
+    phases of t, so a decision computes no confidence radius; only a round
+    that explores nothing pools its active arms' means, (reuse sum + round
+    sum) / total (nan for an empty cell, which a decision never reads: its
+    width is inf). The tournament starts from the state's settled entry for
+    ``t % lcm(periods)`` instead of round 1 with every arm, and records there
+    each round it passes: the next round, its survivors and t's phases. That
+    is all it writes. Rounds pass only on closed cells, which no sample of
+    the policy changes (see ``NestedCBState``), so the result equals a
+    tournament from round 1; the records and ``counts_at`` read only the
+    samples, never the settled entries. An entry with one survivor first
+    reads that arm's width alone: above the threshold, the round explores it
+    whatever its mean.
 
     Each round walks the active arms once for the widest cell and, unless it
-    explores, once more for the means and the leader. Both walks start from
-    the first active arm and replace it only on a strictly larger value, so a
-    tie goes to the arm first in ``active`` order (the smallest index, as the
-    arm lists stay sorted): the arm that ``max`` and ``list.index`` pick.
+    explores, once more to pool their means and pick the leader. Both walks
+    start from the first active arm and replace it only on a strictly larger
+    value, so a tie goes to the arm first in ``active`` order (the smallest
+    index, as the arm lists stay sorted): the arm that ``max`` and
+    ``list.index`` pick.
     """
-    thresholds, rows, bar_row = state._thresholds, state._rows, state._bar_row
+    thresholds, rounds = state._thresholds, state._rounds
     settled = state._settled
     entry = None
     if settled is not None:
@@ -233,26 +223,27 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
         s, active, phases = entry
         if len(active) == 1:
             k = active[0]
-            if rows.get(s, bar_row)[k][0][phases[k]] > thresholds[s]:
+            if rounds[s][k][phases[k]][0] > thresholds[s]:
                 return k, s
     sigma = state.sigma
     first = active[0]
     while True:
-        row = rows.get(s, bar_row)
-        widest_arm, widest = first, row[first][0][phases[first]]
+        arms = rounds[s]
+        widest_arm, widest = first, arms[first][phases[first]][0]
         for k in active:
-            w = row[k][0][phases[k]]
+            w = arms[k][phases[k]][0]
             if w > widest:
                 widest_arm, widest = k, w
         if widest > thresholds[s]:
             return widest_arm, s
-        leader, best_m = first, row[first][1][phases[first]]
         means = []
         for k in active:
-            m = row[k][1][phases[k]]
-            means.append(m)
-            if m > best_m:
+            cell = arms[k][phases[k]]
+            total = cell[3] + cell[1]
+            m = (cell[5] + cell[2]) / total if total else math.nan
+            if not means or m > best_m:
                 leader, best_m = k, m
+            means.append(m)
         if widest <= state._narrow or s >= state.S:
             return leader, None
         cutoff = best_m - sigma * 2.0 ** (1 - s)
@@ -328,7 +319,7 @@ class TwoStagePolicy(_ExploreFirst):
         self._add_round_sample = state.add_round_sample
         # a (0, 0) cell needs an empty reuse-block cell, and the reuse block
         # is fixed: without one, no pull can be a zero-count pull
-        self._may_force = any(cell[0] == 0 for cells in state._bar for cell in cells)
+        self._may_force = any(cell[3] == 0 for cells in state._rounds[1] for cell in cells)
 
     def decide(self, t: int) -> int:
         if t <= self._end:
@@ -441,22 +432,32 @@ class SequentialEliminationPolicy(Policy):
 # UCB baselines
 # ---------------------------------------------------------------------------
 
-class _CellUCB:
-    """Independent UCB1 cells: one (count, sum, mean) table per cell of a partition."""
+class _ResidueUCB(Policy):
+    """Independent UCB1 (Auer, Cesa-Bianchi and Fischer 2002) per residue
+    cell t mod L, after stage one (epochs up to ``_end``, 0 if none).
 
-    def __init__(self, n_cells: int, n_arms: int):
-        self.counts = [[0] * n_arms for _ in range(n_cells)]
-        self.sums = [[0.0] * n_arms for _ in range(n_cells)]
-        # sums[cell][k] / counts[cell][k], refreshed on each sample of k
-        self.means = [[0.0] * n_arms for _ in range(n_cells)]
-        self._rest = range(1, n_arms)  # the arms after arm 0, which seeds the argmax
+    Each cell is one record ``[counts, sums, means, visits]`` over the arms,
+    which ``observe`` updates in place; N is the cell's visits. ``decide``
+    pulls the cell's first unpulled arm, whoever calls, and otherwise the
+    largest mean + sqrt(2 log N / c), ties to the smallest arm.
+    ``StationaryUCB`` and ``LcmUCB`` name ``decide`` and ``observe`` in their
+    own class dicts, where ``perfbench``'s tracer wraps them.
+    """
 
-    def pick(self, cell: int) -> int:
-        counts = self.counts[cell]
+    def _start_cells(self, L: int, K: int) -> None:
+        self._L = L
+        self._rest = range(1, K)  # the arms after arm 0, which seeds the argmax
+        self._state = [[[0] * K, [0.0] * K, [0.0] * K, 0] for _ in range(L)]
+
+    def decide(self, t: int) -> int:
+        if t <= self._end:
+            return (t - 1) // self._n
+        if self._state is None:
+            self._start_stage_two()
+        counts, _, means, visits = self._state[t % self._L]
         if 0 in counts:
             return counts.index(0)
-        two_log_n = 2.0 * log(sum(counts))  # N: the cell's visits
-        means = self.means[cell]
+        two_log_n = 2.0 * log(visits)
         best, best_idx = means[0] + sqrt(two_log_n / counts[0]), 0
         for k in self._rest:
             idx = means[k] + sqrt(two_log_n / counts[k])
@@ -464,32 +465,32 @@ class _CellUCB:
                 best, best_idx = idx, k
         return best_idx
 
-    def update(self, cell: int, arm: int, reward: float) -> None:
-        counts, sums = self.counts[cell], self.sums[cell]
+    def observe(self, t: int, arm: int, reward: float) -> None:
+        if t <= self._end:
+            self._blocks[arm][0].append(reward)
+            return
+        cell = self._state[t % self._L]
+        counts, sums = cell[0], cell[1]
         c = counts[arm] = counts[arm] + 1
         total = sums[arm] = sums[arm] + reward
-        self.means[cell][arm] = total / c
+        cell[2][arm] = total / c
+        cell[3] += 1
 
 
-class StationaryUCB(Policy):
-    """UCB1 that ignores periodicity altogether."""
+class StationaryUCB(_ResidueUCB):
+    """UCB1 that ignores periodicity altogether: one cell, L = 1."""
 
     policy_id = "stationary_ucb"
     horizon_free = True
+    decide, observe = _ResidueUCB.decide, _ResidueUCB.observe
 
     def begin(self, view: InstanceView) -> None:
-        cells = _CellUCB(1, view.n_arms)
-        self._pick, self._update = cells.pick, cells.update
-
-    def decide(self, t: int) -> int:
-        return self._pick(0)
-
-    def observe(self, t: int, arm: int, reward: float) -> None:
-        self._update(0, arm, reward)
+        self._end = 0
+        self._start_cells(1, view.n_arms)
 
 
-class PerPhaseUCB(Policy):
-    """One independent UCB1 per phase of a shared, known period."""
+class PerPhaseUCB(_ResidueUCB):
+    """One independent UCB1 per phase of a shared, known period T1: L = T1."""
 
     policy_id = "per_phase_ucb"
     uses_true_periods = True
@@ -497,16 +498,11 @@ class PerPhaseUCB(Policy):
 
     def begin(self, view: InstanceView) -> None:
         self.T1 = _shared_period(view, "per-phase UCB")
-        self._cells = _CellUCB(self.T1, view.n_arms)
-
-    def decide(self, t: int) -> int:
-        return self._cells.pick(t % self.T1)
-
-    def observe(self, t: int, arm: int, reward: float) -> None:
-        self._cells.update(t % self.T1, arm, reward)
+        self._end = 0
+        self._start_cells(self.T1, view.n_arms)
 
 
-class LcmUCB(_ExploreFirst):
+class LcmUCB(_ExploreFirst, _ResidueUCB):
     """Baseline that shares the two-stage policy's stage one, then decomposes
     epochs by residue modulo the LCM of the estimated periods (at most the
     horizon) and runs a fresh UCB1 in every residue class; stage-one samples
@@ -514,22 +510,12 @@ class LcmUCB(_ExploreFirst):
     """
 
     policy_id = "lcm_ucb"
+    decide, observe = _ResidueUCB.decide, _ResidueUCB.observe
 
-    def decide(self, t: int) -> int:
-        if t <= self._end:
-            return (t - 1) // self._n
-        if self._state is None:
-            self.estimated_periods = self._periods()
-            self.lcm_period = min(math.lcm(*self.estimated_periods), self._view.horizon)
-            self._state = _CellUCB(self.lcm_period, self._view.n_arms)
-            self._pick, self._update = self._state.pick, self._state.update
-        return self._pick(t % self.lcm_period)
-
-    def observe(self, t: int, arm: int, reward: float) -> None:
-        if t <= self._end:
-            self._blocks[arm][0].append(reward)
-            return
-        self._update(t % self.lcm_period, arm, reward)
+    def _start_stage_two(self) -> None:
+        self.estimated_periods = self._periods()
+        self.lcm_period = min(math.lcm(*self.estimated_periods), self._view.horizon)
+        self._start_cells(self.lcm_period, self._view.n_arms)
 
 
 _POLICIES = {

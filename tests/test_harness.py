@@ -295,6 +295,18 @@ def test_file_instance_runs_as_the_same_instance_inline(tmp_path):
             monte_carlo(cfg)
 
 
+def test_file_instance_is_read_once_per_config(tmp_path):
+    # every horizon resolves the instance that one read of the file gave
+    cfg = small_config(reps=1)
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(cfg["instance"]))
+    cfg.update(instance={"file": str(path)}, horizons=[200, 400, 600])
+    with mock.patch.object(harness, "load_instance", wraps=harness.load_instance) as loads:
+        raw = monte_carlo(cfg)["raw"]
+    assert loads.call_count == 1
+    assert sorted({row["T"] for row in raw}) == [200, 400, 600]
+
+
 def test_report_rewrites_a_deleted_curves_csv(tmp_path):
     # report writes regret_curves.csv only when it is missing, from raw/
     out = str(tmp_path / "out")
@@ -313,10 +325,14 @@ def test_one_point_curve_has_no_slope(tmp_path):
     out = str(tmp_path / "out")
     cfg = small_config(reps=2)
     cfg["curve_points"] = 1
-    monte_carlo(cfg, out_dir=out)
+    raw = monte_carlo(cfg, out_dir=out)["raw"]
     with open(os.path.join(out, "summary.json")) as fh:
         cells = json.load(fh)["cells"]
     assert len(cells) == 4 and all(c["curve_slope"] is None for c in cells)
+    # the one point is the episode's last epoch, not its first
+    for row in raw:
+        assert row["curve_t"] == [row["T"]]
+        assert row["curve_regret"] == [row["final_regret"]]
 
 
 def test_report_rejects_bad_tail_fraction_before_writing(tmp_path):
@@ -495,17 +511,21 @@ def horizon_row(inst, policy_id, rep, seed):
 HORIZON_FREE_POLICIES = [{"id": "stationary_ucb"}, {"id": "per_phase_ucb"}, {"id": "lcm_ucb"}]
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
-def test_horizon_free_rows_equal_direct_episodes(kind, workers):
+def horizon_free_config(kind, workers):
     spec = {
         "arms": [{"period": 2, "values": [0.9, 0.1]}, {"period": 2, "values": [0.2, 0.7]}],
         "noise": {"kind": kind, "sigma": 0.3},
         "horizon": 600,
     }
-    horizons = [150, 300, 600]
-    cfg = {"instance": spec, "policies": HORIZON_FREE_POLICIES, "horizons": horizons, "replications": 2,
-           "base_seed": 0, "curve_points": 40, "workers": workers}
+    return {"instance": spec, "policies": HORIZON_FREE_POLICIES, "horizons": [150, 300, 600], "replications": 2,
+            "base_seed": 0, "curve_points": 40, "workers": workers}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
+def test_horizon_free_rows_equal_direct_episodes(kind, workers):
+    cfg = horizon_free_config(kind, workers)
+    spec, horizons = cfg["instance"], cfg["horizons"]
     with mock.patch.object(harness, "run_episode", wraps=run_episode) as episodes:
         raw = monte_carlo(cfg)["raw"]
     assert [(r["policy"], r["T"], r["replication"]) for r in raw] == [
@@ -528,6 +548,18 @@ def test_horizon_free_rows_equal_direct_episodes(kind, workers):
         assert runs == [(pid, 600) for pid in ("stationary_ucb", "per_phase_ucb") for _ in range(2)] + [
             ("lcm_ucb", T) for T in horizons for _ in range(2)
         ]
+
+
+# sha256 of the UCB baselines' curves on the config above (gaussian noise),
+# recorded with one UCB1 object per cell before the three baselines shared
+# one UCB1 body over residue cells
+HORIZON_FREE_CURVES_SHA256 = "3be0daec060bfd649d2fb341ef6f6e13b210971493291eabc67e67be5dea9432"
+
+
+def test_horizon_free_golden_bytes(tmp_path):
+    monte_carlo(horizon_free_config("gaussian", 1), out_dir=str(tmp_path))
+    digest = hashlib.sha256((tmp_path / "regret_curves.csv").read_bytes()).hexdigest()
+    assert digest == HORIZON_FREE_CURVES_SHA256
 
 
 def test_horizon_dependent_instance_is_not_shared():
@@ -575,10 +607,11 @@ def test_undefined_sweep_slope_is_null_in_strict_json(tmp_path):
 
 def test_curve_grid_equals_sorted_unique():
     # the grid drops repeats of a nondecreasing array by adjacent difference;
-    # it is numpy's unique() of the same points, value for value and in dtype
+    # it is numpy's unique() of the same points, value for value and in dtype,
+    # except that one point is epoch T, where linspace would give its start
     for T in (1, 2, 3, 7, 100, 127, 128, 129, 400, 2500, 40000):
         for points in (1, 2, 3, 40, 128, 1000, 50000):
-            want = np.unique(np.linspace(1, T, num=min(T, points)).astype(int))
+            want = np.unique(np.linspace(1, T, num=min(T, points)).astype(int)) if points > 1 else np.array([T])
             got = harness._curve_grid(T, points)
             assert got.dtype == want.dtype and np.array_equal(got, want), (T, points)
 
@@ -598,6 +631,25 @@ def test_sweep_job_imports_no_masked_arrays():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_pool_workers_inherit_numpy_random():
+    # numpy loads numpy.random on first use; a sweep with workers > 1 loads it
+    # before the pool forks, so the workers inherit it instead of each paying
+    # for the import on its first job (-X importtime logs every process)
+    code = textwrap.dedent("""
+        from periodic_bandits.harness import default_sweep_config, monte_carlo
+        cfg = default_sweep_config()
+        cfg.update(horizons=[300, 600], replications=2, workers=2)
+        monte_carlo(cfg)
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [SRC_DIR, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-X", "importtime", "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                if line.startswith("import time:")]
+    assert imported.count("numpy.random") == 1
 
 
 # sha256 of a small default-shaped sweep's outputs, recorded with the

@@ -46,10 +46,16 @@ def count_same_phase(actions: dict[int, int], index_set: Sequence[int], arm: int
 
 
 def row(st: NestedCBState, s: int):
-    """Cached (widths, means) of round s, each indexed [arm][phase]; a round
-    without samples reads the bar-only row, as a decision does."""
-    arms = st._rows.get(s, st._bar_row)  # per arm: (widths, means, counts, sums)
-    return [cells[0] for cells in arms], [cells[1] for cells in arms]
+    """(widths, means) of round s, each indexed [arm][phase]: a record's cached
+    width, and its mean pooled as a decision pools it. A round past S reads
+    the reuse block alone, as round 1's records hold it."""
+    if s in st._rounds:
+        arms = st._rounds[s]  # per arm and phase: [width, c_s, sum_s, c_bar, part, bar sum]
+    else:
+        arms = [[[part / c if c else math.inf, 0, 0.0, c, part, total] for _, _, _, c, part, total in cells]
+                for cells in st._rounds[1]]
+    mean = lambda cell: (cell[5] + cell[2]) / (cell[3] + cell[1]) if cell[3] + cell[1] else math.nan
+    return [[cell[0] for cell in cells] for cells in arms], [[mean(cell) for cell in cells] for cells in arms]
 
 
 def cell_width(st: NestedCBState, s: int, arm: int, t: int) -> float:
@@ -330,7 +336,7 @@ def test_nested_decide_wide_branch_prefers_widest():
 
 
 def reference_tournament(st: NestedCBState, t: int):
-    """The screening tournament restated over the cached rows.
+    """The screening tournament restated over ``row``'s widths and means.
 
     Returns (arm, round, trace), where trace holds one {round, means,
     survivors} entry per elimination step, means keyed by the active arms.
@@ -839,6 +845,11 @@ def test_per_phase_reduces_to_stationary_when_period_one():
     assert np.array_equal(a.actions, b.actions)
 
 
+def cell_counts(pol, cell: int) -> list[int]:
+    """A UCB baseline's per-arm pull counts in one residue cell."""
+    return pol._state[cell][0]
+
+
 def test_per_phase_counts_partition():
     inst = instance([[0.8, 0.2], [0.3, 0.7]], sigma=0.3, horizon=1001)
     pol = make_policy("per_phase_ucb")
@@ -846,9 +857,9 @@ def test_per_phase_counts_partition():
     for phase in range(2):
         epochs = [t for t in range(1, 1002) if t % 2 == phase]
         # the cell's visit count, the N of its UCB index, is this sum
-        assert sum(pol._cells.counts[phase]) == len(epochs)
+        assert sum(cell_counts(pol, phase)) == len(epochs)
         for arm in range(2):
-            assert pol._cells.counts[phase][arm] == sum(
+            assert cell_counts(pol, phase)[arm] == sum(
                 1 for t in epochs if res.actions[t - 1] == arm
             )
 
@@ -862,9 +873,10 @@ def test_per_phase_counts_partition():
 def test_cell_ucb_pick_is_the_scratch_argmax(n_arms, stream):
     # few distinct rewards make equal indices common: a tie goes to the
     # smallest arm, and an unpulled arm is taken before any index is compared
-    cells = policies._CellUCB(1, n_arms)
+    pol = make_policy("stationary_ucb")
+    pol.begin(InstanceView(n_arms=n_arms, horizon=100, sigma=0.5))
     pulls = [[] for _ in range(n_arms)]
-    for k, y in stream:
+    for t, (k, y) in enumerate(stream, start=1):
         counts = [len(p) for p in pulls]
         if 0 in counts:
             want = counts.index(0)
@@ -877,10 +889,23 @@ def test_cell_ucb_pick_is_the_scratch_argmax(n_arms, stream):
                     total += r
                 index.append(total / c + math.sqrt(2.0 * math.log(n) / c))
             want = index.index(max(index))
-        assert cells.pick(0) == want
+        assert pol.decide(t) == want
         arm = k % n_arms
-        cells.update(0, arm, y)
+        pol.observe(t, arm, y)
         pulls[arm].append(y)
+
+
+@pytest.mark.parametrize("policy_id", ["stationary_ucb", "per_phase_ucb", "lcm_ucb"])
+def test_ucb_baseline_reused_across_episodes_plays_like_a_fresh_one(policy_id):
+    # begin() starts every residue cell afresh: nothing of the first episode
+    # reaches the second
+    inst = instance([[0.9, 0.1], [0.2, 0.7]], sigma=0.3, horizon=3000)
+    reused = make_policy(policy_id)
+    run_episode(inst, reused, 1)
+    again = run_episode(inst, reused, 2)
+    fresh = run_episode(inst, make_policy(policy_id), 2)
+    assert np.array_equal(again.actions, fresh.actions)
+    assert again.estimated_periods == fresh.estimated_periods
 
 
 def test_per_phase_regret_sublinear_slope():
