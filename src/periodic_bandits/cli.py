@@ -8,8 +8,8 @@ Subcommands:
   report     rebuild summary.json / regret_curves.csv from raw outputs
 
 Every subcommand exits with a one-line message, not a traceback, on a bad
-argument, a config with a misspelt or unknown key, or a config file that
-cannot be read; the message names the CSV or config file, if there is one.
+argument, a config with a misspelt or unknown key, or a CSV or config file
+that cannot be read; the message names the CSV or config file, if there is one.
 """
 from __future__ import annotations
 
@@ -47,20 +47,24 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
 
     The first nonblank row may be a header; a row of more than two columns,
     any other row that does not parse as numbers, a non-finite value, and an
-    epoch column that does not count up by one each exit with a message naming
-    the line.
+    epoch column that does not count up by one each raise ``ValueError``
+    naming the line; a file that cannot be opened raises it with the reason.
     """
     samples: list[float] = []
     epochs: list[int] = []
     header_allowed = True
-    with open(path) as fh:
+    try:
+        fh = open(path)
+    except OSError as exc:
+        raise ValueError(exc.strerror) from None
+    with fh:
         for lineno, line in enumerate(fh, start=1):
             parts = [p.strip() for p in line.replace(";", ",").split(",") if p.strip()]
             if not parts:
                 continue
             if len(parts) > 2:
-                raise SystemExit(
-                    f"{path}, line {lineno}: {len(parts)} columns in {line.strip()!r};"
+                raise ValueError(
+                    f"line {lineno}: {len(parts)} columns in {line.strip()!r};"
                     " a row is one value or epoch,value"
                 )
             try:
@@ -69,28 +73,28 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
                 if header_allowed:
                     header_allowed = False
                     continue
-                raise SystemExit(f"{path}, line {lineno}: non-numeric row {line.strip()!r}")
+                raise ValueError(f"line {lineno}: non-numeric row {line.strip()!r}")
             header_allowed = False
             if not all(math.isfinite(x) for x in nums):
-                raise SystemExit(f"{path}, line {lineno}: non-finite value in {line.strip()!r}")
+                raise ValueError(f"line {lineno}: non-finite value in {line.strip()!r}")
             if len(nums) == 1:
                 samples.append(nums[0])
                 continue
             if not nums[0].is_integer():
-                raise SystemExit(f"{path}, line {lineno}: epoch {parts[0]} is not an integer")
+                raise ValueError(f"line {lineno}: epoch {parts[0]} is not an integer")
             if epochs and nums[0] != epochs[-1] + 1:
-                raise SystemExit(
-                    f"{path}, line {lineno}: epoch {parts[0]} does not follow epoch {epochs[-1]};"
+                raise ValueError(
+                    f"line {lineno}: epoch {parts[0]} does not follow epoch {epochs[-1]};"
                     " the epoch column must count up by one"
                 )
             epochs.append(int(nums[0]))
             samples.append(nums[1])
     if not samples:
-        raise SystemExit("no numeric samples found")
+        raise ValueError("no numeric samples found")
     if not epochs:
         epochs = list(range(1, len(samples) + 1))
     if len(epochs) != len(samples):
-        raise SystemExit("epoch column must cover every row")
+        raise ValueError("epoch column must cover every row")
     return samples, epochs
 
 

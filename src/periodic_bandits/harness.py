@@ -366,8 +366,8 @@ def _policy_params(config: dict, instances: list[BanditInstance]) -> dict[str, d
     if not entries:
         raise ValueError("policies must not be empty")
     for pol in entries:
-        if "id" not in _checked_keys("policies entry", pol, ("id", "params")):
-            raise ValueError(f"policies entry {pol!r} has no 'id'")
+        if not isinstance(_checked_keys("policies entry", pol, ("id", "params")).get("id"), str):
+            raise ValueError(f"policies entry {pol!r} has no string 'id'")
     policy_ids = [pol["id"] for pol in entries]
     if len(set(policy_ids)) != len(policy_ids):
         # rows are keyed by policy id, so two entries would merge into one cell

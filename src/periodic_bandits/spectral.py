@@ -34,7 +34,6 @@ from typing import Sequence
 
 import numpy as np
 
-_GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 _LATTICE_TOL = 1e-9  # |48 n v - k| below this puts v on DFT bin k
 
 
@@ -42,39 +41,22 @@ _LATTICE_TOL = 1e-9  # |48 n v - k| below this puts v on DFT bin k
 # Deterministic constants
 # ---------------------------------------------------------------------------
 
-def _side_lobe(v: float) -> float:
-    return abs(math.sin(math.pi * v)) / (math.pi * v)
-
-
 @lru_cache(maxsize=None)
 def a_sup(j: int) -> float:
     """Supremum of |sin(pi v)| / (pi v) over [j, j+1].
 
-    Located by a 10^4-point scan followed by golden-section refinement; the
-    result always lies in [1/(pi (j + 1/2)), 1/(pi j)].
+    In x = pi v it is the root of tan x = x in (pi j, pi (j + 1/2)), the fixed
+    point of x <- pi j + atan(x) (contraction 1 / (1 + x^2)). |sin x| / x is
+    flat there, so it is evaluated rather than the equal 1 / sqrt(1 + x^2).
     """
     if j < 1:
         raise ValueError("j must be a positive integer")
-    grid = np.linspace(j, j + 1, 10_001)
-    vals = np.abs(np.sin(np.pi * grid)) / (np.pi * grid)
-    i = int(np.argmax(vals))
-    lo = grid[max(i - 1, 0)]
-    hi = grid[min(i + 1, grid.size - 1)]
-    # golden-section on the bracketing subinterval (single interior hump)
-    a, b = lo, hi
-    c = b - _GOLDEN * (b - a)
-    d = a + _GOLDEN * (b - a)
-    fc, fd = _side_lobe(c), _side_lobe(d)
-    while b - a > 1e-10:
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - _GOLDEN * (b - a)
-            fc = _side_lobe(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _GOLDEN * (b - a)
-            fd = _side_lobe(d)
-    return float(max(fc, fd, vals[i]))
+    x = math.pi * (j + 0.5)
+    for _ in range(64):
+        x, prev = math.pi * j + math.atan(x), x
+        if x == prev:
+            break
+    return abs(math.sin(x)) / x
 
 
 def u_constants(n: int, g: int) -> tuple[float, float]:

@@ -195,6 +195,9 @@ MISSING = object()  # a config value that stands for deleting its key
         ("missing", MISSING),
         ("dict", {"stationary_ucb": {}}),
         ("no-id", [{"id": "stationary_ucb"}, {"params": {"ucb_scale": 2.0}}]),
+        # a list or object id is unhashable: it must not reach the distinct-ids set
+        ("list-id", [{"id": ["two_stage"]}]),
+        ("object-id", [{"id": {"two_stage": {}}}]),
     )]
     + [pytest.param("curve_points", v, id=f"curve_points={v}") for v in (0, -3)]
     + [pytest.param("replications", v, id=f"replications={v}") for v in (1.7, 0, True)]
@@ -787,7 +790,7 @@ def test_cli_detect(tmp_path, capsys):
     # 12 rows at the default g=4 leave t_max=1, below every period
     + [pytest.param(12, [], r"n=12 samples at g=4 give t_max=1: no period is", id="12-rows")],
 )
-def test_cli_detect_rejects_non_finite_sigma_or_H(tmp_path, capsys, rows, args, message):
+def test_cli_detect_bad_argument_exits_with_one_line(tmp_path, capsys, rows, args, message):
     # a NaN threshold, like a t_max below 2, would report period 1 as if no
     # peak stood out; a bad argument exits with one line naming the file
     path = tmp_path / "series.csv"
@@ -834,14 +837,23 @@ def _demo_rows():
         (lambda rows: rows[:9] + ["10,nan"] + rows[10:], r"line 11: non-finite value"),
         (lambda rows: ["1.5,0.2"] + rows[1:], r"line 2: epoch 1.5 is not an integer"),
         (lambda rows: rows[:5] + ["6,0.1,7.5"] + rows[6:], r"line 7: 3 columns in '6,0.1,7.5'"),
+        (lambda rows: [], r"no numeric samples found"),
+        (lambda rows: rows + ["0.5"], r"epoch column must cover every row"),
+        (None, r"No such file or directory"),
     ],
-    ids=["late-text-row", "second-header", "epoch-gap", "nan-value", "fractional-epoch", "extra-column"],
+    ids=[
+        "late-text-row", "second-header", "epoch-gap", "nan-value", "fractional-epoch", "extra-column",
+        "header-only", "value-row-after-epochs", "missing-file",
+    ],
 )
 def test_cli_detect_rejects_malformed_csv(tmp_path, edit, message):
+    # cli.main alone turns the error into one line that starts with the path
     path = tmp_path / "series.csv"
-    path.write_text("\n".join(["epoch,value"] + edit(_demo_rows())))
-    with pytest.raises(SystemExit, match=message):
+    if edit is not None:
+        path.write_text("\n".join(["epoch,value"] + edit(_demo_rows())))
+    with pytest.raises(SystemExit, match=f"^{re.escape(str(path))}: {message}") as exc:
         cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"])
+    assert "\n" not in str(exc.value)
 
 
 def test_cli_sweep_without_horizons_and_report(tmp_path, capsys):

@@ -63,7 +63,7 @@ def test_a_sup_anchor_values():
 
 def test_a_sup_envelope_and_monotonicity():
     prev = math.inf
-    for j in range(1, 41):
+    for j in range(1, 2001):
         aj = a_sup(j)
         assert 1 / (math.pi * (j + 0.5)) <= aj <= 1 / (math.pi * j)
         assert aj < prev
@@ -71,7 +71,8 @@ def test_a_sup_envelope_and_monotonicity():
 
 
 def test_a_sup_matches_dense_grid_oracle():
-    for j in (1, 3, 17):
+    # a large j as well: at T = 10^6 (n = 577, g = 25) U1 already reads A_275
+    for j in (1, 3, 17, 1999):
         grid = np.linspace(j, j + 1, 2_000_001)
         oracle = np.max(np.abs(np.sin(np.pi * grid)) / (np.pi * grid))
         assert a_sup(j) == pytest.approx(oracle, abs=1e-10)
