@@ -54,7 +54,6 @@ from .policies import (
 )
 from .harness import (
     AggregateStats,
-    default_sweep_config,
     default_sweep_instance,
     loglog_slope,
     make_preset_instance,

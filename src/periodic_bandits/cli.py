@@ -8,8 +8,8 @@ Subcommands:
   report     rebuild summary.json / regret_curves.csv from raw outputs
 
 Every subcommand exits with a one-line message, not a traceback, on a bad
-argument, a config with a misspelt or unknown key, or a CSV or config file
-that cannot be read; the message names the CSV or config file, if there is one.
+argument, a config with a misspelt or unknown key, or a CSV, config or run
+directory file that cannot be read; the message names that file, if there is one.
 """
 from __future__ import annotations
 

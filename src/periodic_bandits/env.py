@@ -2,11 +2,10 @@
 
 An instance holds K arms, each with a mean-reward profile that repeats with an
 integer period, plus a zero-mean sub-Gaussian noise model. The mean of arm k at
-epoch t (1-based) is ``arms[k].values[(t - 1) % period]``, and
-``means_matrix()`` holds every one over the horizon. Noise draws are keyed by
-(seed, epoch) only, never by the arm pulled, so two policies facing the same
-instance and seed observe identical noise at every epoch regardless of which
-arms they choose.
+epoch t (1-based) is ``arms[k].values[(t - 1) % period]``. Noise draws are
+keyed by (seed, epoch) only, never by the arm pulled, so two policies facing
+the same instance and seed observe identical noise at every epoch regardless
+of which arms they choose.
 """
 from __future__ import annotations
 
@@ -143,15 +142,6 @@ class BanditInstance:
     @property
     def periods(self) -> tuple[int, ...]:
         return tuple(p.period for p in self.arms)
-
-    def means_matrix(self) -> np.ndarray:
-        """(K, T) matrix of mean rewards over epochs 1..T."""
-        T = self.horizon
-        out = np.empty((self.n_arms, T))
-        t = np.arange(1, T + 1)
-        for k, prof in enumerate(self.arms):
-            out[k] = np.asarray(prof.values)[(t - 1) % prof.period]
-        return out
 
     def noise_stream(self, seed: int) -> "NoiseStream":
         return NoiseStream(self.noise, seed, self.horizon)

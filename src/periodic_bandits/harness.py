@@ -48,6 +48,8 @@ from .policies import InstanceView, Policy, make_policy
 
 CSV_HEADER = "policy,T,replication,t,cum_regret"
 CONFIG_KEYS = ("instance", "policies", "horizons", "replications", "base_seed", "curve_points", "workers")
+# what summarize and write_curves_csv read of a raw episode row
+ROW_KEYS = ("policy", "T", "replication", "final_regret", "curve_t", "curve_regret", "success")
 
 
 def run_episode(instance: BanditInstance, policy: Policy, seed: int) -> RunResult:
@@ -139,24 +141,6 @@ def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) ->
     return inst
 
 
-def default_sweep_config() -> dict:
-    """The stock regret-rate experiment: five horizons, 50 replications."""
-    return {
-        "instance": {"preset": "sweep_default", "params": {"sigma": 0.04}},
-        "policies": [
-            {"id": "two_stage"},
-            {"id": "oracle"},
-            {"id": "stationary_ucb"},
-            {"id": "lcm_ucb"},
-        ],
-        "horizons": [2500, 5000, 10000, 20000, 40000],
-        "replications": 50,
-        "base_seed": 0,
-        "curve_points": 128,
-        "workers": 1,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Monte Carlo
 # ---------------------------------------------------------------------------
@@ -245,11 +229,11 @@ class AggregateStats:
     curve_slope: float | None
 
 
-def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> tuple[float | None, int]:
+def loglog_slope(xs, ys) -> tuple[float | None, int]:
     """OLS slope of log(y) against log(x) over the tail of a curve, and the
     number of nonpositive tail points the fit skipped.
 
-    The tail keeps the last ceil(len * tail_fraction) points, two at least.
+    The tail keeps the later half of the points, ceil(len / 2), two at least.
     The slope is None where fewer than two positive points are left in it;
     fewer than two aligned points in all raise ``ValueError``.
     """
@@ -257,7 +241,7 @@ def loglog_slope(xs, ys, tail_fraction: float = 0.5) -> tuple[float | None, int]
     ys = np.asarray(ys, dtype=float)
     if xs.shape != ys.shape or xs.size < 2:
         raise ValueError("need two aligned sweep points at minimum")
-    k = max(2, math.ceil(xs.size * tail_fraction))
+    k = max(2, math.ceil(xs.size / 2))
     xs, ys = xs[-k:], ys[-k:]
     keep = ys > 0
     skipped = int((~keep).sum())
@@ -515,31 +499,53 @@ def write_outputs(config: dict, results: dict, out_dir: str) -> None:
             fh.write(json.dumps(cell_rows))
 
 
+def _read_json(path: str):
+    """The JSON value in ``path``; a file that cannot be read or is not JSON
+    raises ``ValueError`` naming it."""
+    try:
+        with open(path) as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _raw_rows(path: str) -> list[dict]:
+    """The episode rows of a raw file, each checked to hold what ``summarize``
+    and ``write_curves_csv`` read."""
+    rows = _read_json(path)
+    if not isinstance(rows, list):
+        raise ValueError(f"{path}: not a JSON list of episode rows")
+    for i, row in enumerate(rows):
+        if not (isinstance(row, dict) and all(key in row for key in ROW_KEYS)):
+            raise ValueError(f"{path}: row {i} is not an object holding {', '.join(ROW_KEYS)}")
+    return rows
+
+
 def report_from_dir(out_dir: str) -> dict:
     """Recompute summary.json (and regret_curves.csv if absent) from raw files.
 
-    Raises ``ValueError``, and writes nothing, when raw/ is missing or holds
-    no episode rows, or when run_meta.json's config has a key outside
-    ``CONFIG_KEYS``.
+    Raises ``ValueError`` naming the file, and writes nothing, when raw/ is
+    missing or holds no episode rows, when a raw file is not JSON or not a
+    list of rows holding ``ROW_KEYS``, or when run_meta.json is missing, not
+    a JSON object, or holds a config with a key outside ``CONFIG_KEYS``.
     """
     raw_dir = os.path.join(out_dir, "raw")
     rows: list[dict] = []
     for name in sorted(os.listdir(raw_dir)) if os.path.isdir(raw_dir) else ():
         if name.endswith(".json"):
-            with open(os.path.join(raw_dir, name)) as fh:
-                rows.extend(json.load(fh))
+            rows.extend(_raw_rows(os.path.join(raw_dir, name)))
     if not rows:
         raise ValueError(f"{raw_dir}: missing, or holds no episode rows to report")
     meta_path = os.path.join(out_dir, "run_meta.json")
-    config = {}
-    if os.path.exists(meta_path):
-        with open(meta_path) as fh:
-            config = json.load(fh).get("config", {})
-    _checked_keys(f"{meta_path} config", config, CONFIG_KEYS)
+    meta = _read_json(meta_path)
+    if not isinstance(meta, dict):
+        raise ValueError(f"{meta_path}: not a JSON object")
+    config = _checked_keys(f"{meta_path} config", meta.get("config"), CONFIG_KEYS)
     results = summarize(rows)
     _write_summary(config, results, out_dir)
     csv_path = os.path.join(out_dir, "regret_curves.csv")
     if not os.path.exists(csv_path):
         write_curves_csv(rows, csv_path)
     return results
-

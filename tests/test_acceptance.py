@@ -27,7 +27,6 @@ from periodic_bandits.env import (
     make_demo_instance,
 )
 from periodic_bandits.harness import (
-    default_sweep_config,
     monte_carlo,
     run_episode,
     write_outputs,
@@ -44,6 +43,8 @@ from periodic_bandits.spectral import (
     threshold_constants,
     u_constants,
 )
+
+from helpers import load_default_sweep, means_matrix
 
 SIG4 = 5e-4  # relative half-ulp tolerance for a 4-significant-figure match
 
@@ -118,7 +119,7 @@ def test_criterion2_demo_identification():
     H = default_H(50)
     target = [Fraction(1, 4), Fraction(1, 2)]
 
-    noise_free = inst.means_matrix()[0]
+    noise_free = means_matrix(inst)[0]
     periods, ests = estimate_periods([(noise_free, range(1, 51))], 50, 8, H, 0.2, t_max=10)
     assert periods == (4,)
     assert ests[0].identified == target
@@ -127,7 +128,7 @@ def test_criterion2_demo_identification():
 
     hits = 0
     for rep in range(1000):
-        samples = inst.means_matrix()[0] + inst.noise_stream(rep).values
+        samples = means_matrix(inst)[0] + inst.noise_stream(rep).values
         p, e = estimate_periods([(samples, range(1, 51))], 50, 8, H, 0.2, t_max=10)
         hits += p[0] == 4 and e[0].identified == target
     elapsed = time.time() - t0
@@ -184,7 +185,7 @@ def test_criterion3_oracle_coupling(run_recording_rewards):
 
 @pytest.fixture(scope="module")
 def sweep_results():
-    cfg = default_sweep_config()
+    cfg = load_default_sweep()
     t0 = time.time()
     res = monte_carlo(cfg)
     res["elapsed"] = time.time() - t0

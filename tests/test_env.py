@@ -20,6 +20,8 @@ from periodic_bandits.harness import default_sweep_instance, run_episode
 from periodic_bandits.policies import make_policy
 from periodic_bandits.spectral import ThresholdConstants, threshold_constants
 
+from helpers import means_matrix
+
 
 def mean(profile: MeanProfile, t: int) -> float:
     """The mean of ``profile`` at epoch t (1-based), read off its cycle."""
@@ -91,12 +93,12 @@ def test_fourier_constant_coefficient_must_be_real():
 
 def test_mean_at_demo_value():
     inst = make_demo_instance(50, 0.2)
-    assert inst.means_matrix()[0, 0] == pytest.approx(3.0, abs=1e-12)
+    assert means_matrix(inst)[0, 0] == pytest.approx(3.0, abs=1e-12)
 
 
 def test_mean_at_small_profile_wraps():
     inst = two_arm([0.2, 0.8], [0.5])
-    assert inst.means_matrix()[0, 4] == 0.2  # epoch 5: (5-1) mod 2 = 0
+    assert means_matrix(inst)[0, 4] == 0.2  # epoch 5: (5-1) mod 2 = 0
 
 
 @settings(max_examples=50, deadline=None)
@@ -109,7 +111,7 @@ def test_mean_periodicity(vals, t):
         prof = MeanProfile.from_values(vals)
     except ValueError:
         return  # non-minimal draws are rejected by construction
-    means = BanditInstance((prof,), NoiseModel(), horizon=t + prof.period).means_matrix()[0]
+    means = means_matrix(BanditInstance((prof,), NoiseModel(), horizon=t + prof.period))[0]
     assert means[t - 1] == means[t - 1 + prof.period]
 
 
@@ -120,7 +122,7 @@ def test_mean_periodicity(vals, t):
 def test_zero_noise_is_exact():
     inst = two_arm([0.2, 0.8], [0.5], sigma=0.0)
     stream = inst.noise_stream(seed=7)
-    assert inst.means_matrix()[0, 1] + stream.values[1] == 0.8
+    assert means_matrix(inst)[0, 1] + stream.values[1] == 0.8
 
 
 @pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
@@ -136,8 +138,8 @@ def test_zero_sigma_stream_is_positive_zero(kind):
 
 def test_sampling_bit_identical_across_streams():
     inst = two_arm([0.2, 0.8], [0.5], sigma=1.0, horizon=100)
-    a = inst.means_matrix()[0] + inst.noise_stream(3).values
-    b = inst.means_matrix()[0] + inst.noise_stream(3).values
+    a = means_matrix(inst)[0] + inst.noise_stream(3).values
+    b = means_matrix(inst)[0] + inst.noise_stream(3).values
     assert np.array_equal(a, b)
 
 
@@ -145,7 +147,7 @@ def test_noise_is_arm_independent():
     # the draw at epoch t depends on (seed, epoch) only, never on the arm
     inst = two_arm([0.2, 0.8], [0.5], sigma=1.0, horizon=50)
     s1, s2 = inst.noise_stream(3), inst.noise_stream(3)
-    means = inst.means_matrix()[1]
+    means = means_matrix(inst)[1]
     assert np.array_equal(s1.values, s2.values)
     assert np.array_equal(means + s2.values, means + s1.values)
 
@@ -153,7 +155,7 @@ def test_noise_is_arm_independent():
 def test_law_of_large_numbers_at_fixed_phase():
     # 1e5 draws of arm 0 at phase 1; tolerance 5 sigma / sqrt(N) = 0.0158 < 0.02
     inst = make_demo_instance(4 * 10**5, 1.0)
-    draws = (inst.means_matrix()[0] + inst.noise_stream(123).values)[::4]  # epochs 1, 5, 9, ...
+    draws = (means_matrix(inst)[0] + inst.noise_stream(123).values)[::4]  # epochs 1, 5, 9, ...
     assert abs(np.mean(draws) - 3.0) < 0.02
 
 
@@ -234,7 +236,7 @@ def test_pseudo_regret_nonnegative_nondecreasing(seed):
 
 def means_matrix_regret(inst: BanditInstance, actions) -> tuple[np.ndarray, np.ndarray]:
     """Gaps and their prefix sums from the whole (K, T) means matrix."""
-    means = inst.means_matrix()
+    means = means_matrix(inst)
     gaps = means.max(axis=0) - means[np.asarray(actions, dtype=int), np.arange(inst.horizon)]
     return gaps, np.cumsum(gaps)
 
@@ -315,7 +317,7 @@ def test_e3_zero_perturbation_matches_seed_means():
     e3 = make_lower_bound_instance(
         "e3", T=1000, delta_gap=0.2, periods=[3, 2], perturbation=0.0
     )
-    assert np.array_equal(e3.means_matrix(), seed.means_matrix())
+    assert np.array_equal(means_matrix(e3), means_matrix(seed))
     assert e3.periods[1] == 1  # flat arm collapses to period 1
 
 

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
 import textwrap
@@ -15,7 +16,6 @@ import pytest
 from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, NoiseStream, make_demo_instance
 from periodic_bandits.harness import (
     config_hash,
-    default_sweep_config,
     default_sweep_instance,
     loglog_slope,
     make_preset_instance,
@@ -25,6 +25,8 @@ from periodic_bandits.harness import (
 )
 from periodic_bandits.policies import make_policy
 from periodic_bandits import cli, harness
+
+from helpers import DEFAULT_SWEEP_PATH, load_default_sweep, means_matrix
 
 SRC_DIR = os.path.dirname(os.path.dirname(os.path.abspath(harness.__file__)))
 
@@ -623,10 +625,12 @@ def test_sweep_job_imports_no_masked_arrays():
     # numpy's unique() imports numpy.ma on its first call, about 27 ms in a
     # fresh pool worker; a job (workers=1 runs the pool's _run_job in process)
     # and the summary must not pay it
-    code = textwrap.dedent("""
+    code = textwrap.dedent(f"""
+        import json
         import sys
-        from periodic_bandits.harness import default_sweep_config, monte_carlo
-        cfg = default_sweep_config()
+        from periodic_bandits.harness import monte_carlo
+        with open({DEFAULT_SWEEP_PATH!r}) as fh:
+            cfg = json.load(fh)
         cfg.update(horizons=[300, 600], replications=1, workers=1)
         monte_carlo(cfg)
         assert "numpy.ma" not in sys.modules, "numpy.ma imported"
@@ -640,9 +644,11 @@ def test_pool_workers_inherit_numpy_random():
     # numpy loads numpy.random on first use; a sweep with workers > 1 loads it
     # before the pool forks, so the workers inherit it instead of each paying
     # for the import on its first job (-X importtime logs every process)
-    code = textwrap.dedent("""
-        from periodic_bandits.harness import default_sweep_config, monte_carlo
-        cfg = default_sweep_config()
+    code = textwrap.dedent(f"""
+        import json
+        from periodic_bandits.harness import monte_carlo
+        with open({DEFAULT_SWEEP_PATH!r}) as fh:
+            cfg = json.load(fh)
         cfg.update(horizons=[300, 600], replications=2, workers=2)
         monte_carlo(cfg)
     """)
@@ -665,7 +671,7 @@ GOLDEN_SWEEP_SHA256 = {
 
 
 def test_small_sweep_golden_bytes(tmp_path):
-    cfg = default_sweep_config()
+    cfg = load_default_sweep()
     cfg.update(horizons=[2500, 5000, 10000], replications=2)
     monte_carlo(cfg, out_dir=str(tmp_path))
     for name, digest in GOLDEN_SWEEP_SHA256.items():
@@ -721,9 +727,10 @@ def test_loglog_slope_recovers_power_laws():
 
 
 def test_loglog_slope_skips_nonpositive():
-    xs = [10, 20, 40, 80]
-    ys = [0.0, 2.0, 3.0, 4.5]
-    slope, skipped = loglog_slope(xs, ys, tail_fraction=1.0)
+    # the fit reads the later half of the points, so the zero is in its tail
+    xs = [10, 20, 40, 80, 160, 320]
+    ys = [1.0, 2.0, 3.0, 0.0, 4.5, 6.0]
+    slope, skipped = loglog_slope(xs, ys)
     assert skipped == 1
     assert math.isfinite(slope)
 
@@ -732,7 +739,7 @@ def test_loglog_slope_rejects_tiny_input():
     with pytest.raises(ValueError):
         loglog_slope([10], [1.0])
     # no positive point left to fit: no slope, rather than a made-up one
-    assert loglog_slope([10, 20], [0.0, 0.0], tail_fraction=1.0) == (None, 2)
+    assert loglog_slope([10, 20], [0.0, 0.0]) == (None, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -771,7 +778,7 @@ def test_cli_constants_bad_argument_exits_with_one_line(capsys, args, message):
 def test_cli_detect(tmp_path, capsys):
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     path = tmp_path / "series.csv"
-    path.write_text("\n".join(str(m) for m in inst.means_matrix()[0].tolist()))
+    path.write_text("\n".join(str(m) for m in means_matrix(inst)[0].tolist()))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
     out = json.loads(capsys.readouterr().out)
     assert out["period"] == 4
@@ -804,7 +811,7 @@ def test_cli_detect_bad_argument_exits_with_one_line(tmp_path, capsys, rows, arg
 def test_cli_detect_epoch_column(tmp_path, capsys):
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
     path = tmp_path / "series.csv"
-    rows = ["epoch,value"] + [f"{t},{m}" for t, m in enumerate(inst.means_matrix()[0].tolist(), start=1)]
+    rows = ["epoch,value"] + [f"{t},{m}" for t, m in enumerate(means_matrix(inst)[0].tolist(), start=1)]
     path.write_text("\n".join(rows))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
     assert json.loads(capsys.readouterr().out)["period"] == 4
@@ -825,7 +832,7 @@ def test_cli_detect_skips_blank_rows(tmp_path, capsys):
 
 def _demo_rows():
     inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
-    return [f"{t},{m}" for t, m in enumerate(inst.means_matrix()[0].tolist(), start=1)]
+    return [f"{t},{m}" for t, m in enumerate(means_matrix(inst)[0].tolist(), start=1)]
 
 
 @pytest.mark.parametrize(
@@ -886,6 +893,50 @@ def test_report_without_raw_rows_writes_nothing(tmp_path, make_raw):
     with pytest.raises(SystemExit, match=re.escape(raw_dir)):
         cli.main(["report", "--in", str(out)])
     assert sorted(p.name for p in out.iterdir()) == (["raw"] if make_raw else [])
+
+
+@pytest.fixture(scope="module")
+def small_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("small_run") / "run"
+    monte_carlo(small_config(reps=2), out_dir=str(out))
+    return out
+
+
+def _drop_T(text):
+    rows = json.loads(text)
+    del rows[-1]["T"]
+    return json.dumps(rows)
+
+
+@pytest.mark.parametrize(
+    "name, damage",
+    [
+        ("raw/two_stage_T400.json", _drop_T),
+        ("raw/two_stage_T400.json", lambda text: json.dumps({"rows": json.loads(text)})),
+        ("raw/stationary_ucb_T600.json", lambda text: text[: len(text) // 2]),
+        ("run_meta.json", lambda text: json.dumps([json.loads(text)])),
+        ("run_meta.json", lambda text: text[: len(text) // 2]),
+        ("run_meta.json", None),
+    ],
+    ids=["raw-row-without-T", "raw-object", "raw-not-json", "meta-list", "meta-not-json", "meta-missing"],
+)
+def test_report_on_a_damaged_run_exits_naming_the_file(small_run, tmp_path, name, damage):
+    # report reads files an earlier run left, which may be damaged: each
+    # damage exits with one line naming the file, before summary.json is
+    # rewritten; without run_meta.json the hash would be the hash of {}
+    out = tmp_path / "run"
+    shutil.copytree(small_run, out)
+    path = out / name
+    if damage is None:
+        path.unlink()
+    else:
+        path.write_text(damage(path.read_text()))
+    before = (out / "summary.json").read_bytes()
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["report", "--in", str(out)])
+    message = str(exc.value)
+    assert message.startswith(f"{path}: ") and "\n" not in message
+    assert (out / "summary.json").read_bytes() == before
 
 
 def test_cli_sweep(tmp_path):

@@ -19,6 +19,8 @@ from periodic_bandits.policies import (
 )
 from periodic_bandits.spectral import default_H
 
+from helpers import means_matrix
+
 
 def instance(profiles, sigma, horizon):
     return BanditInstance(
@@ -587,7 +589,7 @@ def test_noise_free_phase_means_exact():
     st = pol._state
     for arm in range(2):
         for t in (495, 496):
-            assert cell_mean(st, 1, arm, t) == pytest.approx(inst.means_matrix()[arm, t - 1], abs=1e-12)
+            assert cell_mean(st, 1, arm, t) == pytest.approx(means_matrix(inst)[arm, t - 1], abs=1e-12)
 
 
 def test_screening_suppresses_suboptimal_pulls():
@@ -909,8 +911,6 @@ def test_ucb_baseline_reused_across_episodes_plays_like_a_fresh_one(policy_id):
 
 
 def test_per_phase_regret_sublinear_slope():
-    from periodic_bandits.harness import loglog_slope
-
     inst_factory = lambda T: instance(
         [[0.8, 0.2, 0.5, 0.3], [0.3, 0.7, 0.2, 0.6], [0.5, 0.5, 0.9, 0.1]],
         sigma=0.2,
@@ -924,7 +924,9 @@ def test_per_phase_regret_sublinear_slope():
             for seed in range(8)
         ]
         means.append(np.mean(finals))
-    assert loglog_slope(horizons, means, tail_fraction=1.0)[0] < 0.75
+    # the slope of log mean regret against log T over all four horizons
+    assert all(m > 0 for m in means)
+    assert np.polyfit(np.log(horizons), np.log(means), 1)[0] < 0.75
 
 
 def test_lcm_ucb_runs_and_estimates():

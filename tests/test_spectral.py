@@ -28,6 +28,8 @@ from periodic_bandits.spectral import (
     u_constants,
 )
 
+from helpers import means_matrix
+
 H50 = default_H(50)
 
 # Reference constants: (n, g) -> U1, U2, sigma coeff, amplitude coeff,
@@ -560,7 +562,7 @@ def test_lcm_of_denominators():
 
 def demo_noise_free_estimate(t_max=10):
     inst = make_demo_instance(50, 0.2)
-    samples = inst.means_matrix()[0]
+    samples = means_matrix(inst)[0]
     periods, ests = estimate_periods([(samples, range(1, 51))], 50, 8, H50, 0.2, t_max=t_max)
     return periods, ests[0]
 
@@ -648,7 +650,7 @@ def test_noisy_demo_success_rate_small():
     inst = make_demo_instance(50, 0.2)
     hits = 0
     for rep in range(100):
-        samples = inst.means_matrix()[0] + inst.noise_stream(rep).values
+        samples = means_matrix(inst)[0] + inst.noise_stream(rep).values
         periods, _ = estimate_periods([(samples, range(1, 51))], 50, 8, H50, 0.2, t_max=10)
         hits += periods[0] == 4
     assert hits >= 98
