@@ -228,54 +228,42 @@ def make_lower_bound_instance(
 ) -> BanditInstance:
     """Hard instances used in lower-bound style experiments.
 
-    e1: two stationary arms (0.5 +/- gap, 0.5); ``sign`` picks the variant and
-        ``delta_gap`` defaults to sqrt(1/(2T)).
-    e2: e1 with arm 1 made periodic with minimal period ``T1`` (the gap sits on
-        phase 1 only).
-    e3: e2 seeded with periods for every arm; each arm k >= 2 whose period is
-        at least 2 gets +perturbation/sqrt(2K) added to its phase-1 mean.
+    Each is a first arm with periods[0] phases, the gap on phase 1 only
+    (0.5 + sign * gap, then 0.5), and one arm per later period:
+    e1: periods (1, 1), two stationary arms; ``delta_gap`` defaults to
+        sqrt(1/(2T)).
+    e2: periods (T1, 1), T1 >= 2.
+    e3: ``periods`` as given, K >= 2 of them; each arm k >= 2 whose period is
+        at least 2 gets +perturbation/sqrt(2K) added to its phase-1 mean, and
+        is stationary at 0.5 otherwise.
     """
     fam = family.lower()
     gap = math.sqrt(1.0 / (2.0 * T)) if delta_gap is None else float(delta_gap)
+    bump = 0.0
     if fam == "e1":
-        if not 0 < gap < 0.5:
-            raise ValueError("gap must lie in (0, 0.5)")
-        arm1 = MeanProfile.from_values([0.5 + sign * gap])
-        arm2 = MeanProfile.from_values([0.5])
-        return BanditInstance((arm1, arm2), NoiseModel("gaussian", sigma), T)
-
-    if fam == "e2":
-        if not 0 < gap < 0.5:
-            raise ValueError("gap must lie in (0, 0.5)")
+        periods = [1, 1]
+    elif fam == "e2":
         if T1 < 2:
             raise ValueError("e2 needs a periodic first arm (T1 >= 2)")
-        vals = [0.5 + sign * gap] + [0.5] * (T1 - 1)
-        return BanditInstance(
-            (MeanProfile.from_values(vals), MeanProfile.from_values([0.5])),
-            NoiseModel("gaussian", sigma),
-            T,
-        )
-
-    if fam == "e3":
+        periods = [T1, 1]
+    elif fam == "e3":
         if periods is None:
             raise ValueError("e3 needs the full period list")
         periods = list(periods)
         if len(periods) < 2:
             raise ValueError("e3 needs at least two arms")
-        K = len(periods)
-        bump = perturbation / math.sqrt(2 * K)
-        if not 0 <= 0.5 + bump <= 1 or not 0 < gap < 0.5:
-            raise ValueError("perturbation or gap pushes means outside [0, 1]")
-        arms = [MeanProfile.from_values([0.5 + sign * gap] + [0.5] * (periods[0] - 1))]
-        for Tk in periods[1:]:
-            if Tk >= 2 and bump != 0.0:
-                arms.append(MeanProfile.from_values([0.5 + bump] + [0.5] * (Tk - 1)))
-            else:
-                # zero perturbation collapses to the stationary e2 arm
-                arms.append(MeanProfile.from_values([0.5]))
-        return BanditInstance(tuple(arms), NoiseModel("gaussian", sigma), T)
-
-    raise ValueError(f"unknown family {family!r}; expected e1, e2 or e3")
+        bump = perturbation / math.sqrt(2 * len(periods))
+    else:
+        raise ValueError(f"unknown family {family!r}; expected e1, e2 or e3")
+    if not 0 < gap < 0.5:
+        raise ValueError("gap must lie in (0, 0.5)")
+    if not 0 <= 0.5 + bump <= 1:
+        raise ValueError("perturbation pushes means outside [0, 1]")
+    arms = [MeanProfile.from_values([0.5 + sign * gap] + [0.5] * (periods[0] - 1))]
+    for Tk in periods[1:]:
+        # a zero perturbation leaves the arm stationary, as in e1 and e2
+        arms.append(MeanProfile.from_values([0.5 + bump] + [0.5] * (Tk - 1) if Tk >= 2 and bump else [0.5]))
+    return BanditInstance(tuple(arms), NoiseModel("gaussian", sigma), T)
 
 
 def validity_report(instance: BanditInstance, detector: ThresholdConstants | None = None) -> dict:

@@ -315,12 +315,12 @@ def summarize(rows: list[dict]) -> dict:
     return {"cells": cells, "raw": rows, "sweep_slopes": sweep_slopes}
 
 
-def _horizons(config: dict) -> list:
+def _horizons(config: dict) -> list[int] | None:
     """config["horizons"] checked to be a list of strictly increasing integers
-    of at least 1, or [None] (the instance's own horizon) when absent."""
+    of at least 1, or None when absent."""
     horizons = config.get("horizons")
     if horizons is None:
-        return [None]
+        return None
     if not isinstance(horizons, (list, tuple)):
         raise ValueError(f"horizons must be a list of integers, got {horizons!r}")
     hs = [_checked_int("horizons", h) for h in horizons]
@@ -401,9 +401,11 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     workers = _checked_int("workers", config.get("workers", 1))
     horizons = _horizons(config)
     spec = config.get("instance")
-    if isinstance(spec, dict) and "file" in spec:
-        # read the file once: every horizon resolves the same instance
-        spec = _instance_at(spec, horizons[0])
+    if horizons is None or isinstance(spec, dict) and "file" in spec:
+        # resolve once: a file is read once, and a config without horizons
+        # runs at its instance's own
+        spec = _instance_at(spec, horizons[0] if horizons else None)
+        horizons = horizons or [spec.horizon]
     instances = {T: _instance_at(spec, T) for T in horizons}
     params = _policy_params(config, list(instances.values()))
     # repr, not ==: 64 == 64.0 and True == 1, yet a policy may treat them apart
@@ -416,13 +418,12 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     # the same at every horizon has shorter episodes that are prefixes
     longest = instances[horizons[-1]]
     same_instance = all(inst.arms == longest.arms and inst.noise == longest.noise for inst in instances.values())
-    all_cuts = tuple(inst.horizon for inst in instances.values())
 
     def runs(pid: str) -> list[tuple]:
         """(job horizon, horizons cut from its episode) per job of a replication."""
         if same_instance and make_policy(pid, params[pid]).horizon_free:
-            return [(horizons[-1], all_cuts)]
-        return [(T, (instances[T].horizon,)) for T in horizons]
+            return [(horizons[-1], tuple(horizons))]
+        return [(T, (T,)) for T in horizons]
 
     jobs = [
         (instances[T], T, pid, pid_params, rep, base_seed + rep, curve_points, coupled and pid == "two_stage", cuts)
@@ -437,7 +438,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
         import numpy.fft
         import numpy.random
         with Pool(workers) as pool:
-            done = pool.map(_run_job, sorted(jobs, key=lambda job: -(job[1] or 0)), chunksize=1)
+            done = pool.map(_run_job, sorted(jobs, key=lambda job: -job[1]), chunksize=1)
     else:
         done = [_run_job(j) for j in jobs]
     rank = {pid: i for i, pid in enumerate(params)}
@@ -494,8 +495,13 @@ def write_outputs(config: dict, results: dict, out_dir: str) -> None:
         json.dump(meta, fh, indent=2, sort_keys=True)
     raw_dir = os.path.join(out_dir, "raw")
     os.makedirs(raw_dir, exist_ok=True)
-    for (pid, T), cell_rows in sorted(_by_cell(results["raw"]).items()):
-        with open(os.path.join(raw_dir, f"{pid}_T{T}.json"), "w") as fh:
+    files = {f"{pid}_T{T}.json": cell_rows for (pid, T), cell_rows in sorted(_by_cell(results["raw"]).items())}
+    for name in os.listdir(raw_dir):
+        if name.endswith(".json") and name not in files:
+            # an earlier run's cell: report reads every raw file
+            os.remove(os.path.join(raw_dir, name))
+    for name, cell_rows in files.items():
+        with open(os.path.join(raw_dir, name), "w") as fh:
             fh.write(json.dumps(cell_rows))
 
 
@@ -511,15 +517,34 @@ def _read_json(path: str):
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _numbers(xs) -> bool:
+    """Whether ``xs`` is a list of finite JSON numbers: ints or floats, not bools."""
+    return isinstance(xs, list) and set(map(type, xs)) <= {int, float} and all(map(math.isfinite, xs))
+
+
 def _raw_rows(path: str) -> list[dict]:
     """The episode rows of a raw file, each checked to hold what ``summarize``
-    and ``write_curves_csv`` read."""
+    and ``write_curves_csv`` read, with values of the types they read, and
+    row 0's ``curve_t`` in every row."""
     rows = _read_json(path)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: not a JSON list of episode rows")
     for i, row in enumerate(rows):
         if not (isinstance(row, dict) and all(key in row for key in ROW_KEYS)):
             raise ValueError(f"{path}: row {i} is not an object holding {', '.join(ROW_KEYS)}")
+        ts, regrets = row["curve_t"], row["curve_regret"]
+        if i and ts != rows[0]["curve_t"]:
+            raise ValueError(f"{path}: row {i} has another curve_t than row 0")
+        # a later row's curve_t equals row 0's, so only row 0's is scanned
+        if not (
+            type(row["policy"]) is str and type(row["T"]) is int and type(row["replication"]) is int
+            and _numbers([row["final_regret"]]) and _numbers(regrets) and (i or _numbers(ts))
+            and len(ts) == len(regrets) and type(row["success"]) in (bool, type(None))
+        ):
+            raise ValueError(
+                f"{path}: row {i} needs a string policy, integer T and replication, a number final_regret,"
+                " curve_t and curve_regret as lists of numbers of one length, and a bool or null success"
+            )
     return rows
 
 
@@ -528,8 +553,9 @@ def report_from_dir(out_dir: str) -> dict:
 
     Raises ``ValueError`` naming the file, and writes nothing, when raw/ is
     missing or holds no episode rows, when a raw file is not JSON or not a
-    list of rows holding ``ROW_KEYS``, or when run_meta.json is missing, not
-    a JSON object, or holds a config with a key outside ``CONFIG_KEYS``.
+    list of rows holding ``ROW_KEYS`` with values ``_raw_rows`` accepts, or
+    when run_meta.json is missing, not a JSON object, or holds a config with a
+    key outside ``CONFIG_KEYS``.
     """
     raw_dir = os.path.join(out_dir, "raw")
     rows: list[dict] = []

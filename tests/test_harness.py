@@ -166,17 +166,23 @@ def test_report_rebuilds_summary(tmp_path):
 
 
 def test_report_keeps_summary_bytes(tmp_path):
-    # report summarises exactly as sweep did
+    # report summarises exactly as sweep did, also after a second sweep with
+    # fewer horizons into the same directory: it leaves no raw file of the
+    # first sweep for report to read
     out = str(tmp_path / "out")
     cfg = small_config(reps=2)
-    cfg["horizons"] = [200, 400, 600]
-    monte_carlo(cfg, out_dir=out)
-    path = os.path.join(out, "summary.json")
-    with open(path, "rb") as fh:
-        before = fh.read()
-    report_from_dir(out)
-    with open(path, "rb") as fh:
-        assert fh.read() == before
+    for horizons in ([200, 400, 600], [200]):
+        cfg["horizons"] = horizons
+        monte_carlo(cfg, out_dir=out)
+        assert sorted(os.listdir(os.path.join(out, "raw"))) == sorted(
+            f"{pid}_T{T}.json" for pid in ("two_stage", "stationary_ucb") for T in horizons
+        )
+        path = os.path.join(out, "summary.json")
+        with open(path, "rb") as fh:
+            before = fh.read()
+        report_from_dir(out)
+        with open(path, "rb") as fh:
+            assert fh.read() == before
 
 
 MISSING = object()  # a config value that stands for deleting its key
@@ -809,12 +815,20 @@ def test_cli_detect_bad_argument_exits_with_one_line(tmp_path, capsys, rows, arg
 
 
 def test_cli_detect_epoch_column(tmp_path, capsys):
-    inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
+    # the epoch column sets each sample's phase: a series may start at any
+    # epoch, and a row of one value is numbered from epoch 1
+    cases = [
+        (["epoch,value"] + _demo_rows(), ["--sigma", "0.2", "--t-max", "10"], 4),
+        ([f"{t},{[0.9, 0.1, 0.5, 0.3][t % 4]}" for t in range(1001, 1501)], ["--sigma", "0.1"], 4),
+        # a prime length, whose length-n FFTs have no small factors
+        ([f"{t},{[0.9, 0.1, 0.5][t % 3]}" for t in range(20001, 20578)], ["--sigma", "0.1"], 3),
+        ([str(t % 2) for t in range(1, 41)], ["--sigma", "0.1"], 2),
+    ]
     path = tmp_path / "series.csv"
-    rows = ["epoch,value"] + [f"{t},{m}" for t, m in enumerate(means_matrix(inst)[0].tolist(), start=1)]
-    path.write_text("\n".join(rows))
-    assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
-    assert json.loads(capsys.readouterr().out)["period"] == 4
+    for rows, args, period in cases:
+        path.write_text("\n".join(rows))
+        assert cli.main(["detect", str(path)] + args) == 0
+        assert json.loads(capsys.readouterr().out)["period"] == period
 
 
 def test_cli_detect_skips_blank_rows(tmp_path, capsys):
@@ -871,8 +885,9 @@ def test_cli_sweep_without_horizons_and_report(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / "run")
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", out]) == 0
-    assert os.path.exists(os.path.join(out, "regret_curves.csv"))
-    assert os.path.exists(os.path.join(out, "run_meta.json"))
+    for name in ("regret_curves.csv", "summary.json", "run_meta.json", "raw/two_stage_T600.json",
+                 "raw/stationary_ucb_T600.json"):
+        assert os.path.getsize(os.path.join(out, name)) > 0
     assert cli.main(["report", "--in", out]) == 0
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
@@ -902,23 +917,37 @@ def small_run(tmp_path_factory):
     return out
 
 
-def _drop_T(text):
-    rows = json.loads(text)
-    del rows[-1]["T"]
-    return json.dumps(rows)
+def _edit_last_row(edit):
+    """A damage that applies ``edit`` to the last row of a raw file."""
+    def damage(text):
+        rows = json.loads(text)
+        edit(rows[-1])
+        return json.dumps(rows)
+    return damage
 
 
 @pytest.mark.parametrize(
     "name, damage",
     [
-        ("raw/two_stage_T400.json", _drop_T),
+        ("raw/two_stage_T400.json", _edit_last_row(lambda row: row.pop("T"))),
+        ("raw/two_stage_T400.json", _edit_last_row(lambda row: row.update(final_regret=None))),
+        ("raw/two_stage_T400.json", _edit_last_row(lambda row: row.update(T=[400]))),
+        ("raw/two_stage_T600.json", _edit_last_row(lambda row: row.update(replication=None))),
+        ("raw/two_stage_T600.json", _edit_last_row(lambda row: row.update(policy=3))),
+        ("raw/two_stage_T600.json", _edit_last_row(lambda row: row.update(success="yes"))),
+        ("raw/stationary_ucb_T400.json", _edit_last_row(lambda row: row["curve_regret"].pop())),
+        # one point short in both curves: the row's curve_t is not its cell's
+        ("raw/stationary_ucb_T600.json",
+         _edit_last_row(lambda row: (row["curve_t"].pop(), row["curve_regret"].pop()))),
         ("raw/two_stage_T400.json", lambda text: json.dumps({"rows": json.loads(text)})),
         ("raw/stationary_ucb_T600.json", lambda text: text[: len(text) // 2]),
         ("run_meta.json", lambda text: json.dumps([json.loads(text)])),
         ("run_meta.json", lambda text: text[: len(text) // 2]),
         ("run_meta.json", None),
     ],
-    ids=["raw-row-without-T", "raw-object", "raw-not-json", "meta-list", "meta-not-json", "meta-missing"],
+    ids=["raw-row-without-T", "raw-final-regret-null", "raw-T-list", "raw-replication-null", "raw-policy-int",
+         "raw-success-string", "raw-curve-regret-short", "raw-curve-short", "raw-object", "raw-not-json",
+         "meta-list", "meta-not-json", "meta-missing"],
 )
 def test_report_on_a_damaged_run_exits_naming_the_file(small_run, tmp_path, name, damage):
     # report reads files an earlier run left, which may be damaged: each
@@ -957,12 +986,16 @@ def test_cli_sweep(tmp_path):
         ([1, 2], "config must be a JSON object"),
         ("horizons", "config must be a JSON object"),
         (MISSING, "No such file"),
+        ({"policies": [{"id": "two_stage", "params": {"n": 50, "g": 3}}]}, "policies entry 'two_stage'"),
+        ({"policies": [{"id": ["two_stage"]}]}, "policies entry"),
     ],
-    ids=["zero-replications", "list", "string", "missing-file"],
+    ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
     # like report, sweep turns a ValueError, or a config file it cannot read,
-    # into a one-line exit message naming the config file, not a traceback
+    # into a one-line exit message naming the config file, not a traceback;
+    # a policy entry that cannot be built fails before the output directory
+    # is made
     if isinstance(config, dict):
         config = {**small_config(), **config}
     cfg_path = tmp_path / "cfg.json"
