@@ -131,8 +131,11 @@ def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) ->
         inst = load_instance(_checked_keys("instance", spec, ("file",))["file"])
     elif isinstance(spec, dict) and "preset" in spec:
         params = dict(_checked_keys("instance", spec, ("preset", "params")).get("params", {}))
-        if horizon is not None and spec["preset"] in ("e1", "e2", "e3"):
-            params["T"] = horizon
+        if spec["preset"] in ("e1", "e2", "e3"):
+            if horizon is not None:
+                params["T"] = horizon
+            elif "T" not in params:
+                raise ValueError(f"preset {spec['preset']!r} reads the horizon: give the config horizons or a T param")
         inst = make_preset_instance(spec["preset"], params)
     else:
         inst = instance_from_dict(spec)
@@ -276,16 +279,6 @@ def aggregate(rep_rows: list[dict]) -> tuple[AggregateStats, int]:
     ), skipped
 
 
-def _by_cell(rows: list[dict]) -> dict[tuple[str, int], list[dict]]:
-    """Rows grouped by (policy, horizon), each group in replication order."""
-    by_cell: dict[tuple[str, int], list[dict]] = {}
-    for row in rows:
-        by_cell.setdefault((row["policy"], row["T"]), []).append(row)
-    for cell_rows in by_cell.values():
-        cell_rows.sort(key=lambda r: r["replication"])
-    return by_cell
-
-
 def summarize(rows: list[dict]) -> dict:
     """Summarise raw episode rows the one way both sweep and report do.
 
@@ -296,9 +289,12 @@ def summarize(rows: list[dict]) -> dict:
     nonpositive points (a cell's curve slope or a sweep slope) are named in
     one ``UserWarning`` per call.
     """
+    by_cell: dict[tuple[str, int], list[dict]] = {}  # each cell's rows in replication order
+    for row in sorted(rows, key=lambda r: r["replication"]):
+        by_cell.setdefault((row["policy"], row["T"]), []).append(row)
     cells = {}
     skipped = []  # the fits that dropped nonpositive points, named in one warning
-    for (pid, T), cell_rows in _by_cell(rows).items():
+    for (pid, T), cell_rows in by_cell.items():
         cells[(pid, T)], n_skipped = aggregate(cell_rows)
         if n_skipped:
             skipped.append(f"{pid} T={T} ({n_skipped} points)")
@@ -375,21 +371,20 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     """Run every (policy, horizon, replication) cell of a config.
 
     Returns the ``summarize`` result for the episode rows and, when
-    ``out_dir`` is given, writes regret_curves.csv, summary.json, run_meta.json
-    and raw/ files. A malformed config, an instance spec or a policy entry that
-    cannot be built or a key outside ``CONFIG_KEYS`` included, raises
-    ``ValueError`` before any episode runs. Without ``horizons`` the config
-    runs at its instance's own horizon.
+    ``out_dir`` is given, writes regret_curves.csv, summary.json,
+    run_meta.json and raw/rows.json. A malformed config, an instance spec or
+    a policy entry that cannot be built or a key outside ``CONFIG_KEYS``
+    included, raises ``ValueError`` before any episode runs. Without
+    ``horizons`` the config runs at its instance's own horizon.
 
-    An ``oracle`` entry whose params equal the ``two_stage`` entry's (value
-    for value and type for type) is coupled to it: it gets no jobs of its own,
-    and each two_stage job returns the oracle's row too, a copy of its own
-    where stage one identified every period (see ``_run_job``). A
-    ``horizon_free`` policy gets one job per replication, at the longest
-    horizon, which returns a row for every horizon cut from its one episode,
-    provided every horizon resolves to the same arms and noise; otherwise (an
-    ``e1``/``e2``/``e3`` preset, whose means read T) it gets one job per
-    horizon like any other policy. With
+    An ``oracle`` entry whose params equal the ``two_stage`` entry's is
+    coupled to it: it gets no jobs of its own, and each two_stage job returns
+    the oracle's row too, a copy of its own where stage one identified every
+    period (see ``_run_job``). A ``horizon_free`` policy gets one job per
+    replication, at the longest horizon, which returns a row for every
+    horizon cut from its one episode, provided every horizon resolves to the
+    same arms and noise; otherwise (an ``e1``/``e2``/``e3`` preset, whose
+    means read T) it gets one job per horizon like any other policy. With
     ``workers`` > 1 the pool takes the longest horizons first, one job at a
     time, so no long job starts last. Either way the rows come back in job
     order: policy-major in config order, then horizon, then replication.
@@ -408,11 +403,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
         horizons = horizons or [spec.horizon]
     instances = {T: _instance_at(spec, T) for T in horizons}
     params = _policy_params(config, list(instances.values()))
-    # repr, not ==: 64 == 64.0 and True == 1, yet a policy may treat them apart
-    coupled = (
-        "two_stage" in params and "oracle" in params
-        and repr(sorted(params["two_stage"].items())) == repr(sorted(params["oracle"].items()))
-    )
+    coupled = "two_stage" in params and "oracle" in params and params["two_stage"] == params["oracle"]
 
     # an e1/e2/e3 preset's means depend on T, so only an instance that stays
     # the same at every horizon has shorter episodes that are prefixes
@@ -493,16 +484,9 @@ def write_outputs(config: dict, results: dict, out_dir: str) -> None:
     }
     with open(os.path.join(out_dir, "run_meta.json"), "w") as fh:
         json.dump(meta, fh, indent=2, sort_keys=True)
-    raw_dir = os.path.join(out_dir, "raw")
-    os.makedirs(raw_dir, exist_ok=True)
-    files = {f"{pid}_T{T}.json": cell_rows for (pid, T), cell_rows in sorted(_by_cell(results["raw"]).items())}
-    for name in os.listdir(raw_dir):
-        if name.endswith(".json") and name not in files:
-            # an earlier run's cell: report reads every raw file
-            os.remove(os.path.join(raw_dir, name))
-    for name, cell_rows in files.items():
-        with open(os.path.join(raw_dir, name), "w") as fh:
-            fh.write(json.dumps(cell_rows))
+    os.makedirs(os.path.join(out_dir, "raw"), exist_ok=True)
+    with open(os.path.join(out_dir, "raw", "rows.json"), "w") as fh:
+        fh.write(json.dumps(results["raw"]))
 
 
 def _read_json(path: str):
@@ -523,47 +507,54 @@ def _numbers(xs) -> bool:
 
 
 def _raw_rows(path: str) -> list[dict]:
-    """The episode rows of a raw file, each checked to hold what ``summarize``
-    and ``write_curves_csv`` read, with values of the types they read, and
-    row 0's ``curve_t`` in every row."""
+    """The episode rows of raw/rows.json, each checked to hold what
+    ``summarize`` and ``write_curves_csv`` read, with values of the types they
+    read; each row of a (policy, T) cell has the ``curve_t`` of the cell's
+    first row, and no (policy, T, replication) appears twice."""
     rows = _read_json(path)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: not a JSON list of episode rows")
+    curves: dict[tuple[str, int], list] = {}  # each cell's first curve_t
+    seen: set[tuple[str, int, int]] = set()
     for i, row in enumerate(rows):
         if not (isinstance(row, dict) and all(key in row for key in ROW_KEYS)):
             raise ValueError(f"{path}: row {i} is not an object holding {', '.join(ROW_KEYS)}")
         ts, regrets = row["curve_t"], row["curve_regret"]
-        if i and ts != rows[0]["curve_t"]:
-            raise ValueError(f"{path}: row {i} has another curve_t than row 0")
-        # a later row's curve_t equals row 0's, so only row 0's is scanned
+        pid, T, rep = row["policy"], row["T"], row["replication"]
+        cell = (pid, T) if type(pid) is str and type(T) is int else None
+        if cell in curves and ts != curves[cell]:
+            raise ValueError(f"{path}: row {i} has another curve_t than the first row of {pid} T={T}")
+        # a later row's curve_t equals its cell's first, so only the first is scanned
         if not (
-            type(row["policy"]) is str and type(row["T"]) is int and type(row["replication"]) is int
-            and _numbers([row["final_regret"]]) and _numbers(regrets) and (i or _numbers(ts))
-            and len(ts) == len(regrets) and type(row["success"]) in (bool, type(None))
+            cell and type(rep) is int and _numbers([row["final_regret"]]) and _numbers(regrets)
+            and (cell in curves or _numbers(ts)) and len(ts) == len(regrets)
+            and type(row["success"]) in (bool, type(None))
         ):
             raise ValueError(
                 f"{path}: row {i} needs a string policy, integer T and replication, a number final_regret,"
                 " curve_t and curve_regret as lists of numbers of one length, and a bool or null success"
             )
+        curves.setdefault(cell, ts)
+        if (pid, T, rep) in seen:
+            raise ValueError(f"{path}: row {i} repeats {pid} T={T} replication {rep}")
+        seen.add((pid, T, rep))
     return rows
 
 
 def report_from_dir(out_dir: str) -> dict:
-    """Recompute summary.json (and regret_curves.csv if absent) from raw files.
+    """Recompute summary.json (and regret_curves.csv if absent) from
+    raw/rows.json.
 
-    Raises ``ValueError`` naming the file, and writes nothing, when raw/ is
-    missing or holds no episode rows, when a raw file is not JSON or not a
+    Raises ``ValueError`` naming the file, and writes nothing, when
+    raw/rows.json is missing, not JSON, holds no episode rows, or is not a
     list of rows holding ``ROW_KEYS`` with values ``_raw_rows`` accepts, or
     when run_meta.json is missing, not a JSON object, or holds a config with a
     key outside ``CONFIG_KEYS``.
     """
-    raw_dir = os.path.join(out_dir, "raw")
-    rows: list[dict] = []
-    for name in sorted(os.listdir(raw_dir)) if os.path.isdir(raw_dir) else ():
-        if name.endswith(".json"):
-            rows.extend(_raw_rows(os.path.join(raw_dir, name)))
+    path = os.path.join(out_dir, "raw", "rows.json")
+    rows = _raw_rows(path)
     if not rows:
-        raise ValueError(f"{raw_dir}: missing, or holds no episode rows to report")
+        raise ValueError(f"{path}: holds no episode rows to report")
     meta_path = os.path.join(out_dir, "run_meta.json")
     meta = _read_json(meta_path)
     if not isinstance(meta, dict):

@@ -122,10 +122,10 @@ def test_aggregation_matches_independent_pass(tmp_path):
     monte_carlo(small_config(), out_dir=out)
     with open(os.path.join(out, "summary.json")) as fh:
         summary = json.load(fh)
+    with open(os.path.join(out, "raw", "rows.json")) as fh:
+        raw = json.load(fh)
     for cell in summary["cells"]:
-        path = os.path.join(out, "raw", f"{cell['policy']}_T{cell['T']}.json")
-        with open(path) as fh:
-            rows = json.load(fh)
+        rows = [r for r in raw if (r["policy"], r["T"]) == (cell["policy"], cell["T"])]
         finals = np.array([r["final_regret"] for r in rows])
         assert cell["mean_final_regret"] == pytest.approx(finals.mean(), abs=1e-12)
         expect_se = finals.std(ddof=1) / math.sqrt(len(finals)) if len(finals) > 1 else 0.0
@@ -167,16 +167,14 @@ def test_report_rebuilds_summary(tmp_path):
 
 def test_report_keeps_summary_bytes(tmp_path):
     # report summarises exactly as sweep did, also after a second sweep with
-    # fewer horizons into the same directory: it leaves no raw file of the
-    # first sweep for report to read
+    # fewer horizons into the same directory: it overwrites raw/rows.json, so
+    # no row of the first sweep is left for report to read
     out = str(tmp_path / "out")
     cfg = small_config(reps=2)
     for horizons in ([200, 400, 600], [200]):
         cfg["horizons"] = horizons
         monte_carlo(cfg, out_dir=out)
-        assert sorted(os.listdir(os.path.join(out, "raw"))) == sorted(
-            f"{pid}_T{T}.json" for pid in ("two_stage", "stationary_ucb") for T in horizons
-        )
+        assert os.listdir(os.path.join(out, "raw")) == ["rows.json"]
         path = os.path.join(out, "summary.json")
         with open(path, "rb") as fh:
             before = fh.read()
@@ -885,8 +883,7 @@ def test_cli_sweep_without_horizons_and_report(tmp_path, capsys):
     cfg_path.write_text(json.dumps(cfg))
     out = str(tmp_path / "run")
     assert cli.main(["sweep", "--config", str(cfg_path), "--out", out]) == 0
-    for name in ("regret_curves.csv", "summary.json", "run_meta.json", "raw/two_stage_T600.json",
-                 "raw/stationary_ucb_T600.json"):
+    for name in ("regret_curves.csv", "summary.json", "run_meta.json", "raw/rows.json"):
         assert os.path.getsize(os.path.join(out, name)) > 0
     assert cli.main(["report", "--in", out]) == 0
     with open(os.path.join(out, "summary.json")) as fh:
@@ -897,17 +894,29 @@ def test_cli_sweep_without_horizons_and_report(tmp_path, capsys):
         cli.main(["simulate", "--config", str(cfg_path), "--out", out])
 
 
-@pytest.mark.parametrize("make_raw", [False, True], ids=["missing-raw", "empty-raw"])
-def test_report_without_raw_rows_writes_nothing(tmp_path, make_raw):
-    # a summary with no cells would look like a run that had no policies
+@pytest.mark.parametrize("raw", ["missing-raw", "empty-raw", "empty-rows", "per-cell-raw"])
+def test_report_without_raw_rows_writes_nothing(small_run, tmp_path, raw):
+    # a summary with no cells would look like a run that had no policies; a
+    # raw/ of one file per (policy, T) cell, as an earlier layout wrote, is
+    # not read
     out = tmp_path / "run"
-    (out / "raw" if make_raw else out).mkdir(parents=True)
-    raw_dir = str(out / "raw")
-    with pytest.raises(ValueError, match=re.escape(raw_dir)):
+    out.mkdir()
+    if raw != "missing-raw":
+        (out / "raw").mkdir()
+    if raw == "empty-rows":
+        (out / "raw" / "rows.json").write_text("[]")
+    if raw == "per-cell-raw":
+        rows = json.loads((small_run / "raw" / "rows.json").read_text())
+        for pid, T in {(r["policy"], r["T"]) for r in rows}:
+            cell_rows = [r for r in rows if (r["policy"], r["T"]) == (pid, T)]
+            (out / "raw" / f"{pid}_T{T}.json").write_text(json.dumps(cell_rows))
+    before = sorted(out.rglob("*"))
+    path = str(out / "raw" / "rows.json")
+    with pytest.raises(ValueError, match=re.escape(path)):
         report_from_dir(str(out))
-    with pytest.raises(SystemExit, match=re.escape(raw_dir)):
+    with pytest.raises(SystemExit, match=re.escape(path)):
         cli.main(["report", "--in", str(out)])
-    assert sorted(p.name for p in out.iterdir()) == (["raw"] if make_raw else [])
+    assert sorted(out.rglob("*")) == before
 
 
 @pytest.fixture(scope="module")
@@ -929,25 +938,30 @@ def _edit_last_row(edit):
 @pytest.mark.parametrize(
     "name, damage",
     [
-        ("raw/two_stage_T400.json", _edit_last_row(lambda row: row.pop("T"))),
-        ("raw/two_stage_T400.json", _edit_last_row(lambda row: row.update(final_regret=None))),
-        ("raw/two_stage_T400.json", _edit_last_row(lambda row: row.update(T=[400]))),
-        ("raw/two_stage_T600.json", _edit_last_row(lambda row: row.update(replication=None))),
-        ("raw/two_stage_T600.json", _edit_last_row(lambda row: row.update(policy=3))),
-        ("raw/two_stage_T600.json", _edit_last_row(lambda row: row.update(success="yes"))),
-        ("raw/stationary_ucb_T400.json", _edit_last_row(lambda row: row["curve_regret"].pop())),
+        ("raw/rows.json", _edit_last_row(lambda row: row.pop("T"))),
+        ("raw/rows.json", _edit_last_row(lambda row: row.update(final_regret=None))),
+        ("raw/rows.json", _edit_last_row(lambda row: row.update(T=[400]))),
+        ("raw/rows.json", _edit_last_row(lambda row: row.update(replication=None))),
+        ("raw/rows.json", _edit_last_row(lambda row: row.update(policy=3))),
+        ("raw/rows.json", _edit_last_row(lambda row: row.update(success="yes"))),
+        ("raw/rows.json", _edit_last_row(lambda row: row["curve_regret"].pop())),
         # one point short in both curves: the row's curve_t is not its cell's
-        ("raw/stationary_ucb_T600.json",
+        ("raw/rows.json",
          _edit_last_row(lambda row: (row["curve_t"].pop(), row["curve_regret"].pop()))),
-        ("raw/two_stage_T400.json", lambda text: json.dumps({"rows": json.loads(text)})),
-        ("raw/stationary_ucb_T600.json", lambda text: text[: len(text) // 2]),
+        ("raw/rows.json", lambda text: json.dumps({"rows": json.loads(text)})),
+        ("raw/rows.json", lambda text: text[: len(text) // 2]),
+        # every T=600 row relabelled T=400: the T=400 cell gets a second
+        # curve_t and each replication twice
+        ("raw/rows.json", lambda text: json.dumps([dict(r, T=400 if r["T"] == 600 else r["T"])
+                                                   for r in json.loads(text)])),
+        ("raw/rows.json", lambda text: json.dumps(json.loads(text) + json.loads(text)[:1])),
         ("run_meta.json", lambda text: json.dumps([json.loads(text)])),
         ("run_meta.json", lambda text: text[: len(text) // 2]),
         ("run_meta.json", None),
     ],
     ids=["raw-row-without-T", "raw-final-regret-null", "raw-T-list", "raw-replication-null", "raw-policy-int",
          "raw-success-string", "raw-curve-regret-short", "raw-curve-short", "raw-object", "raw-not-json",
-         "meta-list", "meta-not-json", "meta-missing"],
+         "raw-T600-as-T400", "raw-duplicate-row", "meta-list", "meta-not-json", "meta-missing"],
 )
 def test_report_on_a_damaged_run_exits_naming_the_file(small_run, tmp_path, name, damage):
     # report reads files an earlier run left, which may be damaged: each
@@ -988,8 +1002,9 @@ def test_cli_sweep(tmp_path):
         (MISSING, "No such file"),
         ({"policies": [{"id": "two_stage", "params": {"n": 50, "g": 3}}]}, "policies entry 'two_stage'"),
         ({"policies": [{"id": ["two_stage"]}]}, "policies entry"),
+        ({"instance": {"preset": "e1"}, "horizons": MISSING}, "preset 'e1' reads the horizon.*horizons.*T param"),
     ],
-    ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id"],
+    ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id", "e1-without-horizons"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
     # like report, sweep turns a ValueError, or a config file it cannot read,
@@ -997,7 +1012,7 @@ def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
     # a policy entry that cannot be built fails before the output directory
     # is made
     if isinstance(config, dict):
-        config = {**small_config(), **config}
+        config = {key: value for key, value in {**small_config(), **config}.items() if value is not MISSING}
     cfg_path = tmp_path / "cfg.json"
     if config is not MISSING:
         cfg_path.write_text(json.dumps(config))
