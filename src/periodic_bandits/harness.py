@@ -510,7 +510,8 @@ def _raw_rows(path: str) -> list[dict]:
     """The episode rows of raw/rows.json, each checked to hold what
     ``summarize`` and ``write_curves_csv`` read, with values of the types they
     read; each row of a (policy, T) cell has the ``curve_t`` of the cell's
-    first row, and no (policy, T, replication) appears twice."""
+    first row, which ends at T, and no (policy, T, replication) appears
+    twice."""
     rows = _read_json(path)
     if not isinstance(rows, list):
         raise ValueError(f"{path}: not a JSON list of episode rows")
@@ -527,12 +528,13 @@ def _raw_rows(path: str) -> list[dict]:
         # a later row's curve_t equals its cell's first, so only the first is scanned
         if not (
             cell and type(rep) is int and _numbers([row["final_regret"]]) and _numbers(regrets)
-            and (cell in curves or _numbers(ts)) and len(ts) == len(regrets)
+            and (cell in curves or (_numbers(ts) and ts[-1:] == [T])) and len(ts) == len(regrets)
             and type(row["success"]) in (bool, type(None))
         ):
             raise ValueError(
                 f"{path}: row {i} needs a string policy, integer T and replication, a number final_regret,"
-                " curve_t and curve_regret as lists of numbers of one length, and a bool or null success"
+                " curve_t and curve_regret as lists of numbers of one length, curve_t ending at T,"
+                " and a bool or null success"
             )
         curves.setdefault(cell, ts)
         if (pid, T, rep) in seen:

@@ -30,6 +30,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from operator import itemgetter
 from typing import Sequence
 
 import numpy as np
@@ -126,12 +127,16 @@ class ThresholdConstants:
         return math.pi * self.u1 / denom
 
 
+@lru_cache(maxsize=64, typed=True)  # typed: 50.0 must not hit the entry of 50
 def threshold_constants(
     n: int, g: int | None, sigma: float, H: float | None = None, t_max: int | None = None
 ) -> ThresholdConstants:
     """The detector for an n-sample block, the one place its defaults are
     filled: an unset g is ceil(sqrt(n)), H is sqrt(1 + log n) and t_max is
-    ceil(n / (2g)) - 1, so periods must be below n/(2g)."""
+    ceil(n / (2g)) - 1, so periods must be below n/(2g).
+
+    Equal arguments of equal types return one shared (frozen) value; a call
+    that raises caches nothing."""
     g = math.ceil(math.sqrt(max(n, 0))) if g is None else g  # so that n < 0 reaches the check below
     u1, u2 = u_constants(n, g)  # checks n >= 2 and g >= max(2, sqrt(n))
     H = default_H(n) if H is None else H
@@ -188,21 +193,24 @@ def amplitude_condition_coefficients(detector: ThresholdConstants) -> tuple[floa
 # DFT and periodogram
 # ---------------------------------------------------------------------------
 
-def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Validated (samples, epochs) float arrays of one nonempty, finite block."""
+def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> np.ndarray:
+    """The float samples of one nonempty, finite block of consecutive epochs."""
     y = np.asarray(samples, dtype=float)
-    if isinstance(epochs, range):  # what stage one passes; asarray walks it one int at a time
-        t = np.arange(epochs.start, epochs.stop, epochs.step, dtype=float)
-    else:
-        t = np.asarray(epochs, dtype=float)
+    consecutive = isinstance(epochs, range) and epochs.step == 1  # what stage one passes
+    t = None if consecutive else np.asarray(epochs, dtype=float)
     if y.size == 0:
         raise ValueError("empty sample block")
-    if y.shape != t.shape:
+    if y.shape != ((len(epochs),) if consecutive else t.shape):
         raise ValueError("samples and epochs must align")
-    bad = np.flatnonzero(~np.isfinite(y))
-    if bad.size:
-        raise ValueError(f"non-finite sample {y[bad[0]]} at index {bad[0]}")
-    return y, t
+    if not np.isfinite(y).all():
+        i = np.flatnonzero(~np.isfinite(y))[0]
+        raise ValueError(f"non-finite sample {y[i]} at index {i}")
+    if not consecutive:
+        gaps = np.flatnonzero(np.diff(t) != 1)
+        if gaps.size:
+            i = gaps[0]
+            raise ValueError(f"epochs must be consecutive: epoch {t[i + 1]:g} follows {t[i]:g}")
+    return y
 
 
 @lru_cache(maxsize=None)
@@ -307,12 +315,8 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
     ``ValueError`` on a non-finite sample or on epochs that are not
     consecutive.
     """
-    y, t = _as_block(samples, epochs)
+    y = _as_block(samples, epochs)
     n = y.size
-    gaps = np.flatnonzero(np.diff(t) != 1)
-    if gaps.size:
-        i = gaps[0]
-        raise ValueError(f"epochs must be consecutive: epoch {t[i + 1]:g} follows {t[i]:g}")
     grid = np.asarray(grid, dtype=float)
     plan = next((p for p in _plans.values() if p.grid is grid), None)
     if plan is None or plan.n != n:
@@ -343,10 +347,12 @@ def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants)
 
     Grid points below g/n are excluded from the search (the constant term's
     main lobe lives there) but still count toward the supremum that sets the
-    threshold. Ties at the global maximum resolve to the lowest frequency;
-    candidate-matching ties resolve to the smaller denominator, then smaller
-    numerator. Raises ``ValueError`` on an empty periodogram or one of a
-    block whose length is not the detector's n.
+    threshold. After one pass over the grid, the search reads only the
+    points above the threshold at or past g/n. Ties at the maximum go to the
+    first point in grid order, which on ``frequency_grid``'s sorted grid is
+    the lowest frequency; candidate-matching ties resolve to the smaller
+    denominator, then smaller numerator. Raises ``ValueError`` on an empty
+    periodogram or one of a block whose length is not the detector's n.
 
     A t_max below 2 leaves no representable period at this sample size; the
     candidate set is then empty and the estimate degrades to period 1.
@@ -362,26 +368,26 @@ def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants)
     cands, cand_vals = _candidates(t_max)
     grid = periodogram.grid
     mags = periodogram.magnitudes
-    active = (grid >= g / n) & (mags > tau)
+    width = g / n
+    above = np.flatnonzero(mags > tau)
+    above = above[grid[above] >= width]
+    # (index, frequency, magnitude) in grid order; max() keeps the first of equals
+    points = list(zip(above.tolist(), grid[above].tolist(), mags[above].tolist()))
 
     identified: list[Fraction] = []
     trace: list[dict] = []
-    width = g / n
-    while active.any():
-        idx = int(np.argmax(np.where(active, mags, -np.inf)))
-        v_star = float(grid[idx])
+    while points:
+        idx, v_star, magnitude = max(points, key=itemgetter(2))
         dists = np.abs(cand_vals - v_star)
         best = np.min(dists)
         tied = [cands[i] for i in np.flatnonzero(dists == best)]
         v_hat = min(tied, key=lambda c: (c.denominator, c.numerator))
         lo, hi = float(v_hat) - width, float(v_hat) + width
-        active &= ~((grid > lo) & (grid < hi))
-        active[idx] = False  # ensure progress even if the match is far away
+        # the pick goes by index, so progress holds even if the match is far away
+        points = [p for p in points if not lo < p[1] < hi and p[0] != idx]
         if v_hat not in identified:
             identified.append(v_hat)
-        trace.append(
-            {"v_star": v_star, "matched": v_hat, "excluded": (lo, hi), "magnitude": float(mags[idx])}
-        )
+        trace.append({"v_star": v_star, "matched": v_hat, "excluded": (lo, hi), "magnitude": magnitude})
     identified.sort()
     return FrequencyEstimate(
         identified=identified,

@@ -1,13 +1,19 @@
 """Helpers shared by the test modules.
 
 ``means_matrix`` is the direct reference for the mean rewards that the package
-reads one cycle at a time; ``load_default_sweep`` reads the checked-in default
-sweep config, a fresh dict on every call, so a test may ``update`` it.
+reads one cycle at a time; ``dense_identify_frequencies`` is the direct
+reference for the peak search that the package runs over the points above the
+threshold only; ``load_default_sweep`` reads the checked-in default sweep
+config, a fresh dict on every call, so a test may ``update`` it.
 """
 import json
+import math
 import os
+from fractions import Fraction
 
 import numpy as np
+
+from periodic_bandits.spectral import FrequencyEstimate, _candidates, threshold
 
 DEFAULT_SWEEP_PATH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                                   "experiments", "default_sweep.json")
@@ -27,3 +33,42 @@ def load_default_sweep() -> dict:
     """The criterion-4 default sweep config, read from experiments/."""
     with open(DEFAULT_SWEEP_PATH) as fh:
         return json.load(fh)
+
+
+def dense_identify_frequencies(periodogram, detector) -> FrequencyEstimate:
+    """``identify_frequencies`` as a mask over the whole grid: each peak is
+    ``np.argmax`` over the active points, and each excision clears the mask."""
+    n, g, t_max = detector.n, detector.g, detector.t_max
+    tau = threshold(detector, float(periodogram.magnitudes.max()))
+    if t_max < 2:
+        return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
+    cands, cand_vals = _candidates(t_max)
+    grid = periodogram.grid
+    mags = periodogram.magnitudes
+    active = (grid >= g / n) & (mags > tau)
+
+    identified: list[Fraction] = []
+    trace: list[dict] = []
+    width = g / n
+    while active.any():
+        idx = int(np.argmax(np.where(active, mags, -np.inf)))
+        v_star = float(grid[idx])
+        dists = np.abs(cand_vals - v_star)
+        best = np.min(dists)
+        tied = [cands[i] for i in np.flatnonzero(dists == best)]
+        v_hat = min(tied, key=lambda c: (c.denominator, c.numerator))
+        lo, hi = float(v_hat) - width, float(v_hat) + width
+        active &= ~((grid > lo) & (grid < hi))
+        active[idx] = False  # ensure progress even if the match is far away
+        if v_hat not in identified:
+            identified.append(v_hat)
+        trace.append(
+            {"v_star": v_star, "matched": v_hat, "excluded": (lo, hi), "magnitude": float(mags[idx])}
+        )
+    identified.sort()
+    return FrequencyEstimate(
+        identified=identified,
+        period_estimate=math.lcm(*(f.denominator for f in identified)),
+        threshold=tau,
+        trace=trace,
+    )

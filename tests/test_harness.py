@@ -954,6 +954,10 @@ def _edit_last_row(edit):
         # curve_t and each replication twice
         ("raw/rows.json", lambda text: json.dumps([dict(r, T=400 if r["T"] == 600 else r["T"])
                                                    for r in json.loads(text)])),
+        # every T=600 row relabelled T=500: one consistent cell at a horizon
+        # its curve_t does not end at
+        ("raw/rows.json", lambda text: json.dumps([dict(r, T=500 if r["T"] == 600 else r["T"])
+                                                   for r in json.loads(text)])),
         ("raw/rows.json", lambda text: json.dumps(json.loads(text) + json.loads(text)[:1])),
         ("run_meta.json", lambda text: json.dumps([json.loads(text)])),
         ("run_meta.json", lambda text: text[: len(text) // 2]),
@@ -961,7 +965,7 @@ def _edit_last_row(edit):
     ],
     ids=["raw-row-without-T", "raw-final-regret-null", "raw-T-list", "raw-replication-null", "raw-policy-int",
          "raw-success-string", "raw-curve-regret-short", "raw-curve-short", "raw-object", "raw-not-json",
-         "raw-T600-as-T400", "raw-duplicate-row", "meta-list", "meta-not-json", "meta-missing"],
+         "raw-T600-as-T400", "raw-T600-as-T500", "raw-duplicate-row", "meta-list", "meta-not-json", "meta-missing"],
 )
 def test_report_on_a_damaged_run_exits_naming_the_file(small_run, tmp_path, name, damage):
     # report reads files an earlier run left, which may be damaged: each

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 from decimal import Decimal, localcontext
@@ -28,7 +29,7 @@ from periodic_bandits.spectral import (
     u_constants,
 )
 
-from helpers import means_matrix
+from helpers import dense_identify_frequencies, means_matrix
 
 H50 = default_H(50)
 
@@ -505,6 +506,20 @@ def test_candidate_frequencies_reduced_and_unique():
     assert vals.tolist() == [float(c) for c in cands]
 
 
+def test_threshold_constants_shared_per_argument_tuple():
+    # one frozen detector per argument tuple; the cache keys on types, and
+    # a call that raises leaves nothing behind
+    c = threshold_constants(50, 8, 0.2)
+    assert threshold_constants(50, 8, 0.2) is c
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.sigma = 0.3
+    with pytest.raises(TypeError):
+        threshold_constants(50.0, 8, 0.2)
+    for _ in range(2):
+        with pytest.raises(ValueError, match="sigma must be finite and >= 0, got nan"):
+            threshold_constants(50, 8, math.nan)
+
+
 def test_default_t_max():
     assert threshold_constants(50, 8, 0.1).t_max == 3
     assert threshold_constants(64, 8, 0.1).t_max == 3  # integral n/(2g) -> strictly below
@@ -676,6 +691,42 @@ def test_noise_free_orthogonality(seed, mult):
     mags = compute_periodogram(samples, t, [j / T for j in js]).magnitudes
     for j, got in zip(js, mags):
         assert got == pytest.approx(abs(coeffs[j]), abs=1e-9)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n=st.integers(2, 400),
+    sigma=st.sampled_from([0.0, 0.05, 0.3, 1.0]),
+    det_sigma=st.sampled_from([0.0, 0.02, 0.2]),
+    period=st.integers(1, 12),
+    ties=st.booleans(),
+    reorder=st.booleans(),
+    seed=st.integers(0, 2**31),
+)
+@example(n=400, sigma=0.0, det_sigma=0.0, period=10, ties=True, reorder=True, seed=0)
+def test_peak_search_equals_dense_reference(n, sigma, det_sigma, period, ties, reorder, seed):
+    # the search over the points above the threshold picks, matches and
+    # excises as a mask-and-argmax pass over the whole grid does: with ties
+    # (rounded samples and magnitudes) and on an unsorted grid with repeats
+    rng = np.random.default_rng(seed)
+    det = threshold_constants(n, None, det_sigma)
+    t = np.arange(1, n + 1)
+    y = rng.uniform(0, 1, period)[(t - 1) % period] + rng.normal(0, sigma, n)
+    if ties:
+        y = np.round(y, 1)
+    pg = compute_periodogram(y, range(1, n + 1), _detection_plan(n, det.t_max).grid)
+    grid, mags = pg.grid, pg.magnitudes
+    if ties:
+        mags = np.round(mags, 3)
+    if reorder:
+        take = rng.permutation(np.concatenate([np.arange(grid.size), rng.integers(0, grid.size, grid.size // 4)]))
+        grid, mags = grid[take], mags[take]
+    pg = spectral.Periodogram(n=n, grid=grid, magnitudes=mags)
+    got, want = identify_frequencies(pg, det), dense_identify_frequencies(pg, det)
+    assert got.identified == want.identified
+    assert got.period_estimate == want.period_estimate
+    assert got.threshold == want.threshold
+    assert repr(got.trace) == repr(want.trace)
 
 
 def test_tiny_sample_size_degrades_to_stationary():
