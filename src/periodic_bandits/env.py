@@ -23,6 +23,13 @@ IMAG_TOL = 1e-9   # max imaginary residue tolerated when evaluating Fourier prof
 COEF_TOL = 1e-12  # below this a Fourier coefficient counts as absent
 
 
+def _checked_int(key: str, value, least: int = 1) -> int:
+    """``value`` checked to be an integer (not a bool) of at least ``least``; ``key`` names it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
 def _check_minimal_period(values: Sequence[float]) -> None:
     period = len(values)
     for d in range(1, period):
@@ -38,27 +45,30 @@ def _check_minimal_period(values: Sequence[float]) -> None:
 class MeanProfile:
     """One arm's periodic mean-reward sequence.
 
-    ``values`` holds one full cycle; the mean at epoch t (1-based) is
-    ``values[(t - 1) % period]``. The declared period must be minimal: no
-    proper divisor of it may also tile the cycle.
+    ``values`` holds one full cycle of finite numbers, kept as floats; the
+    mean at epoch t (1-based) is ``values[(t - 1) % period]``. The declared
+    period must be an integer of at least 1 and minimal: no proper divisor of
+    it may also tile the cycle.
     """
 
     period: int
     values: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.period < 1:
-            raise ValueError("period must be a positive integer")
+        _checked_int("period", self.period)
         if len(self.values) != self.period:
             raise ValueError("values must contain exactly `period` entries")
         for i, v in enumerate(self.values):
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValueError(f"profile value {v!r} at index {i} is not a number")
             if not math.isfinite(v):
                 raise ValueError(f"profile value {v} at index {i} is not finite")
+        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
         _check_minimal_period(self.values)
 
     @classmethod
     def from_values(cls, values: Iterable[float]) -> "MeanProfile":
-        vals = tuple(float(v) for v in values)
+        vals = tuple(values)
         return cls(period=len(vals), values=vals)
 
     @classmethod
@@ -112,8 +122,11 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "uniform-bounded"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
+        if isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float)):
+            raise ValueError(f"sigma must be a number, got {self.sigma!r}")
         if not math.isfinite(self.sigma) or self.sigma < 0:
             raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
+        object.__setattr__(self, "sigma", float(self.sigma))
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -132,8 +145,7 @@ class BanditInstance:
     def __post_init__(self) -> None:
         if len(self.arms) < 1:
             raise ValueError("need at least one arm")
-        if self.horizon < 1:
-            raise ValueError("horizon must be positive")
+        _checked_int("horizon", self.horizon)
 
     @property
     def n_arms(self) -> int:
@@ -156,12 +168,7 @@ class NoiseStream:
     """
 
     def __init__(self, model: NoiseModel, seed: int, horizon: int):
-        self._eps = model.draw(np.random.default_rng(seed), horizon)
-
-    @property
-    def values(self) -> np.ndarray:
-        """All draws for epochs 1..horizon (index t-1 holds epoch t)."""
-        return self._eps
+        self.values: np.ndarray = model.draw(np.random.default_rng(seed), horizon)
 
 
 @dataclass
@@ -229,14 +236,16 @@ def make_lower_bound_instance(
     """Hard instances used in lower-bound style experiments.
 
     Each is a first arm with periods[0] phases, the gap on phase 1 only
-    (0.5 + sign * gap, then 0.5), and one arm per later period:
+    (0.5 + sign * gap, sign +1 or -1, then 0.5), and one arm per later period:
     e1: periods (1, 1), two stationary arms; ``delta_gap`` defaults to
         sqrt(1/(2T)).
     e2: periods (T1, 1), T1 >= 2.
-    e3: ``periods`` as given, K >= 2 of them; each arm k >= 2 whose period is
-        at least 2 gets +perturbation/sqrt(2K) added to its phase-1 mean, and
-        is stationary at 0.5 otherwise.
+    e3: ``periods`` as given, K >= 2 integers of at least 1; each arm k >= 2
+        whose period is at least 2 gets +perturbation/sqrt(2K) added to its
+        phase-1 mean, and is stationary at 0.5 otherwise.
     """
+    if isinstance(sign, bool) or sign not in (1, -1):
+        raise ValueError(f"sign must be +1 or -1, got {sign!r}")
     fam = family.lower()
     gap = math.sqrt(1.0 / (2.0 * T)) if delta_gap is None else float(delta_gap)
     bump = 0.0
@@ -249,7 +258,7 @@ def make_lower_bound_instance(
     elif fam == "e3":
         if periods is None:
             raise ValueError("e3 needs the full period list")
-        periods = list(periods)
+        periods = [_checked_int("e3 period", Tk) for Tk in periods]
         if len(periods) < 2:
             raise ValueError("e3 needs at least two arms")
         bump = perturbation / math.sqrt(2 * len(periods))
@@ -311,13 +320,6 @@ def validity_report(instance: BanditInstance, detector: ThresholdConstants | Non
 # JSON instance files
 # ---------------------------------------------------------------------------
 
-def _checked_int(key: str, value, least: int = 1) -> int:
-    """A config value of ``key`` checked to be an integer (not a bool) of at least ``least``."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
-    return value
-
-
 def _checked_keys(what: str, spec, keys: tuple[str, ...]) -> dict:
     """A config dict ``spec`` checked to hold no key outside ``keys``, so a
     misspelt key fails rather than being ignored; ``what`` names it in errors."""
@@ -334,25 +336,22 @@ def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
     for arm in _checked_keys("instance", spec, ("arms", "noise", "horizon"))["arms"]:
-        period = _checked_int("period", _checked_keys("arm", arm, ("period", "values", "fourier"))["period"])
+        period = _checked_keys("arm", arm, ("period", "values", "fourier"))["period"]
         if "values" in arm:
-            prof = MeanProfile(period=period, values=tuple(float(v) for v in arm["values"]))
+            values = arm["values"]
         elif "fourier" in arm:
             coeffs = [complex(re, im) for re, im in arm["fourier"]]
             if len(coeffs) != period:
                 raise ValueError("fourier coefficient count must equal period")
-            prof = MeanProfile.from_fourier(coeffs)
+            values = MeanProfile.from_fourier(coeffs).values
         else:
             raise ValueError("arm needs either 'values' or 'fourier'")
-        arms.append(prof)
+        arms.append(MeanProfile(period=period, values=values))
     noise = _checked_keys("noise", spec.get("noise", {}), ("kind", "sigma"))
-    sigma = noise.get("sigma", 1.0)
-    if isinstance(sigma, bool) or not isinstance(sigma, (int, float)):
-        raise ValueError(f"noise sigma must be a number, got {sigma!r}")
     return BanditInstance(
         arms=tuple(arms),
-        noise=NoiseModel(noise.get("kind", "gaussian"), float(sigma)),
-        horizon=_checked_int("horizon", spec["horizon"]),
+        noise=NoiseModel(noise.get("kind", "gaussian"), noise.get("sigma", 1.0)),
+        horizon=spec["horizon"],
     )
 
 

@@ -350,9 +350,12 @@ class OraclePolicy(TwoStagePolicy):
     policy_id = "oracle"
     uses_true_periods = True
 
+    def begin(self, view: InstanceView) -> None:
+        if view.true_periods is None or len(view.true_periods) != view.n_arms:
+            raise ValueError(f"oracle variant needs one true period per arm, got {view.true_periods!r}")
+        super().begin(view)
+
     def _periods(self) -> Sequence[int]:
-        if self._view.true_periods is None:
-            raise ValueError("oracle variant needs the true periods")
         return self._view.true_periods
 
 

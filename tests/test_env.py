@@ -171,6 +171,33 @@ def test_unknown_noise_kind():
         NoiseModel("laplace", 1.0)
 
 
+@pytest.mark.parametrize(
+    ("build", "named"),
+    [
+        (lambda: BanditInstance((MeanProfile.from_values([0.9, 0.1]),), NoiseModel(), horizon=2.5), "horizon"),
+        (lambda: BanditInstance((MeanProfile.from_values([0.9, 0.1]),), NoiseModel(), horizon=True), "horizon"),
+        (lambda: MeanProfile(period=2.0, values=(0.9, 0.1)), "period must be an integer"),
+        (lambda: MeanProfile.from_values(["0.9", 0.1]), "index 0 is not a number"),
+        (lambda: MeanProfile.from_values([True, 0.0]), "index 0 is not a number"),
+        (lambda: NoiseModel("gaussian", True), "sigma must be a number, got True"),
+        (lambda: NoiseModel("gaussian", "0.1"), "sigma must be a number, got '0.1'"),
+    ],
+    ids=["horizon-float", "horizon-bool", "period-float", "value-string", "value-bool", "sigma-bool",
+         "sigma-string"],
+)
+def test_constructors_check_their_own_fields(build, named):
+    # each type checks the fields it holds, however it is built: a preset or
+    # an API caller gets the checks an inline config gets
+    with pytest.raises(ValueError, match=named):
+        build()
+
+
+def test_constructors_store_floats():
+    prof = MeanProfile(period=2, values=[1, 0])
+    assert prof.values == (1.0, 0.0) and all(type(v) is float for v in prof.values)
+    assert type(NoiseModel("gaussian", 1).sigma) is float
+
+
 @pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
 def test_noise_rejects_bad_sigma(kind, sigma):
@@ -303,6 +330,23 @@ def test_e1_sign_variant():
 def test_e1_invalid_gap():
     with pytest.raises(ValueError):
         make_lower_bound_instance("e1", T=100, delta_gap=0.7)
+
+
+@pytest.mark.parametrize(
+    ("family", "params", "named"),
+    [
+        ("e1", {"sign": 0}, "sign must be"),
+        ("e1", {"sign": 3}, "sign must be"),
+        ("e3", {"periods": [0, 2]}, "e3 period must be an integer"),
+        ("e3", {"periods": [-3, 2, 2]}, "e3 period must be an integer"),
+    ],
+    ids=["sign-0", "sign-3", "e3-period-0", "e3-period-negative"],
+)
+def test_lower_bound_instance_rejects_bad_sign_or_period(family, params, named):
+    # sign 0 would build two equal arms and sign 3 triple the gap; a first
+    # period below 1 would quietly give arm 0 period 1
+    with pytest.raises(ValueError, match=named):
+        make_lower_bound_instance(family, T=1000, delta_gap=0.1, **params)
 
 
 def test_e2_periodic_first_arm():

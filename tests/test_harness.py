@@ -259,6 +259,8 @@ def test_tail_fraction_checked_before_any_episode(key, value):
         (lambda cfg: cfg["instance"].update(noise="gaussian"), "noise must be a dict"),
         (lambda cfg: cfg["instance"]["noise"].update(sigma="0.1"), "sigma must be a number, got '0.1'"),
         (lambda cfg: cfg["instance"]["noise"].update(sigma=True), "sigma must be a number, got True"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": ["0.9", "0.1"]}),
+         "profile value '0.9' at index 0 is not a number"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": [0.9, 0.1], "phase": 1}),
          "arm has unknown key 'phase'"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 1, "valeus": [0.5], "values": [0.4]}),
@@ -274,7 +276,7 @@ def test_tail_fraction_checked_before_any_episode(key, value):
             "stationary_ucb params has unknown key 'ucb_scale'; expected none") + "$"),
     ],
     ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
-         "noise-not-dict", "sigma-string", "sigma-bool", "arm-phase", "arm-valeus",
+         "noise-not-dict", "sigma-string", "sigma-bool", "arm-string-values", "arm-phase", "arm-valeus",
          "policy-param-two_stage", "policy-param-lcm_ucb", "policy-param-stationary_ucb"],
 )
 def test_unknown_config_key_fails_before_any_episode(edit, named):
@@ -1007,8 +1009,12 @@ def test_cli_sweep(tmp_path):
         ({"policies": [{"id": "two_stage", "params": {"n": 50, "g": 3}}]}, "policies entry 'two_stage'"),
         ({"policies": [{"id": ["two_stage"]}]}, "policies entry"),
         ({"instance": {"preset": "e1"}, "horizons": MISSING}, "preset 'e1' reads the horizon.*horizons.*T param"),
+        ({"instance": {"preset": "sweep_default", "params": {"horizon": 3000.5}}, "horizons": MISSING},
+         "horizon must be an integer of at least 1, got 3000.5"),
+        ({"instance": {"preset": "sweep_default", "params": {"sigma": False}}}, "sigma must be a number, got False"),
     ],
-    ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id", "e1-without-horizons"],
+    ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id", "e1-without-horizons",
+         "preset-float-horizon", "preset-bool-sigma"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
     # like report, sweep turns a ValueError, or a config file it cannot read,

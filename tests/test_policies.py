@@ -708,12 +708,14 @@ def test_g_below_sqrt_n_rejected_before_the_first_epoch(policy_id):
 
 
 def test_oracle_requires_periods():
+    # begin fails unless the view holds one true period per arm, so the
+    # oracle fails before any of stage one's n K pulls
     pol = make_policy("oracle")
     from periodic_bandits.policies import InstanceView
 
-    pol.begin(InstanceView(n_arms=2, horizon=1000, sigma=0.1, true_periods=None))
-    with pytest.raises(ValueError):
-        pol.decide(pol._end + 1)
+    for periods in (None, (2, 3)):
+        with pytest.raises(ValueError, match="one true period per arm"):
+            pol.begin(InstanceView(n_arms=3, horizon=1000, sigma=0.1, true_periods=periods))
 
 
 def test_zero_count_phase_forces_pull_and_logs_event():
