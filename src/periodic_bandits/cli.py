@@ -42,8 +42,8 @@ def _cmd_constants(args: argparse.Namespace) -> int:
     return 0
 
 
-def _read_series(path: str) -> tuple[list[float], list[int]]:
-    """Samples, and epochs if the file has an epoch column, from a detect CSV.
+def _read_series(path: str) -> tuple[list[float], range]:
+    """Samples from a detect CSV, and their epochs: a range, from 1 if there is no epoch column.
 
     The first nonblank row may be a header; a row of more than two columns,
     any other row that does not parse as numbers, a non-finite value, and an
@@ -91,11 +91,10 @@ def _read_series(path: str) -> tuple[list[float], list[int]]:
             samples.append(nums[1])
     if not samples:
         raise ValueError("no numeric samples found")
-    if not epochs:
-        epochs = list(range(1, len(samples) + 1))
-    if len(epochs) != len(samples):
+    if epochs and len(epochs) != len(samples):
         raise ValueError("epoch column must cover every row")
-    return samples, epochs
+    first = epochs[0] if epochs else 1
+    return samples, range(first, first + len(samples))  # checked above to count up by one
 
 
 def _cmd_detect(args: argparse.Namespace) -> int:

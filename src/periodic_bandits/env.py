@@ -223,15 +223,19 @@ def make_demo_instance(n: int = 50, sigma: float = 0.2) -> BanditInstance:
     return BanditInstance(arms=(profile,), noise=NoiseModel("gaussian", sigma), horizon=n)
 
 
+# each family's params besides T, delta_gap, sign and sigma; any other is rejected
+LOWER_BOUND_PARAMS = {"e1": (), "e2": ("T1",), "e3": ("periods", "perturbation")}
+
+
+def _checked_number(key: str, value) -> float:
+    """``value`` checked to be a finite int or float (not a bool); ``key`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 def make_lower_bound_instance(
-    family: str,
-    T: int,
-    delta_gap: float | None = None,
-    sign: int = +1,
-    T1: int = 2,
-    periods: Sequence[int] | None = None,
-    perturbation: float = 0.0,
-    sigma: float = 1.0,
+    family: str, T: int, delta_gap: float | None = None, sign: int = +1, sigma: float = 1.0, **params
 ) -> BanditInstance:
     """Hard instances used in lower-bound style experiments.
 
@@ -239,31 +243,27 @@ def make_lower_bound_instance(
     (0.5 + sign * gap, sign +1 or -1, then 0.5), and one arm per later period:
     e1: periods (1, 1), two stationary arms; ``delta_gap`` defaults to
         sqrt(1/(2T)).
-    e2: periods (T1, 1), T1 >= 2.
+    e2: periods (T1, 1), ``T1`` an integer of at least 2 (default 2).
     e3: ``periods`` as given, K >= 2 integers of at least 1; each arm k >= 2
         whose period is at least 2 gets +perturbation/sqrt(2K) added to its
         phase-1 mean, and is stationary at 0.5 otherwise.
     """
+    _checked_int("T", T)
+    if family not in LOWER_BOUND_PARAMS:
+        raise ValueError(f"unknown family {family!r}; expected e1, e2 or e3")
+    _checked_keys(f"{family} params", params, ("T", "delta_gap", "sign", "sigma") + LOWER_BOUND_PARAMS[family])
     if isinstance(sign, bool) or sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign!r}")
-    fam = family.lower()
-    gap = math.sqrt(1.0 / (2.0 * T)) if delta_gap is None else float(delta_gap)
-    bump = 0.0
-    if fam == "e1":
+    gap = math.sqrt(1.0 / (2.0 * T)) if delta_gap is None else _checked_number("delta_gap", delta_gap)
+    if family == "e1":
         periods = [1, 1]
-    elif fam == "e2":
-        if T1 < 2:
-            raise ValueError("e2 needs a periodic first arm (T1 >= 2)")
-        periods = [T1, 1]
-    elif fam == "e3":
-        if periods is None:
-            raise ValueError("e3 needs the full period list")
-        periods = [_checked_int("e3 period", Tk) for Tk in periods]
-        if len(periods) < 2:
-            raise ValueError("e3 needs at least two arms")
-        bump = perturbation / math.sqrt(2 * len(periods))
+    elif family == "e2":
+        periods = [_checked_int("T1", params.get("T1", 2), least=2), 1]
     else:
-        raise ValueError(f"unknown family {family!r}; expected e1, e2 or e3")
+        periods = [_checked_int("e3 period", Tk) for Tk in params.get("periods", ())]
+        if len(periods) < 2:
+            raise ValueError("e3 needs the full period list, of at least two arms")
+    bump = _checked_number("perturbation", params.get("perturbation", 0.0)) / math.sqrt(2 * len(periods))
     if not 0 < gap < 0.5:
         raise ValueError("gap must lie in (0, 0.5)")
     if not 0 <= 0.5 + bump <= 1:
@@ -335,11 +335,14 @@ def _checked_keys(what: str, spec, keys: tuple[str, ...]) -> dict:
 def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
-    for arm in _checked_keys("instance", spec, ("arms", "noise", "horizon"))["arms"]:
+    for a, arm in enumerate(_checked_keys("instance", spec, ("arms", "noise", "horizon"))["arms"]):
         period = _checked_keys("arm", arm, ("period", "values", "fourier"))["period"]
         if "values" in arm:
             values = arm["values"]
         elif "fourier" in arm:
+            for i, pair in enumerate(arm["fourier"]):
+                if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+                    raise ValueError(f"arm {a}: fourier coefficient {pair!r} at index {i} is not a number pair")
             coeffs = [complex(re, im) for re, im in arm["fourier"]]
             if len(coeffs) != period:
                 raise ValueError("fourier coefficient count must equal period")
@@ -348,11 +351,7 @@ def instance_from_dict(spec: dict) -> BanditInstance:
             raise ValueError("arm needs either 'values' or 'fourier'")
         arms.append(MeanProfile(period=period, values=values))
     noise = _checked_keys("noise", spec.get("noise", {}), ("kind", "sigma"))
-    return BanditInstance(
-        arms=tuple(arms),
-        noise=NoiseModel(noise.get("kind", "gaussian"), noise.get("sigma", 1.0)),
-        horizon=spec["horizon"],
-    )
+    return BanditInstance(arms=tuple(arms), noise=NoiseModel(**noise), horizon=spec["horizon"])
 
 
 def load_instance(path: str) -> BanditInstance:

@@ -32,6 +32,7 @@ import numpy as np
 
 from . import __version__
 from .env import (
+    LOWER_BOUND_PARAMS,
     BanditInstance,
     MeanProfile,
     NoiseModel,
@@ -101,7 +102,7 @@ def make_preset_instance(name: str, params: dict | None = None) -> BanditInstanc
         return make_demo_instance(**params)
     if name == "sweep_default":
         return default_sweep_instance(**params)
-    if name in ("e1", "e2", "e3"):
+    if name in LOWER_BOUND_PARAMS:
         return make_lower_bound_instance(name, **params)
     raise ValueError(f"unknown preset {name!r}")
 
@@ -124,18 +125,17 @@ def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditI
 def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) -> BanditInstance:
     """A config's instance spec, {"file"}, {"preset", "params"} or an inline
     definition, or a built instance, at ``horizon`` if given; a key outside
-    its form is an error."""
+    its form is an error. An e1/e2/e3 preset takes a T param only without one."""
     if isinstance(spec, BanditInstance):
         inst = spec
     elif isinstance(spec, dict) and "file" in spec:
         inst = load_instance(_checked_keys("instance", spec, ("file",))["file"])
     elif isinstance(spec, dict) and "preset" in spec:
         params = dict(_checked_keys("instance", spec, ("preset", "params")).get("params", {}))
-        if spec["preset"] in ("e1", "e2", "e3"):
-            if horizon is not None:
-                params["T"] = horizon
-            elif "T" not in params:
-                raise ValueError(f"preset {spec['preset']!r} reads the horizon: give the config horizons or a T param")
+        if spec["preset"] in LOWER_BOUND_PARAMS:
+            if ("T" in params) == (horizon is not None):
+                raise ValueError(f"preset {spec['preset']!r} reads the horizon: give either horizons or a T param")
+            params.setdefault("T", horizon)
         inst = make_preset_instance(spec["preset"], params)
     else:
         inst = instance_from_dict(spec)

@@ -339,14 +339,29 @@ def test_e1_invalid_gap():
         ("e1", {"sign": 3}, "sign must be"),
         ("e3", {"periods": [0, 2]}, "e3 period must be an integer"),
         ("e3", {"periods": [-3, 2, 2]}, "e3 period must be an integer"),
+        ("e1", {"T1": 4}, "^e1 params has unknown key 'T1'; expected one of T, delta_gap, sign, sigma$"),
+        ("e1", {"periods": [3, 2]}, "^e1 params has unknown key 'periods'"),
+        ("e1", {"perturbation": 0.1}, "^e1 params has unknown key 'perturbation'"),
+        ("e2", {"periods": [3, 2]},
+         "^e2 params has unknown key 'periods'; expected one of T, delta_gap, sign, sigma, T1$"),
+        ("e3", {"periods": [3, 2], "T1": 4}, "^e3 params has unknown key 'T1'"),
+        ("e1", {"T": 0}, "^T must be an integer of at least 1, got 0$"),
+        ("e1", {"T": 2.5}, "^T must be an integer of at least 1, got 2.5$"),
+        ("e2", {"T1": 2.5}, "^T1 must be an integer of at least 2, got 2.5$"),
+        ("e2", {"T1": True}, "^T1 must be an integer of at least 2, got True$"),
+        ("e1", {"delta_gap": "0.1"}, "^delta_gap must be a finite number, got '0.1'$"),
+        ("e3", {"periods": [2, 2], "perturbation": True}, "^perturbation must be a finite number, got True$"),
     ],
-    ids=["sign-0", "sign-3", "e3-period-0", "e3-period-negative"],
+    ids=["sign-0", "sign-3", "e3-period-0", "e3-period-negative", "e1-T1", "e1-periods", "e1-perturbation",
+         "e2-periods", "e3-T1", "T-0", "T-float", "T1-float", "T1-bool", "delta_gap-string", "perturbation-bool"],
 )
 def test_lower_bound_instance_rejects_bad_sign_or_period(family, params, named):
     # sign 0 would build two equal arms and sign 3 triple the gap; a first
-    # period below 1 would quietly give arm 0 period 1
+    # period below 1 would quietly give arm 0 period 1; a param the family
+    # does not read, or one of the wrong type, fails rather than being
+    # ignored or converted
     with pytest.raises(ValueError, match=named):
-        make_lower_bound_instance(family, T=1000, delta_gap=0.1, **params)
+        make_lower_bound_instance(family, **{"T": 1000, "delta_gap": 0.1, **params})
 
 
 def test_e2_periodic_first_arm():

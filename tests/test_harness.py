@@ -261,6 +261,10 @@ def test_tail_fraction_checked_before_any_episode(key, value):
         (lambda cfg: cfg["instance"]["noise"].update(sigma=True), "sigma must be a number, got True"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": ["0.9", "0.1"]}),
          "profile value '0.9' at index 0 is not a number"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": [[True, 0], [0.25, False]]}),
+         re.escape("arm 2: fourier coefficient [True, 0] at index 0 is not a number pair")),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": [[0.5, 0], ["0.25", 0]]}),
+         re.escape("arm 2: fourier coefficient ['0.25', 0] at index 1 is not a number pair")),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": [0.9, 0.1], "phase": 1}),
          "arm has unknown key 'phase'"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 1, "valeus": [0.5], "values": [0.4]}),
@@ -276,7 +280,8 @@ def test_tail_fraction_checked_before_any_episode(key, value):
             "stationary_ucb params has unknown key 'ucb_scale'; expected none") + "$"),
     ],
     ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
-         "noise-not-dict", "sigma-string", "sigma-bool", "arm-string-values", "arm-phase", "arm-valeus",
+         "noise-not-dict", "sigma-string", "sigma-bool", "arm-string-values", "arm-bool-fourier",
+         "arm-string-fourier", "arm-phase", "arm-valeus",
          "policy-param-two_stage", "policy-param-lcm_ucb", "policy-param-stationary_ucb"],
 )
 def test_unknown_config_key_fails_before_any_episode(edit, named):
@@ -1012,9 +1017,20 @@ def test_cli_sweep(tmp_path):
         ({"instance": {"preset": "sweep_default", "params": {"horizon": 3000.5}}, "horizons": MISSING},
          "horizon must be an integer of at least 1, got 3000.5"),
         ({"instance": {"preset": "sweep_default", "params": {"sigma": False}}}, "sigma must be a number, got False"),
+        ({"instance": {"preset": "e1", "params": {"T": 5000, "T1": 4}}, "horizons": [100]},
+         "preset 'e1' reads the horizon: give either horizons or a T param$"),
+        ({"instance": {"preset": "e1", "params": {"T1": 4}}, "horizons": [100]}, "e1 params has unknown key 'T1'"),
+        ({"instance": {"preset": "e1", "params": {"T": 0}}, "horizons": MISSING},
+         "T must be an integer of at least 1, got 0$"),
+        ({"instance": {"preset": "e2", "params": {"T1": 2.5}}}, "T1 must be an integer of at least 2, got 2.5$"),
+        ({"instance": {"preset": "e1", "params": {"delta_gap": "0.1"}}},
+         "delta_gap must be a finite number, got '0.1'$"),
+        ({"instance": {"preset": "e3", "params": {"periods": [2, 2], "perturbation": True}}},
+         "perturbation must be a finite number, got True$"),
     ],
     ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id", "e1-without-horizons",
-         "preset-float-horizon", "preset-bool-sigma"],
+         "preset-float-horizon", "preset-bool-sigma", "e1-T-and-horizons", "e1-T1", "e1-T-0", "e2-T1-float",
+         "e1-delta_gap-string", "e3-perturbation-bool"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
     # like report, sweep turns a ValueError, or a config file it cannot read,
