@@ -13,11 +13,13 @@ from .env import (
     NoiseModel,
     NoiseStream,
     RunResult,
+    default_sweep_instance,
     instance_from_dict,
     load_instance,
     make_demo_instance,
     make_lower_bound_instance,
     pseudo_regret,
+    resolve_instance,
     validity_report,
 )
 from .spectral import (
@@ -54,9 +56,7 @@ from .policies import (
 )
 from .harness import (
     AggregateStats,
-    default_sweep_instance,
     loglog_slope,
-    make_preset_instance,
     monte_carlo,
     report_from_dir,
     run_episode,

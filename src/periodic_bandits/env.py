@@ -5,11 +5,14 @@ integer period, plus a zero-mean sub-Gaussian noise model. The mean of arm k at
 epoch t (1-based) is ``arms[k].values[(t - 1) % period]``. Noise draws are
 keyed by (seed, epoch) only, never by the arm pulled, so two policies facing
 the same instance and seed observe identical noise at every epoch regardless
-of which arms they choose.
+of which arms they choose. ``resolve_instance`` builds every config instance
+spec, a named one through its ``PRESETS`` entry.
 """
 from __future__ import annotations
 
 import cmath
+import functools
+import inspect
 import json
 import math
 from dataclasses import dataclass, field
@@ -27,6 +30,20 @@ def _checked_int(key: str, value, least: int = 1) -> int:
     """``value`` checked to be an integer (not a bool) of at least ``least``; ``key`` names it."""
     if isinstance(value, bool) or not isinstance(value, int) or value < least:
         raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
+
+
+def _checked_number(key: str, value) -> float:
+    """``value`` checked to be a finite int or float (not a bool); ``key`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
+def _checked_list(key: str, value) -> list | tuple:
+    """``value`` checked to be a list or tuple, not a number, string or dict; ``key`` names it."""
+    if not isinstance(value, (list, tuple)):
+        raise ValueError(f"{key} must be a list, got {value!r}")
     return value
 
 
@@ -227,13 +244,6 @@ def make_demo_instance(n: int = 50, sigma: float = 0.2) -> BanditInstance:
 LOWER_BOUND_PARAMS = {"e1": (), "e2": ("T1",), "e3": ("periods", "perturbation")}
 
 
-def _checked_number(key: str, value) -> float:
-    """``value`` checked to be a finite int or float (not a bool); ``key`` names it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
-
-
 def make_lower_bound_instance(
     family: str, T: int, delta_gap: float | None = None, sign: int = +1, sigma: float = 1.0, **params
 ) -> BanditInstance:
@@ -260,7 +270,7 @@ def make_lower_bound_instance(
     elif family == "e2":
         periods = [_checked_int("T1", params.get("T1", 2), least=2), 1]
     else:
-        periods = [_checked_int("e3 period", Tk) for Tk in params.get("periods", ())]
+        periods = [_checked_int("e3 period", Tk) for Tk in _checked_list("e3 periods", params.get("periods", ()))]
         if len(periods) < 2:
             raise ValueError("e3 needs the full period list, of at least two arms")
     bump = _checked_number("perturbation", params.get("perturbation", 0.0)) / math.sqrt(2 * len(periods))
@@ -273,6 +283,29 @@ def make_lower_bound_instance(
         # a zero perturbation leaves the arm stationary, as in e1 and e2
         arms.append(MeanProfile.from_values([0.5 + bump] + [0.5] * (Tk - 1) if Tk >= 2 and bump else [0.5]))
     return BanditInstance(tuple(arms), NoiseModel("gaussian", sigma), T)
+
+
+def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditInstance:
+    """Three arms with periods (2, 3, 4) and a phase-dependent best arm.
+
+    Every arm carries a strong fundamental, detectable at the recommended
+    stage-one sample sizes of the larger horizons, and cross-arm margins a few
+    multiples of sigma at most phases.
+    """
+    arms = (
+        MeanProfile.from_values([0.36, 0.04]),
+        MeanProfile.from_values([0.04, 0.36, 0.08]),
+        MeanProfile.from_values([0.40, 0.24, 0.0, 0.16]),
+    )
+    return BanditInstance(arms=arms, noise=NoiseModel("gaussian", sigma), horizon=horizon)
+
+
+# each preset's constructor, taking the preset's params, and the param that sets its horizon
+PRESETS = {
+    "demo": (make_demo_instance, "n"),
+    "sweep_default": (default_sweep_instance, "horizon"),
+    **{family: (functools.partial(make_lower_bound_instance, family), "T") for family in LOWER_BOUND_PARAMS},
+}
 
 
 def validity_report(instance: BanditInstance, detector: ThresholdConstants | None = None) -> dict:
@@ -335,20 +368,22 @@ def _checked_keys(what: str, spec, keys: tuple[str, ...]) -> dict:
 def instance_from_dict(spec: dict) -> BanditInstance:
     """Instance from {arms: [{period, values}|{period, fourier}], noise, horizon}."""
     arms = []
-    for a, arm in enumerate(_checked_keys("instance", spec, ("arms", "noise", "horizon"))["arms"]):
+    _checked_keys("instance", spec, ("arms", "noise", "horizon"))
+    for a, arm in enumerate(_checked_list("arms", spec["arms"])):
         period = _checked_keys("arm", arm, ("period", "values", "fourier"))["period"]
         if "values" in arm:
-            values = arm["values"]
+            values = _checked_list(f"arm {a}: values", arm["values"])
         elif "fourier" in arm:
-            for i, pair in enumerate(arm["fourier"]):
-                if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
+            for i, pair in enumerate(_checked_list(f"arm {a}: fourier", arm["fourier"])):
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(
+                        isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
                     raise ValueError(f"arm {a}: fourier coefficient {pair!r} at index {i} is not a number pair")
             coeffs = [complex(re, im) for re, im in arm["fourier"]]
             if len(coeffs) != period:
-                raise ValueError("fourier coefficient count must equal period")
+                raise ValueError(f"arm {a}: fourier coefficient count must equal period")
             values = MeanProfile.from_fourier(coeffs).values
         else:
-            raise ValueError("arm needs either 'values' or 'fourier'")
+            raise ValueError(f"arm {a} needs either 'values' or 'fourier'")
         arms.append(MeanProfile(period=period, values=values))
     noise = _checked_keys("noise", spec.get("noise", {}), ("kind", "sigma"))
     return BanditInstance(arms=tuple(arms), noise=NoiseModel(**noise), horizon=spec["horizon"])
@@ -357,3 +392,30 @@ def instance_from_dict(spec: dict) -> BanditInstance:
 def load_instance(path: str) -> BanditInstance:
     with open(path) as fh:
         return instance_from_dict(json.load(fh))
+
+
+def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) -> BanditInstance:
+    """A config's instance spec, {"file"}, {"preset", "params"} or an inline
+    definition, or a built instance, at ``horizon`` if given; a key outside
+    its form is an error. A preset's horizon param (``PRESETS``) is filled
+    from ``horizon`` if given, and must then be absent from its params;
+    otherwise the param or the constructor's default applies."""
+    if isinstance(spec, BanditInstance):
+        inst = spec
+    elif isinstance(spec, dict) and "file" in spec:
+        inst = load_instance(_checked_keys("instance", spec, ("file",))["file"])
+    elif isinstance(spec, dict) and "preset" in spec:
+        name = _checked_keys("instance", spec, ("preset", "params"))["preset"]
+        if name not in PRESETS:
+            raise ValueError(f"unknown preset {name!r}")
+        make, key = PRESETS[name]
+        params = dict(spec.get("params", {}))
+        given = (key in params) + (horizon is not None)  # how many of the two set the horizon
+        if given == 2 or given == 0 and inspect.signature(make).parameters[key].default is inspect.Parameter.empty:
+            raise ValueError(f"preset {name!r} reads the horizon: give either horizons or a {key} param")
+        inst = make(**params, **({} if horizon is None else {key: horizon}))
+    else:
+        inst = instance_from_dict(spec)
+    if horizon is not None and inst.horizon != horizon:
+        inst = BanditInstance(arms=inst.arms, noise=inst.noise, horizon=horizon)
+    return inst

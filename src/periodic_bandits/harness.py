@@ -31,20 +31,7 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import __version__
-from .env import (
-    LOWER_BOUND_PARAMS,
-    BanditInstance,
-    MeanProfile,
-    NoiseModel,
-    RunResult,
-    _checked_int,
-    _checked_keys,
-    instance_from_dict,
-    load_instance,
-    make_demo_instance,
-    make_lower_bound_instance,
-    pseudo_regret,
-)
+from .env import BanditInstance, RunResult, _checked_int, _checked_keys, pseudo_regret, resolve_instance
 from .policies import InstanceView, Policy, make_policy
 
 CSV_HEADER = "policy,T,replication,t,cum_regret"
@@ -92,56 +79,6 @@ def _view(instance: BanditInstance, policy: Policy) -> InstanceView:
 def config_hash(config: dict) -> str:
     canon = json.dumps(config, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canon.encode()).hexdigest()[:16]
-
-
-def make_preset_instance(name: str, params: dict | None = None) -> BanditInstance:
-    """Named instances: the single-arm spectral demo, the default three-arm
-    sweep environment, and the e1/e2/e3 hard families."""
-    params = dict(params or {})
-    if name == "demo":
-        return make_demo_instance(**params)
-    if name == "sweep_default":
-        return default_sweep_instance(**params)
-    if name in LOWER_BOUND_PARAMS:
-        return make_lower_bound_instance(name, **params)
-    raise ValueError(f"unknown preset {name!r}")
-
-
-def default_sweep_instance(horizon: int = 40000, sigma: float = 0.04) -> BanditInstance:
-    """Three arms with periods (2, 3, 4) and a phase-dependent best arm.
-
-    Every arm carries a strong fundamental, detectable at the recommended
-    stage-one sample sizes of the larger horizons, and cross-arm margins a few
-    multiples of sigma at most phases.
-    """
-    arms = (
-        MeanProfile.from_values([0.36, 0.04]),
-        MeanProfile.from_values([0.04, 0.36, 0.08]),
-        MeanProfile.from_values([0.40, 0.24, 0.0, 0.16]),
-    )
-    return BanditInstance(arms=arms, noise=NoiseModel("gaussian", sigma), horizon=horizon)
-
-
-def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) -> BanditInstance:
-    """A config's instance spec, {"file"}, {"preset", "params"} or an inline
-    definition, or a built instance, at ``horizon`` if given; a key outside
-    its form is an error. An e1/e2/e3 preset takes a T param only without one."""
-    if isinstance(spec, BanditInstance):
-        inst = spec
-    elif isinstance(spec, dict) and "file" in spec:
-        inst = load_instance(_checked_keys("instance", spec, ("file",))["file"])
-    elif isinstance(spec, dict) and "preset" in spec:
-        params = dict(_checked_keys("instance", spec, ("preset", "params")).get("params", {}))
-        if spec["preset"] in LOWER_BOUND_PARAMS:
-            if ("T" in params) == (horizon is not None):
-                raise ValueError(f"preset {spec['preset']!r} reads the horizon: give either horizons or a T param")
-            params.setdefault("T", horizon)
-        inst = make_preset_instance(spec["preset"], params)
-    else:
-        inst = instance_from_dict(spec)
-    if horizon is not None and inst.horizon != horizon:
-        inst = BanditInstance(arms=inst.arms, noise=inst.noise, horizon=horizon)
-    return inst
 
 
 # ---------------------------------------------------------------------------
@@ -383,8 +320,8 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     period (see ``_run_job``). A ``horizon_free`` policy gets one job per
     replication, at the longest horizon, which returns a row for every
     horizon cut from its one episode, provided every horizon resolves to the
-    same arms and noise; otherwise (an ``e1``/``e2``/``e3`` preset, whose
-    means read T) it gets one job per horizon like any other policy. With
+    same arms and noise; otherwise (a lower-bound preset, whose means read
+    T) it gets one job per horizon like any other policy. With
     ``workers`` > 1 the pool takes the longest horizons first, one job at a
     time, so no long job starts last. Either way the rows come back in job
     order: policy-major in config order, then horizon, then replication.
@@ -405,7 +342,7 @@ def monte_carlo(config: dict, out_dir: str | None = None) -> dict:
     params = _policy_params(config, list(instances.values()))
     coupled = "two_stage" in params and "oracle" in params and params["two_stage"] == params["oracle"]
 
-    # an e1/e2/e3 preset's means depend on T, so only an instance that stays
+    # a lower-bound preset's means depend on T, so only an instance that stays
     # the same at every horizon has shorter episodes that are prefixes
     longest = instances[horizons[-1]]
     same_instance = all(inst.arms == longest.arms and inst.noise == longest.noise for inst in instances.values())

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from math import log, sqrt
 from typing import Iterable, Sequence
 
-from .env import _checked_int, _checked_keys
+from .env import _checked_int, _checked_keys, _checked_number
 from .spectral import ThresholdConstants, estimate_periods, u_constants
 
 
@@ -114,12 +114,12 @@ class NestedCBState:
         delta: float,
         bar_samples: Iterable[tuple[int, int, float]],
     ):
-        self.periods = tuple(int(p) for p in periods)
-        if any(p < 1 for p in self.periods):
-            raise ValueError("periods must be positive")
-        self.sigma = float(sigma)
-        self.horizon = int(horizon)
-        self.delta = float(delta)
+        self.periods = tuple(_checked_int("period", p) for p in periods)
+        self.sigma = _checked_number("sigma", sigma)
+        self.horizon = _checked_int("horizon", horizon)
+        self.delta = _checked_number("delta", delta)
+        if self.sigma < 0 or self.delta <= 0:
+            raise ValueError(f"need sigma >= 0 and delta > 0, got sigma={sigma!r}, delta={delta!r}")
         self.d_hat = sum(self.periods)
         self.S = max(int(math.floor(math.log2(horizon))), 1)
         counts = [[0] * p for p in self.periods]

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from periodic_bandits.env import (
     BanditInstance,
     MeanProfile,
     NoiseModel,
+    default_sweep_instance,
     instance_from_dict,
     make_demo_instance,
     make_lower_bound_instance,
     pseudo_regret,
     validity_report,
 )
-from periodic_bandits.harness import default_sweep_instance, run_episode
+from periodic_bandits.harness import run_episode
 from periodic_bandits.policies import make_policy
 from periodic_bandits.spectral import ThresholdConstants, threshold_constants
 
@@ -181,9 +183,12 @@ def test_unknown_noise_kind():
         (lambda: MeanProfile.from_values([True, 0.0]), "index 0 is not a number"),
         (lambda: NoiseModel("gaussian", True), "sigma must be a number, got True"),
         (lambda: NoiseModel("gaussian", "0.1"), "sigma must be a number, got '0.1'"),
+        (lambda: MeanProfile(period=3, values=(0.9, 0.1)), "^values must contain exactly `period` entries$"),
+        (lambda: MeanProfile.from_fourier([]), "^need at least one coefficient$"),
+        (lambda: BanditInstance((), NoiseModel(), horizon=10), "^need at least one arm$"),
     ],
     ids=["horizon-float", "horizon-bool", "period-float", "value-string", "value-bool", "sigma-bool",
-         "sigma-string"],
+         "sigma-string", "values-count", "fourier-empty", "no-arms"],
 )
 def test_constructors_check_their_own_fields(build, named):
     # each type checks the fields it holds, however it is built: a preset or
@@ -248,6 +253,13 @@ def test_pseudo_regret_length_mismatch():
     inst = two_arm([1.0], [0.0], horizon=5)
     with pytest.raises(ValueError):
         pseudo_regret(inst, [0, 1])
+
+
+@pytest.mark.parametrize("bad", [-1, 2])
+def test_pseudo_regret_rejects_out_of_range_action(bad):
+    # numpy would read arm -1 as the last arm rather than fail
+    with pytest.raises(IndexError, match="action index out of range"):
+        pseudo_regret(two_arm([1.0], [0.0], horizon=3), [0, bad, 1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,9 +363,14 @@ def test_e1_invalid_gap():
         ("e2", {"T1": True}, "^T1 must be an integer of at least 2, got True$"),
         ("e1", {"delta_gap": "0.1"}, "^delta_gap must be a finite number, got '0.1'$"),
         ("e3", {"periods": [2, 2], "perturbation": True}, "^perturbation must be a finite number, got True$"),
+        ("e3", {"periods": [2]}, "^e3 needs the full period list, of at least two arms$"),
+        ("e3", {"periods": 3}, "^e3 periods must be a list, got 3$"),
+        ("e3", {"periods": "23"}, "^e3 periods must be a list, got '23'$"),
+        ("e3", {"periods": {"a": 2, "b": 3}}, re.escape("e3 periods must be a list, got {'a': 2, 'b': 3}") + "$"),
     ],
     ids=["sign-0", "sign-3", "e3-period-0", "e3-period-negative", "e1-T1", "e1-periods", "e1-perturbation",
-         "e2-periods", "e3-T1", "T-0", "T-float", "T1-float", "T1-bool", "delta_gap-string", "perturbation-bool"],
+         "e2-periods", "e3-T1", "T-0", "T-float", "T1-float", "T1-bool", "delta_gap-string", "perturbation-bool",
+         "e3-one-period", "e3-periods-int", "e3-periods-string", "e3-periods-dict"],
 )
 def test_lower_bound_instance_rejects_bad_sign_or_period(family, params, named):
     # sign 0 would build two equal arms and sign 3 triple the gap; a first

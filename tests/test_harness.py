@@ -13,18 +13,18 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, NoiseStream, make_demo_instance
-from periodic_bandits.harness import (
-    config_hash,
+from periodic_bandits.env import (
+    BanditInstance,
+    MeanProfile,
+    NoiseModel,
+    NoiseStream,
     default_sweep_instance,
-    loglog_slope,
-    make_preset_instance,
-    monte_carlo,
-    report_from_dir,
-    run_episode,
+    make_demo_instance,
+    resolve_instance,
 )
+from periodic_bandits.harness import config_hash, loglog_slope, monte_carlo, report_from_dir, run_episode
 from periodic_bandits.policies import make_policy
-from periodic_bandits import cli, harness
+from periodic_bandits import cli, env, harness
 
 from helpers import DEFAULT_SWEEP_PATH, load_default_sweep, means_matrix
 
@@ -269,6 +269,22 @@ def test_tail_fraction_checked_before_any_episode(key, value):
          "arm has unknown key 'phase'"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 1, "valeus": [0.5], "values": [0.4]}),
          "arm has unknown key 'valeus'"),
+        (lambda cfg: cfg["instance"].update(arms={"period": 2, "values": [0.9, 0.1]}),
+         re.escape("arms must be a list, got {'period': 2, 'values': [0.9, 0.1]}") + "$"),
+        (lambda cfg: cfg["instance"].update(arms=[]), "need at least one arm$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": 5}),
+         "arm 2: values must be a list, got 5$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 3, "values": [0.9, 0.1]}),
+         "values must contain exactly `period` entries$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2}), "arm 2 needs either 'values' or 'fourier'$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": 5}),
+         "arm 2: fourier must be a list, got 5$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": [[0.5, 0, 3], [0.1, 0]]}),
+         re.escape("arm 2: fourier coefficient [0.5, 0, 3] at index 0 is not a number pair") + "$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": [0.5, 0.1]}),
+         "arm 2: fourier coefficient 0.5 at index 0 is not a number pair$"),
+        (lambda cfg: cfg["instance"]["arms"].append({"period": 3, "fourier": [[0.5, 0], [0.1, 0]]}),
+         "arm 2: fourier coefficient count must equal period$"),
         (lambda cfg: cfg["policies"][0]["params"].update(delta=0.5), re.escape(
             "policies entry 'two_stage' cannot be built from params {'n': 64, 'g': 8, 'delta': 0.5}: "
             "two_stage params has unknown key 'delta'; expected one of n, g") + "$"),
@@ -281,8 +297,9 @@ def test_tail_fraction_checked_before_any_episode(key, value):
     ],
     ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
          "noise-not-dict", "sigma-string", "sigma-bool", "arm-string-values", "arm-bool-fourier",
-         "arm-string-fourier", "arm-phase", "arm-valeus",
-         "policy-param-two_stage", "policy-param-lcm_ucb", "policy-param-stationary_ucb"],
+         "arm-string-fourier", "arm-phase", "arm-valeus", "arms-dict", "arms-empty", "arm-values-int",
+         "arm-values-count", "arm-without-values", "arm-fourier-int", "arm-fourier-triple", "arm-fourier-flat",
+         "arm-fourier-count", "policy-param-two_stage", "policy-param-lcm_ucb", "policy-param-stationary_ucb"],
 )
 def test_unknown_config_key_fails_before_any_episode(edit, named):
     # a misspelt key at any level of the config, or a sigma that float()
@@ -317,7 +334,7 @@ def test_file_instance_is_read_once_per_config(tmp_path):
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(cfg["instance"]))
     cfg.update(instance={"file": str(path)}, horizons=[200, 400, 600])
-    with mock.patch.object(harness, "load_instance", wraps=harness.load_instance) as loads:
+    with mock.patch.object(env, "load_instance", wraps=env.load_instance) as loads:
         raw = monte_carlo(cfg)["raw"]
     assert loads.call_count == 1
     assert sorted({row["T"] for row in raw}) == [200, 400, 600]
@@ -417,7 +434,7 @@ COUPLING_PARAMS = {"n": 900, "g": 30}
 
 
 def direct_row(policy_id, params, rep, seed, curve_points):
-    inst = harness.instance_from_dict(COUPLING_INSTANCE)
+    inst = env.instance_from_dict(COUPLING_INSTANCE)
     res = run_episode(inst, make_policy(policy_id, params), seed)
     grid = sorted({int(t) for t in np.linspace(1, inst.horizon, num=min(inst.horizon, curve_points))})
     return {
@@ -547,7 +564,7 @@ def test_horizon_free_rows_equal_direct_episodes(kind, workers):
     assert [(r["policy"], r["T"], r["replication"]) for r in raw] == [
         (p["id"], T, rep) for p in HORIZON_FREE_POLICIES for T in horizons for rep in range(2)
     ]
-    inst = harness.instance_from_dict(spec)
+    inst = env.instance_from_dict(spec)
     for row in raw:
         at_T = BanditInstance(arms=inst.arms, noise=inst.noise, horizon=row["T"])
         direct, res = horizon_row(at_T, row["policy"], row["replication"], row["seed"])
@@ -587,7 +604,7 @@ def test_horizon_dependent_instance_is_not_shared():
         raw = monte_carlo(cfg)["raw"]
     assert [c.args[0].horizon for c in episodes.call_args_list] == [400, 400, 800, 800]
     for row in raw:
-        inst = make_preset_instance("e1", {"T": row["T"]})
+        inst = resolve_instance({"preset": "e1", "params": {"T": row["T"]}})
         direct, _ = horizon_row(inst, "stationary_ucb", row["replication"], row["seed"])
         assert row == direct
     assert raw[0]["final_regret"] == pytest.approx(10.50, abs=0.005)
@@ -698,33 +715,50 @@ def test_config_hash_stable_and_sensitive():
 
 
 def test_presets():
-    demo = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
+    demo = resolve_instance({"preset": "demo", "params": {"n": 50, "sigma": 0.2}})
     assert demo.periods == (4,)
-    sweep = make_preset_instance("sweep_default", {"horizon": 1234})
+    sweep = resolve_instance({"preset": "sweep_default", "params": {"horizon": 1234}})
     assert sweep.horizon == 1234 and sweep.periods == (2, 3, 4)
-    e1 = make_preset_instance("e1", {"T": 400})
+    e1 = resolve_instance({"preset": "e1", "params": {"T": 400}})
     assert e1.periods == (1, 1)
     with pytest.raises(ValueError):
-        make_preset_instance("nope")
+        resolve_instance({"preset": "nope"})
+
+
+# what a preset needs besides its horizon param; every other preset builds from its defaults
+PRESET_PARAMS = {"e3": {"periods": [3, 2]}}
+
+
+@pytest.mark.parametrize("name", sorted(env.PRESETS))
+def test_each_preset_resolves_at_a_horizon(name):
+    # a config horizon fills the preset's horizon param, one rule for every
+    # entry of PRESETS, and that param given as well is an error
+    make, key = env.PRESETS[name]
+    params = PRESET_PARAMS.get(name, {})
+    inst = resolve_instance({"preset": name, "params": params}, horizon=120)
+    assert inst.horizon == 120 and inst == make(**params, **{key: 120})
+    with pytest.raises(ValueError, match=f"^preset '{name}' reads the horizon: give either horizons or a {key} param$"):
+        resolve_instance({"preset": name, "params": {**params, key: 120}}, horizon=120)
 
 
 def test_sweep_default_preset_takes_the_function_defaults():
     # the preset forwards its params, so default_sweep_instance's signature
     # holds the only defaults, and a misspelt param is an error
-    assert make_preset_instance("sweep_default") == default_sweep_instance(40000)
-    assert make_preset_instance("sweep_default", {"sigma": 0.1}) == default_sweep_instance(40000, sigma=0.1)
+    assert resolve_instance({"preset": "sweep_default"}) == default_sweep_instance(40000)
+    assert (resolve_instance({"preset": "sweep_default", "params": {"sigma": 0.1}})
+            == default_sweep_instance(40000, sigma=0.1))
     with pytest.raises(TypeError):
-        make_preset_instance("sweep_default", {"sigmaa": 0.1})
+        resolve_instance({"preset": "sweep_default", "params": {"sigmaa": 0.1}})
 
 
 def test_demo_preset_takes_the_function_defaults():
     # like sweep_default, the demo preset forwards its params: n and sigma
     # default to 50 and 0.2, and a misspelt param is an error
-    assert make_preset_instance("demo") == make_demo_instance(50, 0.2)
-    assert make_preset_instance("demo", {"sigma": 5.0}) == make_demo_instance(50, 5.0)
-    assert make_preset_instance("demo", {"n": 80}).horizon == 80
+    assert resolve_instance({"preset": "demo"}) == make_demo_instance(50, 0.2)
+    assert resolve_instance({"preset": "demo", "params": {"sigma": 5.0}}) == make_demo_instance(50, 5.0)
+    assert resolve_instance({"preset": "demo", "params": {"n": 80}}).horizon == 80
     with pytest.raises(TypeError):
-        make_preset_instance("demo", {"sigmaa": 5.0})
+        resolve_instance({"preset": "demo", "params": {"sigmaa": 5.0}})
 
 
 # ---------------------------------------------------------------------------
@@ -787,7 +821,7 @@ def test_cli_constants_bad_argument_exits_with_one_line(capsys, args, message):
 
 
 def test_cli_detect(tmp_path, capsys):
-    inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
+    inst = resolve_instance({"preset": "demo", "params": {"n": 50, "sigma": 0.2}})
     path = tmp_path / "series.csv"
     path.write_text("\n".join(str(m) for m in means_matrix(inst)[0].tolist()))
     assert cli.main(["detect", str(path), "--sigma", "0.2", "--t-max", "10"]) == 0
@@ -850,7 +884,7 @@ def test_cli_detect_skips_blank_rows(tmp_path, capsys):
 
 
 def _demo_rows():
-    inst = make_preset_instance("demo", {"n": 50, "sigma": 0.2})
+    inst = resolve_instance({"preset": "demo", "params": {"n": 50, "sigma": 0.2}})
     return [f"{t},{m}" for t, m in enumerate(means_matrix(inst)[0].tolist(), start=1)]
 
 
@@ -1019,6 +1053,10 @@ def test_cli_sweep(tmp_path):
         ({"instance": {"preset": "sweep_default", "params": {"sigma": False}}}, "sigma must be a number, got False"),
         ({"instance": {"preset": "e1", "params": {"T": 5000, "T1": 4}}, "horizons": [100]},
          "preset 'e1' reads the horizon: give either horizons or a T param$"),
+        ({"instance": {"preset": "sweep_default", "params": {"horizon": 5000}}, "horizons": [100]},
+         "preset 'sweep_default' reads the horizon: give either horizons or a horizon param$"),
+        ({"instance": {"preset": "demo", "params": {"n": 80}}, "horizons": [100]},
+         "preset 'demo' reads the horizon: give either horizons or a n param$"),
         ({"instance": {"preset": "e1", "params": {"T1": 4}}, "horizons": [100]}, "e1 params has unknown key 'T1'"),
         ({"instance": {"preset": "e1", "params": {"T": 0}}, "horizons": MISSING},
          "T must be an integer of at least 1, got 0$"),
@@ -1029,7 +1067,8 @@ def test_cli_sweep(tmp_path):
          "perturbation must be a finite number, got True$"),
     ],
     ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id", "e1-without-horizons",
-         "preset-float-horizon", "preset-bool-sigma", "e1-T-and-horizons", "e1-T1", "e1-T-0", "e2-T1-float",
+         "preset-float-horizon", "preset-bool-sigma", "e1-T-and-horizons", "sweep_default-horizon-and-horizons",
+         "demo-n-and-horizons", "e1-T1", "e1-T-0", "e2-T1-float",
          "e1-delta_gap-string", "e3-perturbation-bool"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):

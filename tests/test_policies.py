@@ -8,8 +8,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as hst
 
 from periodic_bandits import harness, policies
-from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel
-from periodic_bandits.harness import default_sweep_instance, run_episode
+from periodic_bandits.env import BanditInstance, MeanProfile, NoiseModel, default_sweep_instance
+from periodic_bandits.harness import run_episode
 from periodic_bandits.policies import (
     InstanceView,
     NestedCBState,
@@ -157,6 +157,8 @@ def test_elimination_schedule_values():
     for s in (5, 6, 7, 8):
         ratio = elimination_schedule(s + 1, 2, 10**6, 1) / elimination_schedule(s, 2, 10**6, 1)
         assert ratio == pytest.approx(4.0, rel=0.025)
+    with pytest.raises(ValueError, match="need s >= 1"):
+        elimination_schedule(0, 2, 10000, 4)
 
 
 # ---------------------------------------------------------------------------
@@ -306,6 +308,29 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
                 else:
                     assert means[arm][phase] == mean
                     assert cell_mean(st, s, arm, phase) == mean
+
+
+@pytest.mark.parametrize(
+    ("field", "value", "named"),
+    [
+        ("periods", [2.7], "^period must be an integer of at least 1, got 2.7$"),
+        ("periods", [2, 0], "^period must be an integer of at least 1, got 0$"),
+        ("sigma", "0.1", "^sigma must be a finite number, got '0.1'$"),
+        ("sigma", math.nan, "^sigma must be a finite number, got nan$"),
+        ("sigma", -0.1, "^need sigma >= 0 and delta > 0, got sigma=-0.1, delta=0.01$"),
+        ("horizon", 99.9, "^horizon must be an integer of at least 1, got 99.9$"),
+        ("delta", 0.0, "^need sigma >= 0 and delta > 0, got sigma=1.0, delta=0.0$"),
+        ("delta", math.inf, "^delta must be a finite number, got inf$"),
+    ],
+    ids=["period-float", "period-0", "sigma-string", "sigma-nan", "sigma-negative", "horizon-float", "delta-0",
+         "delta-inf"],
+)
+def test_nested_cb_state_checks_its_values(field, value, named):
+    # checked as the instance types check theirs, not converted: a period of
+    # 2.7 would become 2 and a NaN sigma would make every width NaN
+    args = {"periods": [2], "sigma": 1.0, "horizon": 100, "delta": 0.01, field: value}
+    with pytest.raises(ValueError, match=named):
+        NestedCBState(**args, bar_samples=[])
 
 
 @pytest.mark.parametrize("s", [0, -1, 14])
@@ -775,6 +800,8 @@ def test_seq_elim_requires_common_period():
     inst = instance([[0.9, 0.1], [0.5, 0.2, 0.8]], sigma=0.1, horizon=2000)
     with pytest.raises(ValueError):
         run_episode(inst, make_policy("seq_elim"), 0)
+    with pytest.raises(ValueError, match="^sequential elimination needs the shared period$"):
+        make_policy("seq_elim").begin(InstanceView(n_arms=2, horizon=2000, sigma=0.1))
 
 
 def test_seq_elim_identical_arms_never_eliminate():
@@ -840,6 +867,8 @@ def test_per_phase_ucb_requires_common_period():
     inst = instance([[0.9, 0.1], [0.5, 0.2, 0.8]], sigma=0.1, horizon=1000)
     with pytest.raises(ValueError):
         run_episode(inst, make_policy("per_phase_ucb"), 0)
+    with pytest.raises(ValueError, match="^per-phase UCB needs the shared period$"):
+        make_policy("per_phase_ucb").begin(InstanceView(n_arms=2, horizon=1000, sigma=0.1))
 
 
 def test_per_phase_reduces_to_stationary_when_period_one():

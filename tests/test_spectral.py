@@ -10,8 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from periodic_bandits import spectral
-from periodic_bandits.env import MeanProfile, make_demo_instance
-from periodic_bandits.harness import default_sweep_instance
+from periodic_bandits.env import MeanProfile, default_sweep_instance, make_demo_instance
 from periodic_bandits.spectral import (
     _candidates,
     _detection_plan,
@@ -138,6 +137,22 @@ def test_failure_bound_rejects_bad_H(H):
         failure_probability_bound(50, 5, H)
     with pytest.raises(ValueError, match="H must be finite"):
         amplitude_condition_coefficients(threshold_constants(50, 8, 1.0, H))
+
+
+@pytest.mark.parametrize(
+    ("call", "named"),
+    [
+        (lambda: noise_bound(1, 0.2, H50), "^n must be at least 2$"),
+        (lambda: compute_periodogram([1.0, 0.0], range(1, 4), [0.25]), "^samples and epochs must align$"),
+        (lambda: compute_periodogram([1.0, 0.0], [1, 2, 3], [0.25]), "^samples and epochs must align$"),
+        (lambda: identify_frequencies(spectral.Periodogram(50, np.array([]), np.array([])),
+                                      threshold_constants(50, 8, 0.5)), "^empty periodogram$"),
+    ],
+    ids=["noise-bound-n-1", "periodogram-range-misaligned", "periodogram-list-misaligned", "empty-periodogram"],
+)
+def test_malformed_spectral_input_rejected(call, named):
+    with pytest.raises(ValueError, match=named):
+        call()
 
 
 def test_noise_bound_homogeneous_in_sigma():
