@@ -233,7 +233,7 @@ def make_demo_instance(n: int = 50, sigma: float = 0.2) -> BanditInstance:
     means intentionally leave [0, 1]; the validity report flags that rather
     than rejecting the instance.
     """
-    if n < 4:
+    if _checked_int("n", n) < 4:
         raise ValueError("need n >= 4 for one full cycle")
     vals = tuple(3 + 3 * math.sin(0.5 * math.pi * t) + 3 * math.cos(math.pi * t) for t in (1, 2, 3, 4))
     profile = MeanProfile(period=4, values=vals)
@@ -409,7 +409,10 @@ def resolve_instance(spec: dict | BanditInstance, horizon: int | None = None) ->
         if name not in PRESETS:
             raise ValueError(f"unknown preset {name!r}")
         make, key = PRESETS[name]
-        params = dict(spec.get("params", {}))
+        params = spec.get("params", {})
+        if not isinstance(params, dict):
+            raise ValueError(f"preset {name!r} params must be a dict, got {params!r}")
+        params = dict(params)
         given = (key in params) + (horizon is not None)  # how many of the two set the horizon
         if given == 2 or given == 0 and inspect.signature(make).parameters[key].default is inspect.Parameter.empty:
             raise ValueError(f"preset {name!r} reads the horizon: give either horizons or a {key} param")

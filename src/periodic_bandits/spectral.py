@@ -16,9 +16,10 @@ r > 24 has the magnitude of residue 48 - r, read backwards. Twelve length-n
 FFTs thus give the whole mesh in O(n log n), with no zero padding; only the
 candidate rationals off the odd bins (at most t_max^2 points) are direct
 sums. ``estimate_periods`` builds a detection plan once per (n, t_max): the
-read-only grid, the twelve twiddle rows, the direct-sum basis, and one gather
-index over the magnitudes of the FFT rows and direct sums. A block then costs
-one batched FFT, one small matrix-vector product and one gather, with the
+read-only grid, the twelve twiddle rows, the direct-sum basis, one gather
+index over the magnitudes of the FFT rows and direct sums, and each grid
+point's matching candidate. A block then costs one batched FFT, one small
+matrix-vector product and one gather, and each peak one table read, with the
 same bits as building the plan afresh.
 
 All constants are deterministic functions of (n, g, H, sigma); "log" is the
@@ -193,9 +194,20 @@ def amplitude_condition_coefficients(detector: ThresholdConstants) -> tuple[floa
 # DFT and periodogram
 # ---------------------------------------------------------------------------
 
+def _floats(samples: Sequence[float]) -> np.ndarray:
+    """``samples`` as a float array: a list (what stage one passes) in one pass
+    over its items, anything else by ``np.asarray``."""
+    if isinstance(samples, list):
+        try:
+            return np.fromiter(samples, dtype=float, count=len(samples))
+        except ValueError:  # a nested list: np.asarray keeps its shape for the alignment check
+            pass
+    return np.asarray(samples, dtype=float)
+
+
 def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> np.ndarray:
     """The float samples of one nonempty, finite block of consecutive epochs."""
-    y = np.asarray(samples, dtype=float)
+    y = _floats(samples)
     consecutive = isinstance(epochs, range) and epochs.step == 1  # what stage one passes
     t = None if consecutive else np.asarray(epochs, dtype=float)
     if y.size == 0:
@@ -214,13 +226,38 @@ def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _candidates(t_max: int) -> tuple[tuple[Fraction, ...], np.ndarray]:
+def _candidates(t_max: int) -> tuple[tuple[Fraction, ...], np.ndarray, np.ndarray]:
     """Sorted, reduced, deduplicated rationals j1/j2 with 1 <= j1 < j2 <= t_max,
-    and their (read-only) float values; both empty for t_max < 2."""
+    their float values, and each one's place in (denominator, numerator)
+    order, the matching tie-break; all empty for t_max < 2, the arrays
+    read-only."""
     cands = tuple(sorted({Fraction(j1, j2) for j2 in range(2, t_max + 1) for j1 in range(1, j2)}))
     vals = np.array([float(c) for c in cands])
-    vals.flags.writeable = False
-    return cands, vals
+    by_key = sorted(range(len(cands)), key=lambda i: (cands[i].denominator, cands[i].numerator))
+    rank = np.argsort(np.array(by_key, dtype=np.intp))  # the inverse permutation
+    return cands, _read_only(vals), _read_only(rank)
+
+
+def _nearest_candidates(values: np.ndarray, t_max: int) -> np.ndarray:
+    """Index in ``_candidates(t_max)`` (t_max >= 2) of each value's nearest
+    candidate by float distance, ties to the smaller (denominator, numerator).
+
+    The candidates are sorted and at least 1/t_max^2 apart, so for |v| < 2
+    the nearest is one of the two that bracket v and no candidate further out
+    ties with them. Past that, rounding can tie many (v = inf ties all), so
+    those values, none of them on a frequency grid, compare every candidate;
+    memory is otherwise O(values).
+    """
+    _, vals, rank = _candidates(t_max)
+    hi = np.minimum(np.searchsorted(vals, values), vals.size - 1)
+    lo = np.maximum(hi - 1, 0)
+    d_lo, d_hi = np.abs(vals[lo] - values), np.abs(vals[hi] - values)
+    pick = np.where((d_lo < d_hi) | (d_lo == d_hi) & (rank[lo] < rank[hi]), lo, hi)
+    far = np.flatnonzero(~(np.abs(values) < 2))
+    if far.size:
+        d = np.abs(vals - values[far, None])
+        pick[far] = np.argmin(np.where(d == d.min(axis=1, keepdims=True), rank, rank.size), axis=1)
+    return pick
 
 
 def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
@@ -262,10 +299,12 @@ class _DetectionPlan:
     exp(-2 pi i r s / (48n)) for r = 1, 3, .., 23 at offsets s = 0..n-1.
     ``basis`` holds exp(-2 pi i v s) for the remaining points (even bins and
     off the lattice), and ``gather`` picks each grid point's magnitude from
-    the FFT rows and the direct sums laid end to end.
+    the FFT rows and the direct sums laid end to end. Given a t_max of at
+    least 2, ``match`` holds each grid point's ``_nearest_candidates`` index,
+    so a peak costs one table read; otherwise it is None.
     """
 
-    def __init__(self, n: int, grid: np.ndarray):
+    def __init__(self, n: int, grid: np.ndarray, t_max: int = 1):
         scaled = 48.0 * n * grid
         bins = np.rint(scaled)
         on = (np.abs(scaled - bins) <= _LATTICE_TOL) & (bins > 0) & (bins < 48 * n) & (bins % 2 == 1)
@@ -278,6 +317,7 @@ class _DetectionPlan:
         s = np.arange(n)
         self.pre = np.exp(-2j * np.pi / (48 * n) * np.outer(np.arange(1, 24, 2), s))
         self.basis = np.exp(-2j * np.pi * np.outer(grid[off], s.astype(float)))
+        self.match = _read_only(_nearest_candidates(grid, t_max)) if t_max >= 2 else None
         for a in (self.gather, self.pre, self.basis):
             _read_only(a)
 
@@ -289,15 +329,15 @@ _plans: dict[tuple[int, int], _DetectionPlan] = {}
 
 
 def _detection_plan(n: int, t_max: int) -> _DetectionPlan:
-    """The cached plan of ``frequency_grid(n, _candidates(t_max)[1])``, whose
-    grid is read-only."""
+    """The cached plan of ``frequency_grid(n, _candidates(t_max)[1])`` for a
+    detector of t_max, whose grid is read-only."""
     key = (n, t_max)
     plan = _plans.get(key)
     if plan is None:
         if len(_plans) >= _PLAN_SLOTS:
             del _plans[next(iter(_plans))]
         grid = _read_only(frequency_grid(n, _candidates(t_max)[1]))
-        plan = _plans[key] = _DetectionPlan(n, grid)
+        plan = _plans[key] = _DetectionPlan(n, grid, t_max)
     return plan
 
 
@@ -322,8 +362,8 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
     if plan is None or plan.n != n:
         plan = _DetectionPlan(n, grid)
     y = y / n  # n real divisions: dividing the complex values instead is ~10x slower
-    rows = np.fft.fft(plan.pre * y).ravel()
-    mags = np.abs(np.concatenate((rows, plan.basis @ y)))[plan.gather]
+    rows = np.fft.fft(plan.pre * y)
+    mags = np.concatenate((np.abs(rows).ravel(), np.abs(plan.basis @ y)))[plan.gather]
     return Periodogram(n=n, grid=grid, magnitudes=mags)
 
 
@@ -351,8 +391,11 @@ def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants)
     points above the threshold at or past g/n. Ties at the maximum go to the
     first point in grid order, which on ``frequency_grid``'s sorted grid is
     the lowest frequency; candidate-matching ties resolve to the smaller
-    denominator, then smaller numerator. Raises ``ValueError`` on an empty
-    periodogram or one of a block whose length is not the detector's n.
+    denominator, then smaller numerator. On the grid of the cached plan for
+    (n, t_max) each point's match is read from the plan; on any other grid
+    the points above the threshold are matched by the same rule. Raises
+    ``ValueError`` on an empty periodogram or one of a block whose length is
+    not the detector's n.
 
     A t_max below 2 leaves no representable period at this sample size; the
     candidate set is then empty and the estimate degrades to period 1.
@@ -365,23 +408,23 @@ def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants)
     tau = threshold(detector, float(periodogram.magnitudes.max()))
     if t_max < 2:
         return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
-    cands, cand_vals = _candidates(t_max)
+    cands = _candidates(t_max)[0]
     grid = periodogram.grid
     mags = periodogram.magnitudes
     width = g / n
     above = np.flatnonzero(mags > tau)
     above = above[grid[above] >= width]
-    # (index, frequency, magnitude) in grid order; max() keeps the first of equals
-    points = list(zip(above.tolist(), grid[above].tolist(), mags[above].tolist()))
+    freqs = grid[above]
+    plan = _plans.get((n, t_max))
+    match = plan.match[above] if plan is not None and plan.grid is grid else _nearest_candidates(freqs, t_max)
+    # (index, frequency, magnitude, match) in grid order; max() keeps the first of equals
+    points = list(zip(above.tolist(), freqs.tolist(), mags[above].tolist(), match.tolist()))
 
     identified: list[Fraction] = []
     trace: list[dict] = []
     while points:
-        idx, v_star, magnitude = max(points, key=itemgetter(2))
-        dists = np.abs(cand_vals - v_star)
-        best = np.min(dists)
-        tied = [cands[i] for i in np.flatnonzero(dists == best)]
-        v_hat = min(tied, key=lambda c: (c.denominator, c.numerator))
+        idx, v_star, magnitude, m = max(points, key=itemgetter(2))
+        v_hat = cands[m]
         lo, hi = float(v_hat) - width, float(v_hat) + width
         # the pick goes by index, so progress holds even if the match is far away
         points = [p for p in points if not lo < p[1] < hi and p[0] != idx]

@@ -1,9 +1,11 @@
 """Helpers shared by the test modules.
 
 ``means_matrix`` is the direct reference for the mean rewards that the package
-reads one cycle at a time; ``dense_identify_frequencies`` is the direct
-reference for the peak search that the package runs over the points above the
-threshold only; ``load_default_sweep`` reads the checked-in default sweep
+reads one cycle at a time; ``nearest_candidate`` is the direct reference for
+the match that the package reads from its detection plan's table;
+``dense_identify_frequencies`` is the direct reference for the peak search
+that the package runs over the points above the threshold only;
+``load_default_sweep`` reads the checked-in default sweep
 config, a fresh dict on every call, so a test may ``update`` it.
 """
 import json
@@ -35,6 +37,15 @@ def load_default_sweep() -> dict:
         return json.load(fh)
 
 
+def nearest_candidate(v: float, t_max: int) -> Fraction:
+    """The candidate of ``t_max`` nearest ``v`` by float distance, over every
+    candidate; ties go to the smaller (denominator, numerator)."""
+    cands, cand_vals, _ = _candidates(t_max)
+    dists = np.abs(cand_vals - v)
+    tied = [cands[i] for i in np.flatnonzero(dists == np.min(dists))]
+    return min(tied, key=lambda c: (c.denominator, c.numerator))
+
+
 def dense_identify_frequencies(periodogram, detector) -> FrequencyEstimate:
     """``identify_frequencies`` as a mask over the whole grid: each peak is
     ``np.argmax`` over the active points, and each excision clears the mask."""
@@ -42,7 +53,6 @@ def dense_identify_frequencies(periodogram, detector) -> FrequencyEstimate:
     tau = threshold(detector, float(periodogram.magnitudes.max()))
     if t_max < 2:
         return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
-    cands, cand_vals = _candidates(t_max)
     grid = periodogram.grid
     mags = periodogram.magnitudes
     active = (grid >= g / n) & (mags > tau)
@@ -53,10 +63,7 @@ def dense_identify_frequencies(periodogram, detector) -> FrequencyEstimate:
     while active.any():
         idx = int(np.argmax(np.where(active, mags, -np.inf)))
         v_star = float(grid[idx])
-        dists = np.abs(cand_vals - v_star)
-        best = np.min(dists)
-        tied = [cands[i] for i in np.flatnonzero(dists == best)]
-        v_hat = min(tied, key=lambda c: (c.denominator, c.numerator))
+        v_hat = nearest_candidate(v_star, t_max)
         lo, hi = float(v_hat) - width, float(v_hat) + width
         active &= ~((grid > lo) & (grid < hi))
         active[idx] = False  # ensure progress even if the match is far away

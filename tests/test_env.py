@@ -324,7 +324,7 @@ def test_demo_instance_profile_and_spectrum():
 
 
 def test_demo_instance_needs_full_cycle():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^need n >= 4 for one full cycle$"):
         make_demo_instance(3, 0.1)
 
 

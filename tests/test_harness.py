@@ -254,6 +254,12 @@ def test_tail_fraction_checked_before_any_episode(key, value):
         (lambda cfg: cfg["policies"].append({"id": "lcm_ucb", "parms": {"ucb_scale": 5.0}}), "unknown key 'parms'"),
         (lambda cfg: cfg.update(instance={"preset": "sweep_default", "param": {"sigma": 0.5}}), "unknown key 'param'"),
         (lambda cfg: cfg.update(instance={"file": "instance.json", "params": {}}), "unknown key 'params'"),
+        (lambda cfg: cfg.update(instance={"preset": "demo", "params": None}),
+         re.escape("preset 'demo' params must be a dict, got None") + "$"),
+        (lambda cfg: cfg.update(instance={"preset": "demo", "params": [1, 2]}),
+         re.escape("preset 'demo' params must be a dict, got [1, 2]") + "$"),
+        (lambda cfg: (cfg.pop("horizons"), cfg.update(instance={"preset": "demo", "params": {"n": "80"}})),
+         "n must be an integer of at least 1, got '80'$"),
         (lambda cfg: cfg["instance"].update(horizn=600), "unknown key 'horizn'"),
         (lambda cfg: cfg["instance"].update(noise={"sigm": 0.1}), "unknown key 'sigm'"),
         (lambda cfg: cfg["instance"].update(noise="gaussian"), "noise must be a dict"),
@@ -295,7 +301,8 @@ def test_tail_fraction_checked_before_any_episode(key, value):
             "policies entry 'stationary_ucb' cannot be built from params {'ucb_scale': 1.0}: "
             "stationary_ucb params has unknown key 'ucb_scale'; expected none") + "$"),
     ],
-    ids=["top-level", "policies-entry", "preset-instance", "file-instance", "inline-instance", "noise",
+    ids=["top-level", "policies-entry", "preset-instance", "file-instance", "preset-params-null",
+         "preset-params-list", "demo-n-string", "inline-instance", "noise",
          "noise-not-dict", "sigma-string", "sigma-bool", "arm-string-values", "arm-bool-fourier",
          "arm-string-fourier", "arm-phase", "arm-valeus", "arms-dict", "arms-empty", "arm-values-int",
          "arm-values-count", "arm-without-values", "arm-fourier-int", "arm-fourier-triple", "arm-fourier-flat",

@@ -3,6 +3,7 @@ import hashlib
 import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ from periodic_bandits.spectral import (
     u_constants,
 )
 
-from helpers import dense_identify_frequencies, means_matrix
+from helpers import dense_identify_frequencies, means_matrix, nearest_candidate
 
 H50 = default_H(50)
 
@@ -145,10 +146,13 @@ def test_failure_bound_rejects_bad_H(H):
         (lambda: noise_bound(1, 0.2, H50), "^n must be at least 2$"),
         (lambda: compute_periodogram([1.0, 0.0], range(1, 4), [0.25]), "^samples and epochs must align$"),
         (lambda: compute_periodogram([1.0, 0.0], [1, 2, 3], [0.25]), "^samples and epochs must align$"),
+        (lambda: compute_periodogram([[1.0], [0.0]], range(1, 3), [0.25]), "^samples and epochs must align$"),
+        (lambda: compute_periodogram([1.0, None], range(1, 3), [0.25]), "^non-finite sample nan at index 1$"),
         (lambda: identify_frequencies(spectral.Periodogram(50, np.array([]), np.array([])),
                                       threshold_constants(50, 8, 0.5)), "^empty periodogram$"),
     ],
-    ids=["noise-bound-n-1", "periodogram-range-misaligned", "periodogram-list-misaligned", "empty-periodogram"],
+    ids=["noise-bound-n-1", "periodogram-range-misaligned", "periodogram-list-misaligned",
+         "periodogram-nested-list", "periodogram-none-sample", "empty-periodogram"],
 )
 def test_malformed_spectral_input_rejected(call, named):
     with pytest.raises(ValueError, match=named):
@@ -300,6 +304,15 @@ def test_periodogram_rejects_non_finite_sample():
     samples[17] = math.inf
     with pytest.raises(ValueError, match="non-finite sample inf at index 17"):
         compute_periodogram(samples, range(1, 41), [0.25])
+
+
+def test_periodogram_of_any_sample_sequence_is_the_same():
+    # a list converts in one pass, anything else by np.asarray: same bits
+    ints = [int(v) for v in np.random.default_rng(3).integers(-5, 6, 60)]
+    grid = _detection_plan(60, 3).grid
+    want = compute_periodogram(np.array(ints, dtype=float), range(1, 61), grid).magnitudes
+    for samples in (ints, [float(v) for v in ints], tuple(float(v) for v in ints)):
+        assert np.array_equal(compute_periodogram(samples, range(1, 61), grid).magnitudes, want)
 
 
 def test_periodogram_rejects_gapped_epochs():
@@ -460,7 +473,7 @@ def test_detection_plan_is_per_n_and_t_max():
 
 def test_detection_plan_arrays_are_read_only_and_bounded():
     plan = _detection_plan(50, 3)
-    for a in (plan.grid, plan.gather, plan.pre, plan.basis):
+    for a in (plan.grid, plan.gather, plan.pre, plan.basis, plan.match):
         with pytest.raises(ValueError, match="read-only"):
             a[0] = 0
     # any (n, t_max) may come in; the cache stays at its size
@@ -513,12 +526,14 @@ def test_stage_one_detection_golden():
 # ---------------------------------------------------------------------------
 
 def test_candidate_frequencies_reduced_and_unique():
-    cands, vals = _candidates(6)
+    cands, vals, rank = _candidates(6)
     assert len(cands) == len(set(cands))
     assert all(1 <= c.numerator < c.denominator <= 6 for c in cands)
     assert Fraction(1, 2) in cands and Fraction(5, 6) in cands
     assert sorted(cands) == list(cands)
     assert vals.tolist() == [float(c) for c in cands]
+    # rank orders the candidates by (denominator, numerator), the matching tie-break
+    assert sorted(cands, key=lambda c: (c.denominator, c.numerator)) == [cands[i] for i in np.argsort(rank)]
 
 
 def test_threshold_constants_shared_per_argument_tuple():
@@ -742,6 +757,70 @@ def test_peak_search_equals_dense_reference(n, sigma, det_sigma, period, ties, r
     assert got.period_estimate == want.period_estimate
     assert got.threshold == want.threshold
     assert repr(got.trace) == repr(want.trace)
+
+
+@settings(max_examples=10, deadline=None)
+@given(n=st.integers(2, 600), t_max=st.integers(2, 12))
+def test_detection_plan_match_table_equals_per_point_rule(n, t_max):
+    cands = _candidates(t_max)[0]
+    plan = _detection_plan(n, t_max)
+    assert [cands[i] for i in plan.match.tolist()] == [nearest_candidate(v, t_max) for v in plan.grid.tolist()]
+
+
+@settings(max_examples=100, deadline=None)
+@given(v=st.floats(allow_nan=False), t_max=st.integers(2, 12))
+@example(v=math.inf, t_max=10)
+@example(v=1e300, t_max=10)
+@example(v=-2.0**60, t_max=3)
+def test_nearest_candidates_equals_per_point_rule(v, t_max):
+    # past the candidates' span rounding ties many candidates; the rule still
+    # takes the smallest (denominator, numerator) of all of them
+    assert _candidates(t_max)[0][spectral._nearest_candidates(np.array([v]), t_max)[0]] == nearest_candidate(v, t_max)
+
+
+def _assert_matched_by_fallback(pg, det):
+    # identify_frequencies matches this grid's peaks by the per-point rule, and
+    # not from a plan's table
+    with mock.patch.object(spectral, "_nearest_candidates", wraps=spectral._nearest_candidates) as fallback:
+        got = identify_frequencies(pg, det)
+    assert fallback.call_count == 1
+    assert got.trace and all(e["matched"] == nearest_candidate(e["v_star"], det.t_max) for e in got.trace)
+    want = dense_identify_frequencies(pg, det)
+    assert (got.identified, got.period_estimate, repr(got.trace)) == (
+        want.identified, want.period_estimate, repr(want.trace))
+    return got
+
+
+def test_foreign_grid_with_exact_midpoints_is_matched_by_the_rule():
+    # every midpoint between adjacent candidates is a peak (g/n is below half
+    # their spacing); four of them are float ties, which go to the smaller
+    # (denominator, numerator), and inf ties every candidate
+    n, t_max = 10_000, 6
+    vals = _candidates(t_max)[1]
+    mids = (vals[1:] + vals[:-1]) / 2
+    ties = np.abs(vals[1:] - mids) == np.abs(vals[:-1] - mids)
+    assert ties.sum() == 4
+    grid = np.random.default_rng(1).permutation(np.concatenate([mids, [0.3, 0.7, math.inf, 1e300]]))
+    mags = np.linspace(1.0, 0.5, grid.size)
+    det = threshold_constants(n, None, 0.0, None, t_max)
+    got = _assert_matched_by_fallback(spectral.Periodogram(n, grid, mags), det)
+    assert len(got.trace) == grid.size
+    assert Fraction(1, 4) in [e["matched"] for e in got.trace if e["v_star"] == (0.2 + 0.25) / 2]
+
+
+def test_cached_grid_with_a_detector_of_another_t_max_is_matched_by_the_rule():
+    n = 120
+    t = np.arange(1, n + 1)
+    y = (t % 5 == 0) + (t % 3 == 0) + np.random.default_rng(2).normal(0, 0.05, n)
+    grid = _detection_plan(n, 6).grid
+    pg = compute_periodogram(y, range(1, n + 1), grid)
+    _detection_plan(n, 4)  # cached, so only its grid's identity sends it to the table
+    _assert_matched_by_fallback(pg, threshold_constants(n, None, 0.05, None, 4))
+    # the plan's own t_max reads the table
+    with mock.patch.object(spectral, "_nearest_candidates", side_effect=AssertionError("matched per point")):
+        got = identify_frequencies(pg, threshold_constants(n, None, 0.05, None, 6))
+    want = dense_identify_frequencies(pg, threshold_constants(n, None, 0.05, None, 6))
+    assert repr(got.trace) == repr(want.trace) and got.trace
 
 
 def test_tiny_sample_size_degrades_to_stationary():
