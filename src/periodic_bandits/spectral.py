@@ -194,20 +194,9 @@ def amplitude_condition_coefficients(detector: ThresholdConstants) -> tuple[floa
 # DFT and periodogram
 # ---------------------------------------------------------------------------
 
-def _floats(samples: Sequence[float]) -> np.ndarray:
-    """``samples`` as a float array: a list (what stage one passes) in one pass
-    over its items, anything else by ``np.asarray``."""
-    if isinstance(samples, list):
-        try:
-            return np.fromiter(samples, dtype=float, count=len(samples))
-        except ValueError:  # a nested list: np.asarray keeps its shape for the alignment check
-            pass
-    return np.asarray(samples, dtype=float)
-
-
 def _as_block(samples: Sequence[float], epochs: Sequence[int]) -> np.ndarray:
     """The float samples of one nonempty, finite block of consecutive epochs."""
-    y = _floats(samples)
+    y = np.asarray(samples, dtype=float)
     consecutive = isinstance(epochs, range) and epochs.step == 1  # what stage one passes
     t = None if consecutive else np.asarray(epochs, dtype=float)
     if y.size == 0:
@@ -299,12 +288,13 @@ class _DetectionPlan:
     exp(-2 pi i r s / (48n)) for r = 1, 3, .., 23 at offsets s = 0..n-1.
     ``basis`` holds exp(-2 pi i v s) for the remaining points (even bins and
     off the lattice), and ``gather`` picks each grid point's magnitude from
-    the FFT rows and the direct sums laid end to end. Given a t_max of at
-    least 2, ``match`` holds each grid point's ``_nearest_candidates`` index,
-    so a peak costs one table read; otherwise it is None.
+    the FFT rows and the direct sums laid end to end. ``match`` holds each
+    grid point's ``_nearest_candidates`` index for a detector of t_max, so a
+    peak costs one table read; it is None for a t_max below 2, which has no
+    candidates (the one-call plans of ``compute_periodogram`` pass 1).
     """
 
-    def __init__(self, n: int, grid: np.ndarray, t_max: int = 1):
+    def __init__(self, n: int, grid: np.ndarray, t_max: int):
         scaled = 48.0 * n * grid
         bins = np.rint(scaled)
         on = (np.abs(scaled - bins) <= _LATTICE_TOL) & (bins > 0) & (bins < 48 * n) & (bins % 2 == 1)
@@ -360,7 +350,7 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
     grid = np.asarray(grid, dtype=float)
     plan = next((p for p in _plans.values() if p.grid is grid), None)
     if plan is None or plan.n != n:
-        plan = _DetectionPlan(n, grid)
+        plan = _DetectionPlan(n, grid, 1)
     y = y / n  # n real divisions: dividing the complex values instead is ~10x slower
     rows = np.fft.fft(plan.pre * y)
     mags = np.concatenate((np.abs(rows).ravel(), np.abs(plan.basis @ y)))[plan.gather]

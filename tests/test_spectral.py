@@ -307,7 +307,6 @@ def test_periodogram_rejects_non_finite_sample():
 
 
 def test_periodogram_of_any_sample_sequence_is_the_same():
-    # a list converts in one pass, anything else by np.asarray: same bits
     ints = [int(v) for v in np.random.default_rng(3).integers(-5, 6, 60)]
     grid = _detection_plan(60, 3).grid
     want = compute_periodogram(np.array(ints, dtype=float), range(1, 61), grid).magnitudes
