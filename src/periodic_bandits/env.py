@@ -20,17 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spectral import ThresholdConstants, amplitude_condition_coefficients
+from .spectral import ThresholdConstants, _checked_int, amplitude_condition_coefficients
 
 IMAG_TOL = 1e-9   # max imaginary residue tolerated when evaluating Fourier profiles
 COEF_TOL = 1e-12  # below this a Fourier coefficient counts as absent
-
-
-def _checked_int(key: str, value, least: int = 1) -> int:
-    """``value`` checked to be an integer (not a bool) of at least ``least``; ``key`` names it."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < least:
-        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
-    return value
 
 
 def _checked_number(key: str, value) -> float:
@@ -210,10 +203,12 @@ def pseudo_regret(instance: BanditInstance, actions: Sequence[int]) -> tuple[np.
     epochs, so one cycle of them, capped at T, is read at t mod that length.
     """
     T = instance.horizon
-    acts = np.asarray(actions, dtype=int)
+    acts = np.asarray(actions)
+    if acts.dtype.kind not in "iu":
+        raise ValueError(f"actions must be integers, got dtype {acts.dtype}")
     if acts.shape != (T,):
         raise ValueError(f"actions must have length {T}, got {acts.shape}")
-    if acts.size and (acts.min() < 0 or acts.max() >= instance.n_arms):
+    if acts.min() < 0 or acts.max() >= instance.n_arms:
         raise IndexError("action index out of range")
     L = min(math.lcm(*instance.periods), T)
     cycle = np.arange(L)

@@ -28,7 +28,7 @@ natural logarithm throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from operator import itemgetter
@@ -37,6 +37,13 @@ from typing import Sequence
 import numpy as np
 
 _LATTICE_TOL = 1e-9  # |48 n v - k| below this puts v on DFT bin k
+
+
+def _checked_int(key: str, value, least: int = 1) -> int:
+    """``value`` checked to be an integer (not a bool) of at least ``least``; ``key`` names it."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < least:
+        raise ValueError(f"{key} must be an integer of at least {least}, got {value!r}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -94,16 +101,39 @@ def default_H(n: int) -> float:
 @dataclass(frozen=True)
 class ThresholdConstants:
     """Stage one's detector: n, g, H, sigma, the largest candidate denominator
-    t_max, and everything deterministic in them that the threshold needs."""
+    t_max, and everything deterministic in them that the threshold needs.
+
+    The one place the defaults are filled: an unset g is ceil(sqrt(n)), H is
+    sqrt(1 + log n) and t_max is ceil(n / (2g)) - 1, so periods must be below
+    n/(2g). Checks n >= 2, g >= max(2, sqrt(n)), sigma and H as
+    ``noise_bound`` does, and that t_max is an integer (not a bool) of at
+    least 0, then derives U1, U2, the noise envelope ``eps_bar`` and
+    ``leakage_ratio`` = pi U1 / (1 - pi U2), the threshold's slope in the
+    observed sup. No valid (n, g) makes that ratio degenerate: A_m <= 1/(pi m)
+    and g^2 >= n give pi U2 <= (1 + log(g/4)) / (2g - 1) <= 0.136.
+    """
 
     n: int
-    g: int
-    H: float
+    g: int | None
+    H: float | None
     sigma: float
-    u1: float
-    u2: float
-    eps_bar: float
-    t_max: int
+    t_max: int | None
+    u1: float = field(init=False)
+    u2: float = field(init=False)
+    eps_bar: float = field(init=False)
+    leakage_ratio: float = field(init=False)
+
+    def __post_init__(self) -> None:
+        n = self.n
+        g = math.ceil(math.sqrt(max(n, 0))) if self.g is None else self.g  # so that n < 0 reaches the check
+        u1, u2 = u_constants(n, g)  # checks n >= 2 and g >= max(2, sqrt(n))
+        H = default_H(n) if self.H is None else self.H
+        eps_bar = noise_bound(n, self.sigma, H)
+        t_max = _checked_int("t_max", math.ceil(n / (2 * g)) - 1 if self.t_max is None else self.t_max, least=0)
+        filled = dict(g=g, H=H, t_max=t_max, u1=u1, u2=u2, eps_bar=eps_bar,
+                      leakage_ratio=math.pi * u1 / (1.0 - math.pi * u2))
+        for name, value in filled.items():
+            object.__setattr__(self, name, value)
 
     @classmethod
     def for_horizon(
@@ -119,42 +149,28 @@ class ThresholdConstants:
             raise ValueError(f"stage one's n K = {n} * {K} pulls would consume the whole horizon T={T}")
         return threshold_constants(n, g, sigma)
 
-    @property
-    def leakage_ratio(self) -> float:
-        """pi U1 / (1 - pi U2), the slope of the threshold in the observed sup."""
-        denom = 1.0 - math.pi * self.u2
-        if denom <= 0:
-            raise ValueError("degenerate constants: 1 - pi U2 <= 0")
-        return math.pi * self.u1 / denom
-
 
 @lru_cache(maxsize=64, typed=True)  # typed: 50.0 must not hit the entry of 50
 def threshold_constants(
     n: int, g: int | None, sigma: float, H: float | None = None, t_max: int | None = None
 ) -> ThresholdConstants:
-    """The detector for an n-sample block, the one place its defaults are
-    filled: an unset g is ceil(sqrt(n)), H is sqrt(1 + log n) and t_max is
-    ceil(n / (2g)) - 1, so periods must be below n/(2g).
+    """The detector ``ThresholdConstants(n, g, H, sigma, t_max)`` for an
+    n-sample block.
 
     Equal arguments of equal types return one shared (frozen) value; a call
     that raises caches nothing."""
-    g = math.ceil(math.sqrt(max(n, 0))) if g is None else g  # so that n < 0 reaches the check below
-    u1, u2 = u_constants(n, g)  # checks n >= 2 and g >= max(2, sqrt(n))
-    H = default_H(n) if H is None else H
-    return ThresholdConstants(n, g, H, sigma, u1, u2, noise_bound(n, sigma, H),
-                              math.ceil(n / (2 * g)) - 1 if t_max is None else t_max)
+    return ThresholdConstants(n, g, H, sigma, t_max)
 
 
 def threshold(constants: ThresholdConstants, sup_mag: float) -> float:
     """Data-driven cutoff: eps_bar + ratio * (eps_bar + sup_mag).
 
     ``sup_mag`` must be the periodogram supremum over the full grid on
-    [0, 1/2], including the near-zero region.
+    [0, 1/2], including the near-zero region, and finite.
     """
-    if sup_mag < 0:
-        raise ValueError("sup_mag must be nonnegative")
-    ratio = constants.leakage_ratio  # raises on degenerate constants
-    return constants.eps_bar + ratio * (constants.eps_bar + sup_mag)
+    if not 0 <= sup_mag < math.inf:
+        raise ValueError(f"sup_mag must be finite and >= 0, got {sup_mag}")
+    return constants.eps_bar + constants.leakage_ratio * (constants.eps_bar + sup_mag)
 
 
 def failure_probability_bound(n: int, K: int, H: float) -> float:
@@ -181,7 +197,7 @@ def amplitude_condition_coefficients(detector: ThresholdConstants) -> tuple[floa
     detector's envelope at unit sigma and does not read its sigma; c_B
     collects the worst of the two leakage routes.
     """
-    ratio = detector.leakage_ratio  # raises on degenerate constants
+    ratio = detector.leakage_ratio
     sigma_coeff = (2.0 * ratio + 2.0) * noise_bound(detector.n, 1.0, detector.H)
     b_coeff = max(
         (8.0 * math.pi / 3.0) * detector.u2,
@@ -255,8 +271,10 @@ def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
 
     Midpoints sample each width-2/n main lobe at ~48 points; candidates
     (rationals or their float values, compared as floats) are evaluated
-    exactly.
+    exactly. Raises ``ValueError`` unless n is an integer (not a bool) of at
+    least 1.
     """
+    _checked_int("n", n)
     mesh = (2.0 * np.arange(1, 12 * n + 1) - 1.0) / (48.0 * n)
     extra = np.asarray(candidates, dtype=float)
     grid = np.sort(np.concatenate([mesh, extra[(extra > 0) & (extra <= 0.5)]]))
@@ -266,11 +284,19 @@ def frequency_grid(n: int, candidates: Sequence[float] = ()) -> np.ndarray:
 
 @dataclass
 class Periodogram:
-    """DFT magnitudes of one sample block on a frequency grid."""
+    """DFT magnitudes of one sample block on a frequency grid: ``grid`` and
+    ``magnitudes`` are 1-D, of one length of at least 1."""
 
     n: int
     grid: np.ndarray
     magnitudes: np.ndarray
+
+    def __post_init__(self) -> None:
+        shape, mag_shape = np.shape(self.grid), np.shape(self.magnitudes)
+        if shape != mag_shape or len(shape) != 1:
+            raise ValueError(f"grid of shape {shape} and magnitudes of shape {mag_shape} must be 1-D of one length")
+        if shape == (0,):
+            raise ValueError("empty periodogram")
 
 
 def _read_only(a: np.ndarray) -> np.ndarray:
@@ -366,9 +392,13 @@ class FrequencyEstimate:
     """Outcome of thresholded identification for one arm."""
 
     identified: list[Fraction]
-    period_estimate: int
     threshold: float
     trace: list[dict]
+
+    @property
+    def period_estimate(self) -> int:
+        """The LCM of the identified frequencies' denominators, 1 if none."""
+        return math.lcm(*(f.denominator for f in self.identified))
 
 
 def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants) -> FrequencyEstimate:
@@ -384,20 +414,18 @@ def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants)
     denominator, then smaller numerator. On the grid of the cached plan for
     (n, t_max) each point's match is read from the plan; on any other grid
     the points above the threshold are matched by the same rule. Raises
-    ``ValueError`` on an empty periodogram or one of a block whose length is
-    not the detector's n.
+    ``ValueError`` on a periodogram of a block whose length is not the
+    detector's n.
 
     A t_max below 2 leaves no representable period at this sample size; the
     candidate set is then empty and the estimate degrades to period 1.
     """
-    if periodogram.grid.size == 0:
-        raise ValueError("empty periodogram")
     n, g, t_max = detector.n, detector.g, detector.t_max
     if periodogram.n != n:
         raise ValueError(f"periodogram of {periodogram.n} samples given to a detector for n={n}")
     tau = threshold(detector, float(periodogram.magnitudes.max()))
     if t_max < 2:
-        return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
+        return FrequencyEstimate(identified=[], threshold=tau, trace=[])
     cands = _candidates(t_max)[0]
     grid = periodogram.grid
     mags = periodogram.magnitudes
@@ -420,14 +448,9 @@ def identify_frequencies(periodogram: Periodogram, detector: ThresholdConstants)
         points = [p for p in points if not lo < p[1] < hi and p[0] != idx]
         if v_hat not in identified:
             identified.append(v_hat)
-        trace.append({"v_star": v_star, "matched": v_hat, "excluded": (lo, hi), "magnitude": magnitude})
+        trace.append({"v_star": v_star, "matched": v_hat, "magnitude": magnitude})
     identified.sort()
-    return FrequencyEstimate(
-        identified=identified,
-        period_estimate=math.lcm(*(f.denominator for f in identified)),
-        threshold=tau,
-        trace=trace,
-    )
+    return FrequencyEstimate(identified=identified, threshold=tau, trace=trace)
 
 
 def estimate_periods(

@@ -9,7 +9,6 @@ that the package runs over the points above the threshold only;
 config, a fresh dict on every call, so a test may ``update`` it.
 """
 import json
-import math
 import os
 from fractions import Fraction
 
@@ -52,7 +51,7 @@ def dense_identify_frequencies(periodogram, detector) -> FrequencyEstimate:
     n, g, t_max = detector.n, detector.g, detector.t_max
     tau = threshold(detector, float(periodogram.magnitudes.max()))
     if t_max < 2:
-        return FrequencyEstimate(identified=[], period_estimate=1, threshold=tau, trace=[])
+        return FrequencyEstimate(identified=[], threshold=tau, trace=[])
     grid = periodogram.grid
     mags = periodogram.magnitudes
     active = (grid >= g / n) & (mags > tau)
@@ -69,13 +68,6 @@ def dense_identify_frequencies(periodogram, detector) -> FrequencyEstimate:
         active[idx] = False  # ensure progress even if the match is far away
         if v_hat not in identified:
             identified.append(v_hat)
-        trace.append(
-            {"v_star": v_star, "matched": v_hat, "excluded": (lo, hi), "magnitude": float(mags[idx])}
-        )
+        trace.append({"v_star": v_star, "matched": v_hat, "magnitude": float(mags[idx])})
     identified.sort()
-    return FrequencyEstimate(
-        identified=identified,
-        period_estimate=math.lcm(*(f.denominator for f in identified)),
-        threshold=tau,
-        trace=trace,
-    )
+    return FrequencyEstimate(identified=identified, threshold=tau, trace=trace)

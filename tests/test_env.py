@@ -262,6 +262,14 @@ def test_pseudo_regret_rejects_out_of_range_action(bad):
         pseudo_regret(two_arm([1.0], [0.0], horizon=3), [0, bad, 1])
 
 
+@pytest.mark.parametrize(("actions", "dtype"), [([0.5] * 10, "float64"), ([True] * 10, "bool")],
+                         ids=["float", "bool"])
+def test_pseudo_regret_rejects_non_integer_actions(actions, dtype):
+    # an int cast would read 0.5 as arm 0 and True as arm 1
+    with pytest.raises(ValueError, match=f"^actions must be integers, got dtype {dtype}$"):
+        pseudo_regret(default_sweep_instance(horizon=10), actions)
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 2**31))
 def test_pseudo_regret_nonnegative_nondecreasing(seed):

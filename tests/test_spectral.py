@@ -13,6 +13,8 @@ from hypothesis import strategies as st
 from periodic_bandits import spectral
 from periodic_bandits.env import MeanProfile, default_sweep_instance, make_demo_instance
 from periodic_bandits.spectral import (
+    FrequencyEstimate,
+    ThresholdConstants,
     _candidates,
     _detection_plan,
     a_sup,
@@ -150,9 +152,17 @@ def test_failure_bound_rejects_bad_H(H):
         (lambda: compute_periodogram([1.0, None], range(1, 3), [0.25]), "^non-finite sample nan at index 1$"),
         (lambda: identify_frequencies(spectral.Periodogram(50, np.array([]), np.array([])),
                                       threshold_constants(50, 8, 0.5)), "^empty periodogram$"),
+        (lambda: spectral.Periodogram(50, frequency_grid(50), np.ones(300)),
+         r"^grid of shape \(600,\) and magnitudes of shape \(300,\) must be 1-D of one length$"),
+        (lambda: spectral.Periodogram(50, frequency_grid(50)[:300], np.ones(600)),
+         r"^grid of shape \(300,\) and magnitudes of shape \(600,\) must be 1-D of one length$"),
+        (lambda: frequency_grid(0), "^n must be an integer of at least 1, got 0$"),
+        (lambda: frequency_grid(True), "^n must be an integer of at least 1, got True$"),
     ],
     ids=["noise-bound-n-1", "periodogram-range-misaligned", "periodogram-list-misaligned",
-         "periodogram-nested-list", "periodogram-none-sample", "empty-periodogram"],
+         "periodogram-nested-list", "periodogram-none-sample", "empty-periodogram",
+         "periodogram-short-magnitudes", "periodogram-short-grid", "frequency-grid-n-0",
+         "frequency-grid-n-bool"],
 )
 def test_malformed_spectral_input_rejected(call, named):
     with pytest.raises(ValueError, match=named):
@@ -177,8 +187,9 @@ def test_threshold_affine_in_sup():
     t0 = threshold(consts, 1.0)
     t1 = threshold(consts, 2.0)
     assert t1 - t0 == pytest.approx(ratio)
-    with pytest.raises(ValueError):
-        threshold(consts, -1.0)
+    for bad in (-1.0, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"^sup_mag must be finite and >= 0, got {bad}$"):
+            threshold(consts, bad)
 
 
 def test_threshold_zero_noise_zero_sup():
@@ -186,12 +197,18 @@ def test_threshold_zero_noise_zero_sup():
     assert threshold(consts, 0.0) == 0.0
 
 
-def test_threshold_degenerate_constants():
-    from periodic_bandits.spectral import ThresholdConstants
-
-    bad = ThresholdConstants(n=50, g=8, H=1.0, sigma=1.0, u1=0.1, u2=1.0, eps_bar=0.1, t_max=3)
-    with pytest.raises(ValueError):
-        threshold(bad, 1.0)
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 10**6), extra=st.integers(0, 1000))
+@example(n=25, extra=0)  # g = 5, the smallest g with a U2 term: the largest pi U2 over n <= 5000
+@example(n=2, extra=0)  # U1 = 0
+def test_leakage_ratio_finite_for_every_valid_n_g(n, extra):
+    # A_m <= 1/(pi m) and g^2 >= n give pi U2 <= (1 + log(g/4)) / (2g - 1) <=
+    # 0.136, so 1 - pi U2 never reaches 0; U1 is 0 exactly when n <= 2g
+    g = max(2, math.isqrt(n - 1) + 1) + extra
+    c = ThresholdConstants(n, g, None, 0.1, None)
+    assert math.pi * c.u2 <= 0.136
+    assert 0 <= c.leakage_ratio < math.inf
+    assert (c.leakage_ratio > 0) == (n > 2 * g)
 
 
 def test_failure_probability_reference():
@@ -554,6 +571,18 @@ def test_default_t_max():
     assert threshold_constants(64, 8, 0.1).t_max == 3  # integral n/(2g) -> strictly below
 
 
+@pytest.mark.parametrize("n", [2, 50, 500])
+def test_detector_type_fills_its_own_defaults(n):
+    assert ThresholdConstants(n, None, None, 0.2, None) == threshold_constants(n, None, 0.2)
+
+
+@pytest.mark.parametrize("t_max", [2.5, True, -1])
+def test_detector_rejects_t_max_that_is_not_a_count(t_max):
+    # a t_max that is not a count would otherwise fail later, in range(), far from its cause
+    with pytest.raises(ValueError, match=f"^t_max must be an integer of at least 0, got {t_max}$"):
+        threshold_constants(50, 8, 0.1, None, t_max)
+
+
 @settings(max_examples=60, deadline=None)
 @given(K=st.integers(1, 8), data=st.data())
 def test_for_horizon_resolution_rules(K, data):
@@ -644,6 +673,15 @@ def test_constant_signal_identifies_nothing():
     assert est.period_estimate == 1
 
 
+def test_period_estimate_is_lcm_of_identified_denominators():
+    def estimate(*freqs):
+        return FrequencyEstimate(identified=list(freqs), threshold=0.0, trace=[])
+
+    assert estimate().period_estimate == 1
+    assert estimate(Fraction(1, 2)).period_estimate == 2
+    assert estimate(Fraction(1, 6), Fraction(1, 4), Fraction(1, 2)).period_estimate == 12
+
+
 def test_two_tone_arms_noise_free():
     t3 = np.arange(1, 401)
     arm_a = 0.5 + 0.4 * np.cos(2 * np.pi * t3 / 3)
@@ -682,7 +720,7 @@ def test_trace_exclusions_separate_identified():
         v = float(entry["matched"])
         for lo, hi in seen:
             assert not (lo < v < hi)
-        seen.append(entry["excluded"])
+        seen.append((v - g_over_n, v + g_over_n))
     vals = [float(f) for f in est.identified]
     for i, a in enumerate(vals):
         for b in vals[i + 1:]:
