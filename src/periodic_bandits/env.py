@@ -20,17 +20,10 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .spectral import ThresholdConstants, _checked_int, amplitude_condition_coefficients
+from .spectral import ThresholdConstants, _checked_int, _checked_number, amplitude_condition_coefficients
 
 IMAG_TOL = 1e-9   # max imaginary residue tolerated when evaluating Fourier profiles
 COEF_TOL = 1e-12  # below this a Fourier coefficient counts as absent
-
-
-def _checked_number(key: str, value) -> float:
-    """``value`` checked to be a finite int or float (not a bool); ``key`` names it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise ValueError(f"{key} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _checked_list(key: str, value) -> list | tuple:
@@ -68,12 +61,8 @@ class MeanProfile:
         _checked_int("period", self.period)
         if len(self.values) != self.period:
             raise ValueError("values must contain exactly `period` entries")
-        for i, v in enumerate(self.values):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise ValueError(f"profile value {v!r} at index {i} is not a number")
-            if not math.isfinite(v):
-                raise ValueError(f"profile value {v} at index {i} is not finite")
-        object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+        values = tuple(_checked_number(f"profile value at index {i}", v) for i, v in enumerate(self.values))
+        object.__setattr__(self, "values", values)
         _check_minimal_period(self.values)
 
     @classmethod
@@ -132,11 +121,9 @@ class NoiseModel:
     def __post_init__(self) -> None:
         if self.kind not in ("gaussian", "uniform-bounded"):
             raise ValueError(f"unknown noise kind {self.kind!r}")
-        if isinstance(self.sigma, bool) or not isinstance(self.sigma, (int, float)):
-            raise ValueError(f"sigma must be a number, got {self.sigma!r}")
-        if not math.isfinite(self.sigma) or self.sigma < 0:
-            raise ValueError(f"sigma must be finite and nonnegative, got {self.sigma}")
-        object.__setattr__(self, "sigma", float(self.sigma))
+        object.__setattr__(self, "sigma", _checked_number("sigma", self.sigma))
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
     def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
         if self.kind == "gaussian":
@@ -369,11 +356,12 @@ def instance_from_dict(spec: dict) -> BanditInstance:
         if "values" in arm:
             values = _checked_list(f"arm {a}: values", arm["values"])
         elif "fourier" in arm:
+            coeffs = []
             for i, pair in enumerate(_checked_list(f"arm {a}: fourier", arm["fourier"])):
-                if not isinstance(pair, (list, tuple)) or len(pair) != 2 or any(
-                        isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
-                    raise ValueError(f"arm {a}: fourier coefficient {pair!r} at index {i} is not a number pair")
-            coeffs = [complex(re, im) for re, im in arm["fourier"]]
+                key = f"arm {a}: fourier coefficient {pair!r} at index {i}"
+                if not isinstance(pair, (list, tuple)) or len(pair) != 2:
+                    raise ValueError(f"{key} is not a number pair")
+                coeffs.append(complex(*(_checked_number(key, x) for x in pair)))
             if len(coeffs) != period:
                 raise ValueError(f"arm {a}: fourier coefficient count must equal period")
             values = MeanProfile.from_fourier(coeffs).values

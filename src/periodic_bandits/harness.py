@@ -31,8 +31,9 @@ from multiprocessing import Pool
 import numpy as np
 
 from . import __version__
-from .env import BanditInstance, RunResult, _checked_int, _checked_keys, pseudo_regret, resolve_instance
+from .env import BanditInstance, RunResult, _checked_keys, _checked_list, pseudo_regret, resolve_instance
 from .policies import InstanceView, Policy, make_policy
+from .spectral import _checked_int
 
 CSV_HEADER = "policy,T,replication,t,cum_regret"
 CONFIG_KEYS = ("instance", "policies", "horizons", "replications", "base_seed", "curve_points", "workers")
@@ -254,9 +255,7 @@ def _horizons(config: dict) -> list[int] | None:
     horizons = config.get("horizons")
     if horizons is None:
         return None
-    if not isinstance(horizons, (list, tuple)):
-        raise ValueError(f"horizons must be a list of integers, got {horizons!r}")
-    hs = [_checked_int("horizons", h) for h in horizons]
+    hs = [_checked_int("horizons", h) for h in _checked_list("horizons", horizons)]
     if not hs:
         raise ValueError("horizons must not be empty")
     if hs != sorted(hs) or len(set(hs)) != len(hs):
@@ -277,9 +276,7 @@ def _policy_params(config: dict, instances: list[BanditInstance]) -> dict[str, d
     """{id: params} of config["policies"], each entry built once with
     ``make_policy`` and begun on every instance, so an unknown id, a bad param
     or one that does not fit some horizon fails before any episode."""
-    entries = config.get("policies")
-    if not isinstance(entries, (list, tuple)):
-        raise ValueError(f"policies must be a list of entries, got {entries!r}")
+    entries = _checked_list("policies", config.get("policies"))
     if not entries:
         raise ValueError("policies must not be empty")
     for pol in entries:

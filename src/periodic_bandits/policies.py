@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from math import log, sqrt
 from typing import Iterable, Sequence
 
-from .env import _checked_int, _checked_keys, _checked_number
-from .spectral import ThresholdConstants, estimate_periods, u_constants
+from .env import _checked_keys
+from .spectral import ThresholdConstants, _checked_int, _checked_number, estimate_periods, u_constants
 
 
 def recommended_parameters(T: int, K: int) -> tuple[int, int, float]:
@@ -375,8 +375,8 @@ def _shared_period(view: InstanceView, policy: str) -> int:
 
 def elimination_schedule(s: int, K: int, T: int, T1: int) -> int:
     """Pulls per active arm in round s: ceil(2^(2+2s) log(K T s^2) / T1) * T1."""
-    if s < 1 or T1 < 1:
-        raise ValueError("need s >= 1 and T1 >= 1")
+    _checked_int("s", s)
+    _checked_int("T1", T1)
     raw = 2.0 ** (2 + 2 * s) * math.log(K * T * s * s)
     return math.ceil(raw / T1) * T1
 

@@ -22,7 +22,7 @@ point's matching candidate. A block then costs one batched FFT, one small
 matrix-vector product and one gather, and each peak one table read, with the
 same bits as building the plan afresh.
 
-All constants are deterministic functions of (n, g, H, sigma); "log" is the
+All constants are deterministic functions of (n, g, sigma, H); "log" is the
 natural logarithm throughout.
 """
 from __future__ import annotations
@@ -46,11 +46,18 @@ def _checked_int(key: str, value, least: int = 1) -> int:
     return value
 
 
+def _checked_number(key: str, value) -> float:
+    """``value`` checked to be a finite int or float (not a bool); ``key`` names it."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return float(value)
+
+
 # ---------------------------------------------------------------------------
 # Deterministic constants
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True and 1.0 must not be served the entry of 1 unchecked
 def a_sup(j: int) -> float:
     """Supremum of |sin(pi v)| / (pi v) over [j, j+1].
 
@@ -58,8 +65,7 @@ def a_sup(j: int) -> float:
     point of x <- pi j + atan(x) (contraction 1 / (1 + x^2)). |sin x| / x is
     flat there, so it is evaluated rather than the equal 1 / sqrt(1 + x^2).
     """
-    if j < 1:
-        raise ValueError("j must be a positive integer")
+    _checked_int("j", j)
     x = math.pi * (j + 0.5)
     for _ in range(64):
         x, prev = math.pi * j + math.atan(x), x
@@ -74,9 +80,9 @@ def u_constants(n: int, g: int) -> tuple[float, float]:
     The first runs j = 0 .. floor((n - 2g - 1) / (4g)), the second
     j = 1 .. floor((n - 1) / (4g)). Requires g >= max(2, sqrt(n)).
     """
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if g < 2 or g * g < n:
+    _checked_int("n", n, least=2)
+    _checked_int("g", g, least=2)
+    if g * g < n:
         raise ValueError(f"g={g} violates g >= max(2, sqrt(n)) for n={n}")
     u1 = sum((a_sup((2 * j + 1) * g) for j in range(0, (n - 2 * g - 1) // (4 * g) + 1)), 0.0)
     u2 = sum((a_sup(2 * j * g - 1) for j in range(1, (n - 1) // (4 * g) + 1)), 0.0)
@@ -85,12 +91,11 @@ def u_constants(n: int, g: int) -> tuple[float, float]:
 
 def noise_bound(n: int, sigma: float, H: float) -> float:
     """High-probability envelope for the noise DFT: 2 sigma H / (1 - pi/24) * sqrt(log(n)/n)."""
-    if n < 2:
-        raise ValueError("n must be at least 2")
-    if not (math.isfinite(sigma) and sigma >= 0):
-        raise ValueError(f"sigma must be finite and >= 0, got {sigma}")
-    if not (math.isfinite(H) and H > 0):
-        raise ValueError(f"H must be finite and > 0, got {H}")
+    _checked_int("n", n, least=2)
+    if _checked_number("sigma", sigma) < 0:
+        raise ValueError(f"sigma must be >= 0, got {sigma}")
+    if _checked_number("H", H) <= 0:
+        raise ValueError(f"H must be > 0, got {H}")
     return 2.0 * sigma * H / (1.0 - math.pi / 24.0) * math.sqrt(math.log(n) / n)
 
 
@@ -100,14 +105,15 @@ def default_H(n: int) -> float:
 
 @dataclass(frozen=True)
 class ThresholdConstants:
-    """Stage one's detector: n, g, H, sigma, the largest candidate denominator
+    """Stage one's detector: n, g, sigma, H, the largest candidate denominator
     t_max, and everything deterministic in them that the threshold needs.
 
     The one place the defaults are filled: an unset g is ceil(sqrt(n)), H is
     sqrt(1 + log n) and t_max is ceil(n / (2g)) - 1, so periods must be below
-    n/(2g). Checks n >= 2, g >= max(2, sqrt(n)), sigma and H as
-    ``noise_bound`` does, and that t_max is an integer (not a bool) of at
-    least 0, then derives U1, U2, the noise envelope ``eps_bar`` and
+    n/(2g). Checks that n is an integer of at least 2 before g's default is
+    taken from it, g as ``u_constants`` does, sigma and H as ``noise_bound``
+    does, and that t_max is an integer (not a bool) of at least 0, then
+    derives U1, U2, the noise envelope ``eps_bar`` and
     ``leakage_ratio`` = pi U1 / (1 - pi U2), the threshold's slope in the
     observed sup. No valid (n, g) makes that ratio degenerate: A_m <= 1/(pi m)
     and g^2 >= n give pi U2 <= (1 + log(g/4)) / (2g - 1) <= 0.136.
@@ -115,8 +121,8 @@ class ThresholdConstants:
 
     n: int
     g: int | None
-    H: float | None
     sigma: float
+    H: float | None
     t_max: int | None
     u1: float = field(init=False)
     u2: float = field(init=False)
@@ -124,9 +130,9 @@ class ThresholdConstants:
     leakage_ratio: float = field(init=False)
 
     def __post_init__(self) -> None:
-        n = self.n
-        g = math.ceil(math.sqrt(max(n, 0))) if self.g is None else self.g  # so that n < 0 reaches the check
-        u1, u2 = u_constants(n, g)  # checks n >= 2 and g >= max(2, sqrt(n))
+        n = _checked_int("n", self.n, least=2)
+        g = math.ceil(math.sqrt(n)) if self.g is None else self.g
+        u1, u2 = u_constants(n, g)  # checks g >= max(2, sqrt(n))
         H = default_H(n) if self.H is None else self.H
         eps_bar = noise_bound(n, self.sigma, H)
         t_max = _checked_int("t_max", math.ceil(n / (2 * g)) - 1 if self.t_max is None else self.t_max, least=0)
@@ -141,6 +147,8 @@ class ThresholdConstants:
     ) -> ThresholdConstants:
         """The detector of stage one at horizon T with K arms: an unset n is
         floor(sqrt(T/K)), which needs T > 4K, and n K must be below T."""
+        _checked_int("T", T)
+        _checked_int("K", K)
         if n is None:
             if T <= 4 * K:
                 raise ValueError("horizon too short: need T > 4K")
@@ -150,16 +158,16 @@ class ThresholdConstants:
         return threshold_constants(n, g, sigma)
 
 
-@lru_cache(maxsize=64, typed=True)  # typed: 50.0 must not hit the entry of 50
+@lru_cache(maxsize=64, typed=True)  # typed: True and 50.0 must not be served the entries of 1 and 50 unchecked
 def threshold_constants(
     n: int, g: int | None, sigma: float, H: float | None = None, t_max: int | None = None
 ) -> ThresholdConstants:
-    """The detector ``ThresholdConstants(n, g, H, sigma, t_max)`` for an
+    """The detector ``ThresholdConstants(n, g, sigma, H, t_max)`` for an
     n-sample block.
 
     Equal arguments of equal types return one shared (frozen) value; a call
     that raises caches nothing."""
-    return ThresholdConstants(n, g, H, sigma, t_max)
+    return ThresholdConstants(n, g, sigma, H, t_max)
 
 
 def threshold(constants: ThresholdConstants, sup_mag: float) -> float:
@@ -179,8 +187,10 @@ def failure_probability_bound(n: int, K: int, H: float) -> float:
     Three-term sum 48K/n^(H^2-1) + 200K/n^(0.867 H^2-1) + 200K/n^(0.694 H^2-1);
     meaningful (and decreasing in n) only for H > 1.
     """
-    if n < 2 or K < 1 or not (math.isfinite(H) and H > 0):
-        raise ValueError(f"need n >= 2, K >= 1 and a finite H > 0, got n={n}, K={K}, H={H}")
+    _checked_int("n", n, least=2)
+    _checked_int("K", K)
+    if _checked_number("H", H) <= 0:
+        raise ValueError(f"H must be > 0, got {H}")
     h2 = H * H
     return (
         48.0 * K / n ** (h2 - 1.0)
@@ -368,14 +378,16 @@ def compute_periodogram(samples: Sequence[float], epochs: Sequence[int], grid: n
     magnitude does not depend on the start epoch, so the epochs are only
     checked. A cached detection grid (the one ``estimate_periods`` passes)
     reuses its plan; any other grid gets a plan built for this call. Raises
-    ``ValueError`` on a non-finite sample or on epochs that are not
-    consecutive.
+    ``ValueError`` on a non-finite sample, on epochs that are not consecutive
+    or on a grid that is not 1-D.
     """
     y = _as_block(samples, epochs)
     n = y.size
     grid = np.asarray(grid, dtype=float)
     plan = next((p for p in _plans.values() if p.grid is grid), None)
     if plan is None or plan.n != n:
+        if grid.ndim != 1:
+            raise ValueError(f"grid must be 1-D, got shape {grid.shape}")
         plan = _DetectionPlan(n, grid, 1)
     y = y / n  # n real divisions: dividing the complex values instead is ~10x slower
     rows = np.fft.fft(plan.pre * y)

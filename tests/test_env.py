@@ -69,7 +69,7 @@ def test_minimal_period_enforced():
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_profile_rejects_non_finite_values(bad):
-    with pytest.raises(ValueError, match="index 1 is not finite"):
+    with pytest.raises(ValueError, match="index 1 must be a finite number"):
         MeanProfile.from_values([0.3, bad, 0.7])
     with pytest.raises(ValueError):
         MeanProfile.from_fourier([0.5, complex(bad, 0.0), complex(bad, 0.0)])
@@ -179,10 +179,10 @@ def test_unknown_noise_kind():
         (lambda: BanditInstance((MeanProfile.from_values([0.9, 0.1]),), NoiseModel(), horizon=2.5), "horizon"),
         (lambda: BanditInstance((MeanProfile.from_values([0.9, 0.1]),), NoiseModel(), horizon=True), "horizon"),
         (lambda: MeanProfile(period=2.0, values=(0.9, 0.1)), "period must be an integer"),
-        (lambda: MeanProfile.from_values(["0.9", 0.1]), "index 0 is not a number"),
-        (lambda: MeanProfile.from_values([True, 0.0]), "index 0 is not a number"),
-        (lambda: NoiseModel("gaussian", True), "sigma must be a number, got True"),
-        (lambda: NoiseModel("gaussian", "0.1"), "sigma must be a number, got '0.1'"),
+        (lambda: MeanProfile.from_values(["0.9", 0.1]), "index 0 must be a finite number"),
+        (lambda: MeanProfile.from_values([True, 0.0]), "index 0 must be a finite number"),
+        (lambda: NoiseModel("gaussian", True), "sigma must be a finite number, got True"),
+        (lambda: NoiseModel("gaussian", "0.1"), "sigma must be a finite number, got '0.1'"),
         (lambda: MeanProfile(period=3, values=(0.9, 0.1)), "^values must contain exactly `period` entries$"),
         (lambda: MeanProfile.from_fourier([]), "^need at least one coefficient$"),
         (lambda: BanditInstance((), NoiseModel(), horizon=10), "^need at least one arm$"),
@@ -206,7 +206,7 @@ def test_constructors_store_floats():
 @pytest.mark.parametrize("kind", ["gaussian", "uniform-bounded"])
 @pytest.mark.parametrize("sigma", [math.nan, math.inf, -0.1])
 def test_noise_rejects_bad_sigma(kind, sigma):
-    with pytest.raises(ValueError, match="sigma must be finite and nonnegative"):
+    with pytest.raises(ValueError, match=f"sigma must be {'>= 0' if sigma < 0 else 'a finite number'}, got {sigma}"):
         NoiseModel(kind, sigma)
 
 

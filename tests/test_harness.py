@@ -263,14 +263,14 @@ def test_tail_fraction_checked_before_any_episode(key, value):
         (lambda cfg: cfg["instance"].update(horizn=600), "unknown key 'horizn'"),
         (lambda cfg: cfg["instance"].update(noise={"sigm": 0.1}), "unknown key 'sigm'"),
         (lambda cfg: cfg["instance"].update(noise="gaussian"), "noise must be a dict"),
-        (lambda cfg: cfg["instance"]["noise"].update(sigma="0.1"), "sigma must be a number, got '0.1'"),
-        (lambda cfg: cfg["instance"]["noise"].update(sigma=True), "sigma must be a number, got True"),
+        (lambda cfg: cfg["instance"]["noise"].update(sigma="0.1"), "sigma must be a finite number, got '0.1'"),
+        (lambda cfg: cfg["instance"]["noise"].update(sigma=True), "sigma must be a finite number, got True"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": ["0.9", "0.1"]}),
-         "profile value '0.9' at index 0 is not a number"),
+         "profile value at index 0 must be a finite number, got '0.9'"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": [[True, 0], [0.25, False]]}),
-         re.escape("arm 2: fourier coefficient [True, 0] at index 0 is not a number pair")),
+         re.escape("arm 2: fourier coefficient [True, 0] at index 0 must be a finite number, got True")),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "fourier": [[0.5, 0], ["0.25", 0]]}),
-         re.escape("arm 2: fourier coefficient ['0.25', 0] at index 1 is not a number pair")),
+         re.escape("arm 2: fourier coefficient ['0.25', 0] at index 1 must be a finite number, got '0.25'")),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 2, "values": [0.9, 0.1], "phase": 1}),
          "arm has unknown key 'phase'"),
         (lambda cfg: cfg["instance"]["arms"].append({"period": 1, "valeus": [0.5], "values": [0.4]}),
@@ -811,10 +811,10 @@ def test_cli_constants(capsys):
     ("args", "message"),
     [
         (["--g", "3"], "g=3 violates g >= max"),
-        (["--n", "1"], "n must be at least 2"),
-        (["--H", "nan"], "H must be finite"),
-        (["--K", "0"], "K >= 1"),
-        (["--sigma", "-1"], "sigma must be finite"),
+        (["--n", "1"], "n must be an integer of at least 2, got 1"),
+        (["--H", "nan"], "H must be a finite number, got nan"),
+        (["--K", "0"], "K must be an integer of at least 1, got 0"),
+        (["--sigma", "-1"], "sigma must be >= 0, got -1.0"),
     ],
     ids=["g-3", "n-1", "H-nan", "K-0", "sigma-minus-1"],
 )
@@ -841,9 +841,11 @@ def test_cli_detect(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     ("rows", "args", "message"),
-    [pytest.param(50, [o, v, "--t-max", "10"], f"{o[2:]} must be finite", id=f"{o}-{v}")
-     for o, v in (("--sigma", "nan"), ("--sigma", "inf"), ("--H", "nan"), ("--H", "inf"), ("--sigma", "-1"))]
-    + [pytest.param(50, ["--g", "1", "--t-max", "10"], "g=1 violates g >= max", id="--g-1")]
+    [pytest.param(50, [o, v, "--t-max", "10"], f"{o[2:]} must be {bound}", id=f"{o}-{v}")
+     for o, v, bound in (("--sigma", "nan", "a finite number"), ("--sigma", "inf", "a finite number"),
+                         ("--H", "nan", "a finite number"), ("--H", "inf", "a finite number"),
+                         ("--sigma", "-1", ">= 0"))]
+    + [pytest.param(50, ["--g", "1", "--t-max", "10"], "g must be an integer of at least 2, got 1", id="--g-1")]
     + [pytest.param(50, ["--t-max", v], f"--t-max must be at least 2, got {v}$", id=f"--t-max-{v}")
        for v in ("1", "0")]
     # 12 rows at the default g=4 leave t_max=1, below every period
@@ -1057,7 +1059,7 @@ def test_cli_sweep(tmp_path):
         ({"instance": {"preset": "e1"}, "horizons": MISSING}, "preset 'e1' reads the horizon.*horizons.*T param"),
         ({"instance": {"preset": "sweep_default", "params": {"horizon": 3000.5}}, "horizons": MISSING},
          "horizon must be an integer of at least 1, got 3000.5"),
-        ({"instance": {"preset": "sweep_default", "params": {"sigma": False}}}, "sigma must be a number, got False"),
+        ({"instance": {"preset": "sweep_default", "params": {"sigma": False}}}, "sigma must be a finite number, got False"),
         ({"instance": {"preset": "e1", "params": {"T": 5000, "T1": 4}}, "horizons": [100]},
          "preset 'e1' reads the horizon: give either horizons or a T param$"),
         ({"instance": {"preset": "sweep_default", "params": {"horizon": 5000}}, "horizons": [100]},
@@ -1072,11 +1074,13 @@ def test_cli_sweep(tmp_path):
          "delta_gap must be a finite number, got '0.1'$"),
         ({"instance": {"preset": "e3", "params": {"periods": [2, 2], "perturbation": True}}},
          "perturbation must be a finite number, got True$"),
+        ({"horizons": 300}, "horizons must be a list, got 300$"),
+        ({"policies": 5}, "policies must be a list, got 5$"),
     ],
     ids=["zero-replications", "list", "string", "missing-file", "g-below-sqrt-n", "list-id", "e1-without-horizons",
          "preset-float-horizon", "preset-bool-sigma", "e1-T-and-horizons", "sweep_default-horizon-and-horizons",
          "demo-n-and-horizons", "e1-T1", "e1-T-0", "e2-T1-float",
-         "e1-delta_gap-string", "e3-perturbation-bool"],
+         "e1-delta_gap-string", "e3-perturbation-bool", "horizons-int", "policies-int"],
 )
 def test_cli_bad_config_exits_with_one_line(tmp_path, command, config, message):
     # like report, sweep turns a ValueError, or a config file it cannot read,

@@ -157,8 +157,11 @@ def test_elimination_schedule_values():
     for s in (5, 6, 7, 8):
         ratio = elimination_schedule(s + 1, 2, 10**6, 1) / elimination_schedule(s, 2, 10**6, 1)
         assert ratio == pytest.approx(4.0, rel=0.025)
-    with pytest.raises(ValueError, match="need s >= 1"):
+    with pytest.raises(ValueError, match="s must be an integer of at least 1, got 0"):
         elimination_schedule(0, 2, 10000, 4)
+    # a fractional T1 would give a fractional pull count
+    with pytest.raises(ValueError, match="^T1 must be an integer of at least 1, got 2.5$"):
+        elimination_schedule(1, 2, 100, 2.5)
 
 
 # ---------------------------------------------------------------------------

@@ -123,29 +123,32 @@ def test_noise_bound_value():
 
 
 @pytest.mark.parametrize(
-    ("sigma", "H", "key"),
-    [pytest.param(v, H50, "sigma", id=f"sigma={v}") for v in (math.nan, math.inf, -0.1)]
-    + [pytest.param(0.2, v, "H", id=f"H={v}") for v in (math.nan, math.inf, 0.0, -1.0)],
+    ("sigma", "H", "named"),
+    [pytest.param(v, H50, f"sigma must be {'>= 0' if v < 0 else 'a finite number'}, got {v}", id=f"sigma={v}")
+     for v in (math.nan, math.inf, -0.1)]
+    + [pytest.param(0.2, v, f"H must be {'> 0' if v <= 0 else 'a finite number'}, got {v}", id=f"H={v}")
+       for v in (math.nan, math.inf, 0.0, -1.0)],
 )
-def test_noise_bound_rejects_bad_sigma_or_H(sigma, H, key):
+def test_noise_bound_rejects_bad_sigma_or_H(sigma, H, named):
     # a NaN sigma or H would make the threshold NaN, and every peak would
     # then fall below it
-    with pytest.raises(ValueError, match=f"{key} must be finite"):
+    with pytest.raises(ValueError, match=named):
         noise_bound(50, sigma, H)
 
 
 @pytest.mark.parametrize("H", [math.nan, math.inf, 0.0, -1.0])
 def test_failure_bound_rejects_bad_H(H):
-    with pytest.raises(ValueError, match="finite H > 0"):
+    named = f"H must be {'> 0' if H <= 0 else 'a finite number'}, got {H}"
+    with pytest.raises(ValueError, match=named):
         failure_probability_bound(50, 5, H)
-    with pytest.raises(ValueError, match="H must be finite"):
+    with pytest.raises(ValueError, match=named):
         amplitude_condition_coefficients(threshold_constants(50, 8, 1.0, H))
 
 
 @pytest.mark.parametrize(
     ("call", "named"),
     [
-        (lambda: noise_bound(1, 0.2, H50), "^n must be at least 2$"),
+        (lambda: noise_bound(1, 0.2, H50), "^n must be an integer of at least 2, got 1$"),
         (lambda: compute_periodogram([1.0, 0.0], range(1, 4), [0.25]), "^samples and epochs must align$"),
         (lambda: compute_periodogram([1.0, 0.0], [1, 2, 3], [0.25]), "^samples and epochs must align$"),
         (lambda: compute_periodogram([[1.0], [0.0]], range(1, 3), [0.25]), "^samples and epochs must align$"),
@@ -158,11 +161,33 @@ def test_failure_bound_rejects_bad_H(H):
          r"^grid of shape \(300,\) and magnitudes of shape \(600,\) must be 1-D of one length$"),
         (lambda: frequency_grid(0), "^n must be an integer of at least 1, got 0$"),
         (lambda: frequency_grid(True), "^n must be an integer of at least 1, got True$"),
+        (lambda: compute_periodogram([1.0] * 50, range(1, 51), frequency_grid(50)[:, None]),
+         r"^grid must be 1-D, got shape \(600, 1\)$"),
+        (lambda: threshold_constants(50, 8.0, 0.2), "^g must be an integer of at least 2, got 8.0$"),
+        (lambda: threshold_constants(50.0, 8, 0.2), "^n must be an integer of at least 2, got 50.0$"),
+        (lambda: threshold_constants("50", None, 0.1), "^n must be an integer of at least 2, got '50'$"),
+        (lambda: threshold_constants(50, 8, True), "^sigma must be a finite number, got True$"),
+        (lambda: threshold_constants(50, 8, 0.2, True), "^H must be a finite number, got True$"),
+        # typed cache: True equals 1, and must not be served the entry of 1
+        (lambda: (threshold_constants(50, 8, 1), threshold_constants(50, 8, True)),
+         "^sigma must be a finite number, got True$"),
+        (lambda: ThresholdConstants.for_horizon(1000, 0, 0.1), "^K must be an integer of at least 1, got 0$"),
+        (lambda: ThresholdConstants.for_horizon(1000.5, 3, 0.1), "^T must be an integer of at least 1, got 1000.5$"),
+        (lambda: failure_probability_bound(50.5, 2, 1.5), "^n must be an integer of at least 2, got 50.5$"),
+        (lambda: failure_probability_bound(50, True, 1.5), "^K must be an integer of at least 1, got True$"),
+        (lambda: noise_bound(50, True, 1.0), "^sigma must be a finite number, got True$"),
+        (lambda: u_constants(50.0, 8), "^n must be an integer of at least 2, got 50.0$"),
+        (lambda: a_sup(1.5), "^j must be an integer of at least 1, got 1.5$"),
+        # typed cache: True equals 1, and must not be served the entry of 1
+        (lambda: (a_sup(1), a_sup(True)), "^j must be an integer of at least 1, got True$"),
     ],
     ids=["noise-bound-n-1", "periodogram-range-misaligned", "periodogram-list-misaligned",
          "periodogram-nested-list", "periodogram-none-sample", "empty-periodogram",
          "periodogram-short-magnitudes", "periodogram-short-grid", "frequency-grid-n-0",
-         "frequency-grid-n-bool"],
+         "frequency-grid-n-bool", "periodogram-2d-grid", "detector-g-float", "detector-n-float",
+         "detector-n-string", "detector-sigma-bool", "detector-H-bool", "detector-sigma-bool-after-1",
+         "for-horizon-K-0", "for-horizon-T-float", "failure-bound-n-float", "failure-bound-K-bool",
+         "noise-bound-sigma-bool", "u-constants-n-float", "a-sup-j-float", "a-sup-j-bool-after-1"],
 )
 def test_malformed_spectral_input_rejected(call, named):
     with pytest.raises(ValueError, match=named):
@@ -205,7 +230,7 @@ def test_leakage_ratio_finite_for_every_valid_n_g(n, extra):
     # A_m <= 1/(pi m) and g^2 >= n give pi U2 <= (1 + log(g/4)) / (2g - 1) <=
     # 0.136, so 1 - pi U2 never reaches 0; U1 is 0 exactly when n <= 2g
     g = max(2, math.isqrt(n - 1) + 1) + extra
-    c = ThresholdConstants(n, g, None, 0.1, None)
+    c = ThresholdConstants(n, g, 0.1, None, None)
     assert math.pi * c.u2 <= 0.136
     assert 0 <= c.leakage_ratio < math.inf
     assert (c.leakage_ratio > 0) == (n > 2 * g)
@@ -559,10 +584,10 @@ def test_threshold_constants_shared_per_argument_tuple():
     assert threshold_constants(50, 8, 0.2) is c
     with pytest.raises(dataclasses.FrozenInstanceError):
         c.sigma = 0.3
-    with pytest.raises(TypeError):
+    with pytest.raises(ValueError, match="n must be an integer of at least 2, got 50.0"):
         threshold_constants(50.0, 8, 0.2)
     for _ in range(2):
-        with pytest.raises(ValueError, match="sigma must be finite and >= 0, got nan"):
+        with pytest.raises(ValueError, match="sigma must be a finite number, got nan"):
             threshold_constants(50, 8, math.nan)
 
 
@@ -573,7 +598,9 @@ def test_default_t_max():
 
 @pytest.mark.parametrize("n", [2, 50, 500])
 def test_detector_type_fills_its_own_defaults(n):
-    assert ThresholdConstants(n, None, None, 0.2, None) == threshold_constants(n, None, 0.2)
+    assert ThresholdConstants(n, None, 0.2, None, None) == threshold_constants(n, None, 0.2)
+    # fields in the order of threshold_constants' arguments: n, g, sigma, H, t_max
+    assert ThresholdConstants(n, None, 0.2, 1.5, None) == threshold_constants(n, None, 0.2, 1.5)
 
 
 @pytest.mark.parametrize("t_max", [2.5, True, -1])
@@ -599,7 +626,10 @@ def test_for_horizon_resolution_rules(K, data):
     n = data.draw(st.integers(2, 400), label="n")
     g = data.draw(st.integers(-1, 25), label="g")
     T = n * K + data.draw(st.integers(1, 1000), label="T - nK")
-    if g < 2 or g * g < n:
+    if g < 2:
+        with pytest.raises(ValueError, match=f"^g must be an integer of at least 2, got {g}$"):
+            spectral.ThresholdConstants.for_horizon(T, K, 0.1, n, g)
+    elif g * g < n:
         with pytest.raises(ValueError, match=rf"^g={g} violates g >= max\(2, sqrt\(n\)\) for n={n}$"):
             spectral.ThresholdConstants.for_horizon(T, K, 0.1, n, g)
     else:
