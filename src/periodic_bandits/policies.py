@@ -82,15 +82,20 @@ class NestedCBState:
     decision reads, and the counts and reward sums of round s's index set
     and of the reused exploration block. No mean is stored.
 
-    A width is the count-weighted combination of the reuse block's and round
-    s's Hoeffding radii, a zero count contributing nothing; an unsampled cell
-    has width inf (and pooled mean nan). The reuse block, given to the
-    constructor as (epoch, arm, reward) triples and summed per cell in that
-    order, is fixed for the episode, so its part of every record is set once,
-    as are the round thresholds sigma/2^s, the exploit width sigma/sqrt(T)
-    and the full arm list. An epoch changes one round count, so
-    ``add_round_sample`` updates the one record it touches, computing the
-    width exactly as a from-scratch evaluation would.
+    The confidence level is delta = 8/T, derived from the horizon T, and
+    term(c) = sqrt((4 sigma^2 / c) log(8 d_hat c / delta)). A width is the
+    count-weighted combination of the reuse block's and round s's radii,
+    (c_bar term(c_bar) + c_s term(c_s)) / (c_bar + c_s), each product read
+    from one table of c term(c) with 0.0 at c = 0, grown on demand; an
+    unsampled cell has width inf (and pooled mean nan). The reuse block,
+    given to the constructor as (epoch, arm, reward) triples and summed per
+    cell in that order, is fixed for the episode, so its part of every
+    record is set once, as are the round thresholds sigma/2^s, the exploit
+    width sigma/sqrt(T) and the full arm list. An epoch changes one round
+    count, so ``add_round_sample`` updates the one record it touches,
+    computing the width exactly as a from-scratch evaluation would, and
+    returns whether the sample was the cell's first: no reuse-block and no
+    round-s sample before it, a zero-count pull.
 
     Closed cells are frozen. The tournament charges an epoch to round s only
     at the widest active cell, and only while that cell's width exceeds
@@ -111,15 +116,14 @@ class NestedCBState:
         periods: Sequence[int],
         sigma: float,
         horizon: int,
-        delta: float,
         bar_samples: Iterable[tuple[int, int, float]],
     ):
         self.periods = tuple(_checked_int("period", p) for p in periods)
         self.sigma = _checked_number("sigma", sigma)
         self.horizon = _checked_int("horizon", horizon)
-        self.delta = _checked_number("delta", delta)
-        if self.sigma < 0 or self.delta <= 0:
-            raise ValueError(f"need sigma >= 0 and delta > 0, got sigma={sigma!r}, delta={delta!r}")
+        if self.sigma < 0:
+            raise ValueError(f"sigma must be >= 0, got {sigma!r}")
+        self.delta = 8.0 / self.horizon
         self.d_hat = sum(self.periods)
         self.S = max(int(math.floor(math.log2(horizon))), 1)
         counts = [[0] * p for p in self.periods]
@@ -128,15 +132,13 @@ class NestedCBState:
             p = epoch % self.periods[arm]
             counts[arm][p] += 1
             sums[arm][p] += reward
-        self._term_cache: dict[int, float] = {}
-        # (count, c_bar term(c_bar), sum) per [arm][phase], the middle one
-        # 0.0 while empty: the reuse block's part of every width of the cell
-        bar = [[(c, c * self._term(c) if c else 0.0, total) for c, total in zip(cs, ts)]
-               for cs, ts in zip(counts, sums)]
+        self._parts = [0.0]
+        self._grow(max(map(max, counts), default=0))
+        parts = self._parts
         # the records, indexed [round][arm][phase] for rounds 1..S
         self._rounds = {
-            s: [[[part / c if c else math.inf, 0, 0.0, c, part, total] for c, part, total in cells]
-                for cells in bar]
+            s: [[[parts[c] / c if c else math.inf, 0, 0.0, c, parts[c], total] for c, total in zip(cs, ts)]
+                for cs, ts in zip(counts, sums)]
             for s in range(1, self.S + 1)
         }
         # fixed for the episode, each in the expression a decision would use;
@@ -147,7 +149,7 @@ class NestedCBState:
         self._lcm = math.lcm(*self.periods)
         self._settled: dict[int, tuple[int, list[int], list[int]]] | None = {} if self._lcm < self.horizon else None
 
-    def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> None:
+    def add_round_sample(self, s: int, epoch: int, arm: int, reward: float) -> bool:
         try:
             cell = self._rounds[s][arm][epoch % self.periods[arm]]
         except KeyError:
@@ -155,27 +157,19 @@ class NestedCBState:
         if self._settled and not cell[0] > self._thresholds[s]:
             # the cell was closed: a round passed on it may not pass again
             self._settled.clear()
-        # width (c_bar term(c_bar) + c_s term(c_s)) / total
         c_s = cell[1] = cell[1] + 1
         cell[2] += reward
-        term = self._term_cache.get(c_s) or self._term(c_s)
-        cell[0] = (cell[4] + c_s * term) / (cell[3] + c_s)
+        if c_s == len(self._parts):
+            self._grow(c_s)
+        total = cell[3] + c_s
+        cell[0] = (cell[4] + self._parts[c_s]) / total
+        return total == 1
 
-    def counts_at(self, s: int, arm: int, t: int) -> tuple[int, int]:
-        """(reuse-block count, round-s count) at arm's phase of epoch t."""
-        cell = self._rounds[s][arm][t % self.periods[arm]]
-        return cell[3], cell[1]
-
-    def _term(self, c: int) -> float:
-        # sqrt((4 sigma^2 / c) * log(8 d_hat c / delta)), memoized on c
-        cached = self._term_cache.get(c)
-        if cached is None:
-            cached = math.sqrt(
-                (4.0 * self.sigma * self.sigma / c)
-                * math.log(8.0 * self.d_hat * c / self.delta)
-            )
-            self._term_cache[c] = cached
-        return cached
+    def _grow(self, c: int) -> None:
+        # extend the table of c term(c) through c
+        parts, scale, level = self._parts, 4.0 * self.sigma * self.sigma, 8.0 * self.d_hat
+        for m in range(len(parts), c + 1):
+            parts.append(m * math.sqrt((scale / m) * math.log(level * m / self.delta)))
 
 
 def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
@@ -199,10 +193,9 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
     each round it passes: the next round, its survivors and t's phases. That
     is all it writes. Rounds pass only on closed cells, which no sample of
     the policy changes (see ``NestedCBState``), so the result equals a
-    tournament from round 1; the records and ``counts_at`` read only the
-    samples, never the settled entries. An entry with one survivor first
-    reads that arm's width alone: above the threshold, the round explores it
-    whatever its mean.
+    tournament from round 1; the records read only the samples, never the
+    settled entries. An entry with one survivor first reads that arm's width
+    alone: above the threshold, the round explores it whatever its mean.
 
     Each round walks the active arms once for the widest cell and, unless it
     explores, once more to pool their means and pick the leader. Both walks
@@ -313,31 +306,23 @@ class TwoStagePolicy(_ExploreFirst):
         self.estimated_periods = tuple(self._periods())
         bar_samples = ((t, k, y) for k, (samples, epochs) in enumerate(self._blocks)
                        for t, y in zip(epochs, samples))
-        self._state = state = NestedCBState(
-            self.estimated_periods, view.sigma, view.horizon, 8.0 / view.horizon, bar_samples
-        )
-        self._add_round_sample = state.add_round_sample
-        # a (0, 0) cell needs an empty reuse-block cell, and the reuse block
-        # is fixed: without one, no pull can be a zero-count pull
-        self._may_force = any(cell[3] == 0 for cells in state._rounds[1] for cell in cells)
+        self._state = NestedCBState(self.estimated_periods, view.sigma, view.horizon, bar_samples)
+        self._add_round_sample = self._state.add_round_sample
 
     def decide(self, t: int) -> int:
         if t <= self._end:
             return (t - 1) // self._n
         if self._state is None:
             self._start_stage_two()
-        arm, pending = nested_cb_decide(self._state, t)
-        if pending is not None and self._may_force and self._state.counts_at(pending, arm, t) == (0, 0):
-            self.events.append((t, "zero_count_forced_pull", arm))
-        self._pending_round = pending
+        arm, self._pending_round = nested_cb_decide(self._state, t)
         return arm
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         if t <= self._end:
             self._blocks[arm][0].append(reward)
             return
-        if self._pending_round is not None:
-            self._add_round_sample(self._pending_round, t, arm, reward)
+        if self._pending_round is not None and self._add_round_sample(self._pending_round, t, arm, reward):
+            self.events.append((t, "zero_count_forced_pull", arm))
 
 
 class OraclePolicy(TwoStagePolicy):

@@ -100,7 +100,8 @@ def noise_bound(n: int, sigma: float, H: float) -> float:
 
 
 def default_H(n: int) -> float:
-    return math.sqrt(1.0 + math.log(n))
+    """Stage one's default H = sqrt(1 + log n), for an integer n of at least 1."""
+    return math.sqrt(1.0 + math.log(_checked_int("n", n)))
 
 
 @dataclass(frozen=True)
@@ -153,6 +154,8 @@ class ThresholdConstants:
             if T <= 4 * K:
                 raise ValueError("horizon too short: need T > 4K")
             n = int(math.floor(math.sqrt(T / K)))
+        else:
+            _checked_int("n", n, least=2)
         if n * K >= T:
             raise ValueError(f"stage one's n K = {n} * {K} pulls would consume the whole horizon T={T}")
         return threshold_constants(n, g, sigma)
@@ -176,7 +179,7 @@ def threshold(constants: ThresholdConstants, sup_mag: float) -> float:
     ``sup_mag`` must be the periodogram supremum over the full grid on
     [0, 1/2], including the near-zero region, and finite.
     """
-    if not 0 <= sup_mag < math.inf:
+    if isinstance(sup_mag, bool) or not 0 <= sup_mag < math.inf:
         raise ValueError(f"sup_mag must be finite and >= 0, got {sup_mag}")
     return constants.eps_bar + constants.leakage_ratio * (constants.eps_bar + sup_mag)
 

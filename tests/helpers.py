@@ -5,6 +5,7 @@ reads one cycle at a time; ``nearest_candidate`` is the direct reference for
 the match that the package reads from its detection plan's table;
 ``dense_identify_frequencies`` is the direct reference for the peak search
 that the package runs over the points above the threshold only;
+``counts_at`` reads a stage-two cell's counts from its record;
 ``load_default_sweep`` reads the checked-in default sweep
 config, a fresh dict on every call, so a test may ``update`` it.
 """
@@ -28,6 +29,13 @@ def means_matrix(inst) -> np.ndarray:
     for k, prof in enumerate(inst.arms):
         out[k] = np.asarray(prof.values)[(t - 1) % prof.period]
     return out
+
+
+def counts_at(state, s: int, arm: int, t: int) -> tuple[int, int]:
+    """(reuse-block count, round-s count) of a ``NestedCBState`` at arm's
+    phase of epoch t."""
+    cell = state._rounds[s][arm][t % state.periods[arm]]
+    return cell[3], cell[1]
 
 
 def load_default_sweep() -> dict:

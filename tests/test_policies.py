@@ -19,7 +19,7 @@ from periodic_bandits.policies import (
 )
 from periodic_bandits.spectral import default_H
 
-from helpers import means_matrix
+from helpers import counts_at, means_matrix
 
 
 def instance(profiles, sigma, horizon):
@@ -97,7 +97,7 @@ def run_recording_rounds(inst: BanditInstance, pol, seed: int, decide=None):
 
 
 def assert_counts_match_index_sets(st: NestedCBState, res, n_k: int, psi_bar, psi_rounds) -> None:
-    """counts_at equals a literal count over the index sets in every
+    """The state's counts equal a literal count over the index sets in every
     (round, arm, phase) cell, and the counts of all cells sum to stage one's
     n K epochs plus the exploration epochs."""
     actions = {t: int(a) for t, a in enumerate(res.actions, start=1)}
@@ -107,7 +107,7 @@ def assert_counts_match_index_sets(st: NestedCBState, res, n_k: int, psi_bar, ps
             c_bar = count_same_phase(actions, psi_bar, arm, phase, period)
             for s in range(1, st.S + 1):
                 c_s = count_same_phase(actions, psi_rounds.get(s, []), arm, phase, period)
-                assert st.counts_at(s, arm, phase) == (c_bar, c_s)
+                assert counts_at(st, s, arm, phase) == (c_bar, c_s)
                 total += c_s
             total += c_bar
     assert total == n_k + sum(len(r) for r in psi_rounds.values())
@@ -172,7 +172,7 @@ def make_state_with_bar(samples_per_phase=12, value=0.5):
     # two arms of period 4 -> d_hat = 8
     # all at phase 1 of arm 0
     bars = [(1 + 4 * i, 0, value) for i in range(samples_per_phase)]
-    return NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4, bar_samples=bars)
+    return NestedCBState([4, 4], sigma=1.0, horizon=10000, bar_samples=bars)
 
 
 def test_phase_width_reference_value():
@@ -183,8 +183,8 @@ def test_phase_width_reference_value():
 
 def test_phase_width_scales_with_sigma():
     bars = [(1 + 4 * i, 0, 0.5) for i in range(12)]
-    a = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4, bar_samples=bars)
-    b = NestedCBState([4, 4], sigma=2.0, horizon=10000, delta=8e-4, bar_samples=bars)
+    a = NestedCBState([4, 4], sigma=1.0, horizon=10000, bar_samples=bars)
+    b = NestedCBState([4, 4], sigma=2.0, horizon=10000, bar_samples=bars)
     assert cell_width(b, 1, 0, 1) == pytest.approx(2 * cell_width(a, 1, 0, 1))
 
 
@@ -198,13 +198,13 @@ def test_phase_width_zero_count_summand():
 
 
 def test_phase_width_infinite_when_unsampled():
-    st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01, bar_samples=[])
+    st = NestedCBState([4], sigma=1.0, horizon=100, bar_samples=[])
     assert cell_width(st, 1, 0, 3) == math.inf
     assert math.isnan(cell_mean(st, 1, 0, 3))
 
 
 def test_phase_mean_single_sample():
-    st = NestedCBState([4], sigma=1.0, horizon=100, delta=0.01, bar_samples=[(5, 0, 0.7)])
+    st = NestedCBState([4], sigma=1.0, horizon=100, bar_samples=[(5, 0, 0.7)])
     assert cell_mean(st, 1, 0, 9) == pytest.approx(0.7)
 
 
@@ -212,7 +212,7 @@ def test_phase_mean_weighted_combination():
     bar_vals = [0.2, 0.4, 0.9]
     rnd_vals = [0.8, 0.6]
     bars = [(1 + 2 * i, 0, v) for i, v in enumerate(bar_vals)]
-    st = NestedCBState([2], sigma=1.0, horizon=100, delta=0.01, bar_samples=bars)
+    st = NestedCBState([2], sigma=1.0, horizon=100, bar_samples=bars)
     for i, v in enumerate(rnd_vals):
         st.add_round_sample(2, 7 + 2 * i, 0, v)
     got = cell_mean(st, 2, 0, 9)
@@ -225,7 +225,7 @@ def test_phase_width_monotone_in_round_count():
     # adding round samples (from 2 up) never widens the interval
     for c_bar in (2, 5, 12):
         bars = [(1 + 4 * i, 0, 0.5) for i in range(c_bar)]
-        st = NestedCBState([4, 4], sigma=1.0, horizon=10000, delta=8e-4, bar_samples=bars)
+        st = NestedCBState([4, 4], sigma=1.0, horizon=10000, bar_samples=bars)
         st.add_round_sample(1, 5, 0, 0.5)
         st.add_round_sample(1, 9, 0, 0.5)
         prev = cell_width(st, 1, 0, 1)
@@ -296,7 +296,7 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
     samples = [(rnd, epoch, k % len(periods), y) for rnd, epoch, k, y in ops]
     samples.sort(key=lambda sample: sample[0] is not None)  # bars first, each kind in order
     bars = [(epoch, arm, y) for rnd, epoch, arm, y in samples if rnd is None]
-    st = NestedCBState(periods, sigma=sigma, horizon=horizon, delta=8.0 / horizon, bar_samples=bars)
+    st = NestedCBState(periods, sigma=sigma, horizon=horizon, bar_samples=bars)
     for rnd, epoch, arm, y in samples[len(bars):]:
         st.add_round_sample(rnd, epoch, arm, y)
     for s in (1, 2, 3, 4):  # round 4 never exists: it reads the bar-only row
@@ -320,18 +320,15 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
         ("periods", [2, 0], "^period must be an integer of at least 1, got 0$"),
         ("sigma", "0.1", "^sigma must be a finite number, got '0.1'$"),
         ("sigma", math.nan, "^sigma must be a finite number, got nan$"),
-        ("sigma", -0.1, "^need sigma >= 0 and delta > 0, got sigma=-0.1, delta=0.01$"),
+        ("sigma", -0.1, "^sigma must be >= 0, got -0.1$"),
         ("horizon", 99.9, "^horizon must be an integer of at least 1, got 99.9$"),
-        ("delta", 0.0, "^need sigma >= 0 and delta > 0, got sigma=1.0, delta=0.0$"),
-        ("delta", math.inf, "^delta must be a finite number, got inf$"),
     ],
-    ids=["period-float", "period-0", "sigma-string", "sigma-nan", "sigma-negative", "horizon-float", "delta-0",
-         "delta-inf"],
+    ids=["period-float", "period-0", "sigma-string", "sigma-nan", "sigma-negative", "horizon-float"],
 )
 def test_nested_cb_state_checks_its_values(field, value, named):
     # checked as the instance types check theirs, not converted: a period of
     # 2.7 would become 2 and a NaN sigma would make every width NaN
-    args = {"periods": [2], "sigma": 1.0, "horizon": 100, "delta": 0.01, field: value}
+    args = {"periods": [2], "sigma": 1.0, "horizon": 100, field: value}
     with pytest.raises(ValueError, match=named):
         NestedCBState(**args, bar_samples=[])
 
@@ -339,7 +336,7 @@ def test_nested_cb_state_checks_its_values(field, value, named):
 @pytest.mark.parametrize("s", [0, -1, 14])
 def test_round_sample_outside_the_rounds_rejected(s):
     # the tournament reads rounds 1..S only (S = 13 at T = 10000)
-    st = NestedCBState([2], sigma=1.0, horizon=10000, delta=0.01, bar_samples=[])
+    st = NestedCBState([2], sigma=1.0, horizon=10000, bar_samples=[])
     with pytest.raises(ValueError, match="round"):
         st.add_round_sample(s, 5, 0, 0.5)
 
@@ -349,7 +346,7 @@ def test_nested_decide_exploit_branch():
 
     # flood both arms with samples so widths drop below sigma / sqrt(T)
     bars = ((1 + i, arm, value) for arm, value in ((0, 0.3), (1, 0.8)) for i in range(60000))
-    st = NestedCBState([1, 1], sigma=0.5, horizon=400, delta=8 / 400, bar_samples=bars)
+    st = NestedCBState([1, 1], sigma=0.5, horizon=400, bar_samples=bars)
     assert cell_width(st, 1, 0, 1) <= 0.5 / math.sqrt(400)
     arm, pending = nested_cb_decide(st, 399)
     assert arm == 1          # strictly larger estimated mean
@@ -360,7 +357,7 @@ def test_nested_decide_wide_branch_prefers_widest():
     from periodic_bandits.policies import nested_cb_decide
 
     bars = [(1 + i, 0, 0.3) for i in range(40)] + [(41, 1, 0.9)]
-    st = NestedCBState([1, 1], sigma=0.5, horizon=400, delta=8 / 400, bar_samples=bars)
+    st = NestedCBState([1, 1], sigma=0.5, horizon=400, bar_samples=bars)
     arm, pending = nested_cb_decide(st, 42)
     assert arm == 1 and pending == 1  # one sample: widest interval by far
 
@@ -419,7 +416,7 @@ def test_nested_decide_terminates_within_round_cap():
 
     # equal arms never separate: the tournament must still settle by round S
     bars = ((1 + i, arm, 0.5) for arm in (0, 1) for i in range(200000))
-    st = NestedCBState([1, 1], sigma=0.5, horizon=4000, delta=8 / 4000, bar_samples=bars)
+    st = NestedCBState([1, 1], sigma=0.5, horizon=4000, bar_samples=bars)
     arm, pending = nested_cb_decide(st, 3999)
     assert arm in (0, 1)
 
@@ -440,7 +437,7 @@ def test_stage_one_phase_coverage():
     n = COUPLING_PARAMS["n"]
     for arm, period in enumerate(st.periods):
         assert period < n / 2
-        counts = [st.counts_at(1, arm, t)[0] for t in range(1, period + 1)]
+        counts = [counts_at(st, 1, arm, t)[0] for t in range(1, period + 1)]
         assert min(counts) >= 2
 
 
@@ -482,6 +479,9 @@ def test_round_index_sets_partition_exploration(profiles, sigma, horizon, policy
     nK = pol._end
     assert psi_bar == list(range(1, nK + 1))
     assert sorted(rounds) == list(range(nK + 1, horizon + 1))
+    # with sigma > 0 no tournament exploits, so every stage-two pull feeds a
+    # round's cells: observe skips the state only on an exploit pull
+    assert None not in rounds.values()
     explored = [t for r in psi_rounds.values() for t in r]
     assert len(set(explored)) == len(explored)
     assert_counts_match_index_sets(pol._state, res, pol._end, psi_bar, psi_rounds)
@@ -494,6 +494,29 @@ random_profiles = hst.lists(
     min_size=1,
     max_size=3,
 )
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    profiles=random_profiles,
+    sigma=hst.floats(0.05, 1.0),
+    horizon=hst.integers(100, 1500),
+    seeds=hst.lists(hst.integers(0, 10**6), min_size=2, max_size=2, unique=True),
+)
+# period-1 arms a gap of sigma apart: round 1 passes at epoch 653 in both
+# episodes, and its elimination, which reads the means, parts them at 681
+@example(profiles=[[0.7], [0.4]], sigma=0.3, horizon=1500, seeds=[0, 2])
+def test_oracle_actions_seed_free_until_a_round_passes(profiles, sigma, horizon, seeds):
+    # until some tournament passes round 1, each pull goes to the widest
+    # active cell, and a width depends on the counts alone; stage one and the
+    # oracle's periods fix the reuse counts, so two seeds play the same pulls
+    # up to the earlier of their first epochs charged to a round of 2 or more
+    # (or to no round, which the partition test above rules out at sigma > 0)
+    inst = instance(profiles, sigma, horizon)
+    episodes = [run_recording_rounds(inst, make_policy("oracle"), seed)[:2] for seed in seeds]
+    cut = min(min((t for t, s in rounds.items() if s != 1), default=horizon + 1) for _, rounds in episodes)
+    (a, _), (b, _) = episodes
+    assert np.array_equal(a.actions[: cut - 1], b.actions[: cut - 1])
 
 
 @settings(max_examples=30, deadline=None)
@@ -536,7 +559,7 @@ def settled_state():
     with the phases [0, 0] of that key.
     """
     bars = [(1 + i, arm, value) for arm, value in ((0, 2.0), (1, 0.0)) for i in range(250)]
-    st = NestedCBState([1, 1], sigma=1.0, horizon=10000, delta=0.01, bar_samples=bars)
+    st = NestedCBState([1, 1], sigma=1.0, horizon=800, bar_samples=bars)
     assert 0.25 < cell_width(st, 1, 0, 1) <= 0.5
     assert policies.nested_cb_decide(st, 300) == (0, 2)
     assert st._settled == {0: (2, [0], [0, 0])}
@@ -571,7 +594,7 @@ def test_single_survivor_passes_the_round_its_cell_closed_in():
 def test_no_settled_entries_when_no_phase_key_repeats():
     # lcm(3, 4) = 12 reaches the horizon: no key comes back, so none is kept
     bars = [(t, arm, value) for t in range(1, 5) for arm, value in ((0, 0.0), (1, 5.0))]
-    st = NestedCBState([3, 4], sigma=1.0, horizon=12, delta=0.5, bar_samples=bars)
+    st = NestedCBState([3, 4], sigma=1.0, horizon=12, bar_samples=bars)
     assert st._settled is None
     for t in range(5, 13):
         assert policies.nested_cb_decide(st, t) == reference_tournament(st, t)[:2]
@@ -758,6 +781,7 @@ def test_zero_count_phase_forces_pull_and_logs_event():
     # epochs 1..6 cover phases 1..6 mod 8 only; phase 7 mod 8 first comes at t=7
     a = pol.decide(7)
     assert a == 0
+    pol.observe(7, a, 0.0)  # the event is logged where the sample lands
     assert any(ev[1] == "zero_count_forced_pull" for ev in pol.events)
 
 
@@ -771,22 +795,21 @@ def test_zero_count_phase_forces_pull_and_logs_event():
     ids=["empty-bar-cell", "no-empty-bar-cell"],
 )
 def test_forced_pull_events_match_a_check_at_every_epoch(policy_id, inst, params, forced):
-    # the policy looks for zero-count pulls only when some reuse-block cell is
-    # empty; it logs exactly the pulls that a counts_at check at every
-    # stage-two epoch finds
+    # the policy logs exactly the pulls that a count check at every stage-two
+    # epoch finds; with no empty reuse-block cell there is none
     real = policies.nested_cb_decide
     expected = []
 
     def decide(state, t):
         arm, s = real(state, t)
-        if s is not None and state.counts_at(s, arm, t) == (0, 0):
+        if s is not None and counts_at(state, s, arm, t) == (0, 0):
             expected.append((t, "zero_count_forced_pull", arm))
         return arm, s
 
     pol = make_policy(policy_id, params)
     res, _, _, _ = run_recording_rounds(inst, pol, 0, decide)
     assert res.events == expected
-    assert bool(expected) == forced == pol._may_force
+    assert bool(expected) == forced
 
 
 # ---------------------------------------------------------------------------

@@ -173,6 +173,9 @@ def test_failure_bound_rejects_bad_H(H):
          "^sigma must be a finite number, got True$"),
         (lambda: ThresholdConstants.for_horizon(1000, 0, 0.1), "^K must be an integer of at least 1, got 0$"),
         (lambda: ThresholdConstants.for_horizon(1000.5, 3, 0.1), "^T must be an integer of at least 1, got 1000.5$"),
+        (lambda: ThresholdConstants.for_horizon(1000, 3, 0.1, "50"), "^n must be an integer of at least 2, got '50'$"),
+        (lambda: default_H(True), "^n must be an integer of at least 1, got True$"),
+        (lambda: default_H(0), "^n must be an integer of at least 1, got 0$"),
         (lambda: failure_probability_bound(50.5, 2, 1.5), "^n must be an integer of at least 2, got 50.5$"),
         (lambda: failure_probability_bound(50, True, 1.5), "^K must be an integer of at least 1, got True$"),
         (lambda: noise_bound(50, True, 1.0), "^sigma must be a finite number, got True$"),
@@ -186,7 +189,8 @@ def test_failure_bound_rejects_bad_H(H):
          "periodogram-short-magnitudes", "periodogram-short-grid", "frequency-grid-n-0",
          "frequency-grid-n-bool", "periodogram-2d-grid", "detector-g-float", "detector-n-float",
          "detector-n-string", "detector-sigma-bool", "detector-H-bool", "detector-sigma-bool-after-1",
-         "for-horizon-K-0", "for-horizon-T-float", "failure-bound-n-float", "failure-bound-K-bool",
+         "for-horizon-K-0", "for-horizon-T-float", "for-horizon-n-string", "default-H-n-bool", "default-H-n-0",
+         "failure-bound-n-float", "failure-bound-K-bool",
          "noise-bound-sigma-bool", "u-constants-n-float", "a-sup-j-float", "a-sup-j-bool-after-1"],
 )
 def test_malformed_spectral_input_rejected(call, named):
@@ -212,7 +216,7 @@ def test_threshold_affine_in_sup():
     t0 = threshold(consts, 1.0)
     t1 = threshold(consts, 2.0)
     assert t1 - t0 == pytest.approx(ratio)
-    for bad in (-1.0, math.nan, math.inf):
+    for bad in (-1.0, math.nan, math.inf, True):
         with pytest.raises(ValueError, match=f"^sup_mag must be finite and >= 0, got {bad}$"):
             threshold(consts, bad)
 
