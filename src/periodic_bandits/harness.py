@@ -107,9 +107,10 @@ def _run_job(job: tuple) -> list[dict]:
 
     A ``two_stage`` job whose ``oracle`` is coupled (second to last job field
     true) also returns the oracle's row. If stage one identified every period,
-    that row is a copy of the two_stage row: both policies then run stage two
-    on the true periods with the same blocks, n and g, and noise is keyed by
-    (seed, epoch), so the episodes are identical. Otherwise the oracle runs.
+    that row is the two_stage row relabelled, sharing its lists, which no
+    caller mutates: both policies then run stage two on the true periods with
+    the same blocks, n and g, and noise is keyed by (seed, epoch), so the
+    episodes are identical. Otherwise the oracle runs.
     """
     instance, _, policy_id, params, rep, seed, curve_points, couples_oracle, cuts = job
     rows = _episode_rows(instance, make_policy(policy_id, params), rep, seed, curve_points, cuts)
@@ -117,13 +118,7 @@ def _run_job(job: tuple) -> list[dict]:
         return rows
     (row,) = rows
     if row["success"]:
-        oracle = {
-            **row,
-            "policy": "oracle",
-            "curve_t": list(row["curve_t"]),
-            "curve_regret": list(row["curve_regret"]),
-            "estimated_periods": list(row["estimated_periods"]),
-        }
+        oracle = {**row, "policy": "oracle"}
     else:
         (oracle,) = _episode_rows(instance, make_policy("oracle", params), rep, seed, curve_points, cuts)
     return [row, oracle]

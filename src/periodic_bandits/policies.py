@@ -97,6 +97,11 @@ class NestedCBState:
     returns whether the sample was the cell's first: no reuse-block and no
     round-s sample before it, a zero-count pull.
 
+    The constructor rejects an empty periods list, a bar sample whose arm is
+    not an integer in 0..K-1 or whose epoch is not an integer, and a reuse
+    cell whose reward sum is not finite, naming its arm and phase; a round
+    sample is not checked (see ``nested_cb_decide``).
+
     Closed cells are frozen. The tournament charges an epoch to round s only
     at the widest active cell, and only while that cell's width exceeds
     sigma/2^s; so a round-s cell at or below sigma/2^s never receives another
@@ -119,6 +124,8 @@ class NestedCBState:
         bar_samples: Iterable[tuple[int, int, float]],
     ):
         self.periods = tuple(_checked_int("period", p) for p in periods)
+        if not self.periods:
+            raise ValueError(f"periods must name at least one arm, got {periods!r}")
         self.sigma = _checked_number("sigma", sigma)
         self.horizon = _checked_int("horizon", horizon)
         if self.sigma < 0:
@@ -128,10 +135,19 @@ class NestedCBState:
         self.S = max(int(math.floor(math.log2(horizon))), 1)
         counts = [[0] * p for p in self.periods]
         sums = [[0.0] * p for p in self.periods]
+        arms = range(len(self.periods))
         for epoch, arm, reward in bar_samples:
+            if isinstance(arm, bool) or not isinstance(arm, int) or arm not in arms:
+                raise ValueError(f"bar sample arm must be an integer in 0..{arms[-1]}, got {arm!r}")
+            if isinstance(epoch, bool) or not isinstance(epoch, int):
+                raise ValueError(f"bar sample epoch must be an integer, got {epoch!r}")
             p = epoch % self.periods[arm]
             counts[arm][p] += 1
             sums[arm][p] += reward
+        for k, ts in enumerate(sums):
+            for p, total in enumerate(ts):
+                if not math.isfinite(total):
+                    raise ValueError(f"reuse sum of arm {k} at phase {p} is not finite: {total!r}")
         self._parts = [0.0]
         self._grow(max(map(max, counts), default=0))
         parts = self._parts
@@ -145,7 +161,7 @@ class NestedCBState:
         # thresholds are indexed by round, 1..S
         self._thresholds = [self.sigma / (2.0 ** s) for s in range(self.S + 1)]
         self._narrow = self.sigma / math.sqrt(self.horizon)
-        self._arms = list(range(len(self.periods)))
+        self._arms = list(arms)
         self._lcm = math.lcm(*self.periods)
         self._settled: dict[int, tuple[int, list[int], list[int]]] | None = {} if self._lcm < self.horizon else None
 
@@ -188,10 +204,12 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
     phases of t, so a decision computes no confidence radius; only a round
     that explores nothing pools its active arms' means, (reuse sum + round
     sum) / total (nan for an empty cell, which a decision never reads: its
-    width is inf). The tournament starts from the state's settled entry for
-    ``t % lcm(periods)`` instead of round 1 with every arm, and records there
-    each round it passes: the next round, its survivors and t's phases. That
-    is all it writes. Rounds pass only on closed cells, which no sample of
+    width is inf), and raises, naming the round, arm and phase, on a pooled
+    mean that is not finite, which only a non-finite reward makes. The
+    tournament starts from the state's settled entry for ``t % lcm(periods)``
+    instead of round 1 with every arm, and records there each round it
+    passes: the next round, its survivors and t's phases. That is all it
+    writes. Rounds pass only on closed cells, which no sample of
     the policy changes (see ``NestedCBState``), so the result equals a
     tournament from round 1; the records read only the samples, never the
     settled entries. An entry with one survivor first reads that arm's width
@@ -234,6 +252,8 @@ def nested_cb_decide(state: NestedCBState, t: int) -> tuple[int, int | None]:
             cell = arms[k][phases[k]]
             total = cell[3] + cell[1]
             m = (cell[5] + cell[2]) / total if total else math.nan
+            if not math.isfinite(m):
+                raise ValueError(f"round {s}: pooled mean of arm {k} at phase {phases[k]} is not finite: {m!r}")
             if not means or m > best_m:
                 leader, best_m = k, m
             means.append(m)
@@ -256,10 +276,13 @@ class _ExploreFirst(Policy):
     which checks g^2 >= n and n K < T before the first epoch, and fixes stage
     one's last epoch ``_end = n K`` and each arm k's block, its samples and
     its epochs n k + 1 .. n (k + 1). Up to ``_end``, a subclass's ``decide``
-    pulls arm (t - 1) // n and its ``observe`` appends the reward to that
-    arm's samples, inline, since both run every epoch; ``_periods`` runs the
-    spectral estimator on the blocks with that detector.
-    What comes after stage one keeps its state in ``_state``.
+    pulls arm (t - 1) // n and its ``observe`` hands the sample to
+    ``_record``, the one place stage one is recorded: it appends the reward
+    to that arm's samples and, at epoch ``_end``, calls the subclass's
+    ``_start_stage_two``, so stage two is ready before its first decision.
+    ``_periods`` runs the spectral estimator on the blocks with that
+    detector. What comes after stage one keeps its state in ``_state``, which
+    ``begin`` clears, so a reused object never decides from an old episode.
     """
 
     params = ("n", "g")
@@ -285,6 +308,11 @@ class _ExploreFirst(Policy):
         """The periods used after stage one: its estimates, one per arm."""
         d = self._detector
         return estimate_periods(self._blocks, d.n, d.g, d.H, d.sigma, d.t_max)[0]
+
+    def _record(self, t: int, arm: int, reward: float) -> None:
+        self._blocks[arm][0].append(reward)
+        if t == self._end:
+            self._start_stage_two()
 
 
 class TwoStagePolicy(_ExploreFirst):
@@ -312,15 +340,12 @@ class TwoStagePolicy(_ExploreFirst):
     def decide(self, t: int) -> int:
         if t <= self._end:
             return (t - 1) // self._n
-        if self._state is None:
-            self._start_stage_two()
         arm, self._pending_round = nested_cb_decide(self._state, t)
         return arm
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         if t <= self._end:
-            self._blocks[arm][0].append(reward)
-            return
+            return self._record(t, arm, reward)
         if self._pending_round is not None and self._add_round_sample(self._pending_round, t, arm, reward):
             self.events.append((t, "zero_count_forced_pull", arm))
 
@@ -370,9 +395,11 @@ class SequentialEliminationPolicy(Policy):
     """Round-based elimination with whole-period averaging.
 
     All arms must share one period T1. In round s each active arm is pulled
-    n_s times (a multiple of T1, so its estimate averages complete cycles);
-    the round ends by dropping arms more than sigma/2^s below the best round
-    average. Requires a fixed best arm to be meaningful.
+    n_s times in a row (a multiple of T1, so its estimate averages complete
+    cycles); one counter, the round's pulls so far, picks the arm, active
+    arm number pulls // n_s. The round ends once every active arm has its n_s
+    pulls, by dropping arms more than sigma/2^s below the best round average.
+    Requires a fixed best arm to be meaningful.
     """
 
     policy_id = "seq_elim"
@@ -384,22 +411,17 @@ class SequentialEliminationPolicy(Policy):
         self.round = 1
         self.active = list(range(view.n_arms))
         self._n_s = elimination_schedule(1, view.n_arms, view.horizon, self.T1)
-        self._cursor = 0      # position within the active list
-        self._done_for_arm = 0
+        self._pulls = 0
         self._sums = {k: 0.0 for k in self.active}
         self.events: list = []
 
     def decide(self, t: int) -> int:
-        return self.active[self._cursor]
+        return self.active[self._pulls // self._n_s]
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         self._sums[arm] += reward
-        self._done_for_arm += 1
-        if self._done_for_arm < self._n_s:
-            return
-        self._done_for_arm = 0
-        self._cursor += 1
-        if self._cursor < len(self.active):
+        self._pulls += 1
+        if self._pulls < self._n_s * len(self.active):
             return
         # round complete: keep arms within sigma / 2^s of the best average
         means = {k: self._sums[k] / self._n_s for k in self.active}
@@ -412,7 +434,7 @@ class SequentialEliminationPolicy(Policy):
         self.active = survivors
         self.round += 1
         self._n_s = elimination_schedule(self.round, self._view.n_arms, self._view.horizon, self.T1)
-        self._cursor = 0
+        self._pulls = 0
         self._sums = {k: 0.0 for k in self.active}
 
 
@@ -422,7 +444,8 @@ class SequentialEliminationPolicy(Policy):
 
 class _ResidueUCB(Policy):
     """Independent UCB1 (Auer, Cesa-Bianchi and Fischer 2002) per residue
-    cell t mod L, after stage one (epochs up to ``_end``, 0 if none).
+    cell t mod L, after stage one (epochs up to ``_end``, 0 if none, whose
+    samples go to ``_ExploreFirst._record``).
 
     Each cell is one record ``[counts, sums, means, visits]`` over the arms,
     which ``observe`` updates in place; N is the cell's visits. ``decide``
@@ -440,8 +463,6 @@ class _ResidueUCB(Policy):
     def decide(self, t: int) -> int:
         if t <= self._end:
             return (t - 1) // self._n
-        if self._state is None:
-            self._start_stage_two()
         counts, _, means, visits = self._state[t % self._L]
         if 0 in counts:
             return counts.index(0)
@@ -455,8 +476,7 @@ class _ResidueUCB(Policy):
 
     def observe(self, t: int, arm: int, reward: float) -> None:
         if t <= self._end:
-            self._blocks[arm][0].append(reward)
-            return
+            return self._record(t, arm, reward)
         cell = self._state[t % self._L]
         counts, sums = cell[0], cell[1]
         c = counts[arm] = counts[arm] + 1
@@ -485,9 +505,8 @@ class PerPhaseUCB(_ResidueUCB):
     horizon_free = True
 
     def begin(self, view: InstanceView) -> None:
-        self.T1 = _shared_period(view, "per-phase UCB")
         self._end = 0
-        self._start_cells(self.T1, view.n_arms)
+        self._start_cells(_shared_period(view, "per-phase UCB"), view.n_arms)
 
 
 class LcmUCB(_ExploreFirst, _ResidueUCB):

@@ -322,15 +322,24 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
         ("sigma", math.nan, "^sigma must be a finite number, got nan$"),
         ("sigma", -0.1, "^sigma must be >= 0, got -0.1$"),
         ("horizon", 99.9, "^horizon must be an integer of at least 1, got 99.9$"),
+        ("periods", [], r"^periods must name at least one arm, got \[\]$"),
+        ("bar_samples", [(1, 3, 0.5)], r"^bar sample arm must be an integer in 0\.\.0, got 3$"),
+        ("bar_samples", [(1, -1, 0.5)], r"^bar sample arm must be an integer in 0\.\.0, got -1$"),
+        ("bar_samples", [(1, True, 0.5)], r"^bar sample arm must be an integer in 0\.\.0, got True$"),
+        ("bar_samples", [(1.5, 0, 0.5)], "^bar sample epoch must be an integer, got 1.5$"),
+        ("bar_samples", [(1, 0, 0.5), (3, 0, math.nan)], "^reuse sum of arm 0 at phase 1 is not finite: nan$"),
     ],
-    ids=["period-float", "period-0", "sigma-string", "sigma-nan", "sigma-negative", "horizon-float"],
+    ids=["period-float", "period-0", "sigma-string", "sigma-nan", "sigma-negative", "horizon-float",
+         "periods-empty", "bar-arm-past-K", "bar-arm-negative", "bar-arm-bool", "bar-epoch-float", "bar-reward-nan"],
 )
 def test_nested_cb_state_checks_its_values(field, value, named):
     # checked as the instance types check theirs, not converted: a period of
-    # 2.7 would become 2 and a NaN sigma would make every width NaN
-    args = {"periods": [2], "sigma": 1.0, "horizon": 100, field: value}
+    # 2.7 would become 2 and a NaN sigma would make every width NaN; an arm
+    # of -1 would land in the last arm's cells, and a NaN reward would make
+    # every pooled mean of its cell NaN
+    args = {"periods": [2], "sigma": 1.0, "horizon": 100, "bar_samples": [], field: value}
     with pytest.raises(ValueError, match=named):
-        NestedCBState(**args, bar_samples=[])
+        NestedCBState(**args)
 
 
 @pytest.mark.parametrize("s", [0, -1, 14])
@@ -724,6 +733,43 @@ def test_policy_reuse_across_horizons(policy_id):
     fresh = run_episode(short, make_policy(policy_id), seed=5)
     assert np.array_equal(again.actions, fresh.actions)
     assert again.estimated_periods == fresh.estimated_periods
+
+
+@pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
+def test_stage_two_starts_at_stage_ones_last_observe(policy_id):
+    # stage one hands over where its last sample lands, not at the first
+    # decision after it
+    inst = default_sweep_instance(2500)
+    pol = make_policy(policy_id, {"n": 40})
+    pol.begin(harness._view(inst, pol))
+    noise = inst.noise_stream(0).values.tolist()
+    for t in range(1, 3 * 40 + 1):
+        assert pol.estimated_periods is None
+        arm = pol.decide(t)
+        pol.observe(t, arm, inst.arms[arm].values[t % inst.periods[arm]] + noise[t - 1])
+    assert pol.estimated_periods is not None
+    assert pol._state is not None
+
+
+@pytest.mark.parametrize(
+    ("horizon", "bad_epoch", "named"),
+    [
+        (200, 3, "^reuse sum of arm 0 at phase 0 is not finite: nan$"),
+        (2000, 30, "^round 1: pooled mean of arm 0 at phase 0 is not finite: nan$"),
+    ],
+    ids=["stage-one", "round-sample"],
+)
+def test_nan_reward_fails_naming_its_cell(horizon, bad_epoch, named):
+    # the oracle skips stage one's spectral check, so a NaN stage-one reward
+    # fails where stage two sums the reuse block (epoch n K = 20), and a NaN
+    # round sample where a round that explores nothing pools its cell's mean,
+    # rather than running on to NaN means or an empty active list
+    pol = make_policy("oracle", {"n": 10})
+    pol.begin(InstanceView(n_arms=2, horizon=horizon, sigma=0.1, true_periods=(1, 1)))
+    with pytest.raises(ValueError, match=named):
+        for t in range(1, horizon + 1):
+            arm = pol.decide(t)
+            pol.observe(t, arm, math.nan if t == bad_epoch else 0.5 + 0.1 * arm)
 
 
 @pytest.mark.parametrize("policy_id", ["two_stage", "oracle", "lcm_ucb"])
