@@ -327,16 +327,14 @@ def test_cached_cells_equal_scratch_formula(periods, ops, sigma, horizon):
         ("bar_samples", [(1, -1, 0.5)], r"^bar sample arm must be an integer in 0\.\.0, got -1$"),
         ("bar_samples", [(1, True, 0.5)], r"^bar sample arm must be an integer in 0\.\.0, got True$"),
         ("bar_samples", [(1.5, 0, 0.5)], "^bar sample epoch must be an integer, got 1.5$"),
-        ("bar_samples", [(1, 0, 0.5), (3, 0, math.nan)], "^reuse sum of arm 0 at phase 1 is not finite: nan$"),
     ],
     ids=["period-float", "period-0", "sigma-string", "sigma-nan", "sigma-negative", "horizon-float",
-         "periods-empty", "bar-arm-past-K", "bar-arm-negative", "bar-arm-bool", "bar-epoch-float", "bar-reward-nan"],
+         "periods-empty", "bar-arm-past-K", "bar-arm-negative", "bar-arm-bool", "bar-epoch-float"],
 )
 def test_nested_cb_state_checks_its_values(field, value, named):
     # checked as the instance types check theirs, not converted: a period of
     # 2.7 would become 2 and a NaN sigma would make every width NaN; an arm
-    # of -1 would land in the last arm's cells, and a NaN reward would make
-    # every pooled mean of its cell NaN
+    # of -1 would land in the last arm's cells
     args = {"periods": [2], "sigma": 1.0, "horizon": 100, "bar_samples": [], field: value}
     with pytest.raises(ValueError, match=named):
         NestedCBState(**args)
